@@ -11,20 +11,19 @@ accumulation bins.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .detection import PulseTrain
+from .detection import PulseTrain, seconds_to_ps
 from .errors import ConfigError, ContractError
-
-PS_PER_S = 1_000_000_000_000
 
 
 @dataclass(frozen=True)
 class CcmConfig:
-    """Coincidence counter parameters (seconds)."""
+    """Coincidence counter parameters (seconds); whole steps fill the accumulation bin."""
 
     overlap_threshold: float = 5e-9
     delay_tau: float = 0.0
@@ -32,29 +31,32 @@ class CcmConfig:
     step: float = 0.1
 
     def __post_init__(self):
-        if self.overlap_threshold <= 0:
-            raise ConfigError("overlap_threshold must be > 0")
+        seconds_to_ps(self.overlap_threshold, "overlap_threshold")
+        seconds_to_ps(self.delay_tau, "delay_tau", at_least=None)
         if self.step <= 0 or self.accumulation_bin <= 0:
             raise ConfigError("step and accumulation_bin must be > 0")
-        if self.step > self.accumulation_bin:
-            raise ConfigError("step must not exceed accumulation_bin")
-
-    @property
-    def overlap_threshold_ps(self) -> int:
-        return round(self.overlap_threshold * PS_PER_S)
-
-    @property
-    def delay_tau_ps(self) -> int:
-        return round(self.delay_tau * PS_PER_S)
-
-    @property
-    def steps_per_bin(self) -> int:
-        k = round(self.accumulation_bin / self.step)
-        if k < 1 or abs(k * self.step - self.accumulation_bin) > 1e-9 * self.accumulation_bin:
+        if not tiles(self.accumulation_bin, self.step, 1e-9 * self.accumulation_bin):
             raise ConfigError(
                 f"step {self.step} s does not tile the {self.accumulation_bin} s accumulation bin"
             )
-        return k
+
+    @property
+    def overlap_threshold_ps(self) -> int:
+        return seconds_to_ps(self.overlap_threshold, "overlap_threshold")
+
+    @property
+    def delay_tau_ps(self) -> int:
+        return seconds_to_ps(self.delay_tau, "delay_tau", at_least=None)
+
+    @property
+    def steps_per_bin(self) -> int:
+        return round(self.accumulation_bin / self.step)
+
+
+def tiles(total: float, step: float, tol: float) -> bool:
+    """Whether ``0 < step <= total`` and whole steps make up ``total`` to within ``tol``."""
+    ratio = total / step
+    return 1.0 <= ratio < math.inf and abs(round(ratio) * step - total) <= tol
 
 
 @dataclass(frozen=True)

@@ -11,20 +11,26 @@ The JSON document mirrors the dataclass fields in snake_case::
                     "seed": 123456789, "asymmetric_walkoff": false}
     }
 
-Unknown keys are rejected with the offending dotted path.  The PSTREAM_SEED
-environment variable overrides the config seed; an explicit CLI flag wins
-over both.
+Unknown keys are rejected with the offending dotted path.  Each value must
+match its field's annotation: a bool takes only true/false, an int an integer
+(not a bool or a float), a float any finite number; null only where optional.
+Times are in seconds, and those used as picoseconds must round to >= 1 ps.
+Cross-field rules (steps tile the accumulation bin and the dwell; the power
+chain gives an occupancy below 1) are checked when the config is built.  The
+PSTREAM_SEED environment variable overrides the config seed; an explicit CLI
+flag wins over both.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+import sys
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, get_args, get_origin, get_type_hints
 
-from .coincidence import CcmConfig
+from .coincidence import CcmConfig, tiles
 from .detection import DetectorConfig
 from .errors import ConfigError
 from .interferometer import PztConfig
@@ -85,67 +91,55 @@ class ExperimentConfig:
     def __post_init__(self):
         if len(self.detectors) != 2:
             raise ConfigError("exactly two detector configurations are required")
-        if self.ccm.step > self.scan.seconds_per_point:
-            raise ConfigError("ccm step must not exceed seconds_per_point")
+        if not tiles(self.scan.seconds_per_point, self.ccm.step, 1e-9):
+            raise ConfigError("seconds_per_point must be a whole number of ccm steps")
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
         return replace(self, scan=replace(self.scan, seed=seed))
 
 
 def _build(cls, data: Any, path: str):
-    """Construct dataclass ``cls`` from a JSON mapping, rejecting unknown keys."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"expected an object at {path or '<root>'}, got {type(data).__name__}")
-    known = {f.name for f in fields(cls)}
-    kwargs = {}
-    for key, value in data.items():
-        child = f"{path}.{key}" if path else key
-        if key not in known:
-            raise ConfigError(f"unknown key at {child}")
-        if isinstance(value, dict) and _field_dataclass(cls, key) is not None:
-            kwargs[key] = _build(_field_dataclass(cls, key), value, child)
-        else:
-            kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except ConfigError:
-        raise
-    except TypeError as exc:
-        raise ConfigError(f"bad value under {path or '<root>'}: {exc}") from exc
+    """Construct ``cls`` from a parsed JSON value by the rules of the module docstring.
 
-
-_NESTED = {
-    (OpticsConfig, "pzt"): PztConfig,
-    (ExperimentConfig, "source"): SourceConfig,
-    (ExperimentConfig, "optics"): OpticsConfig,
-    (ExperimentConfig, "ccm"): CcmConfig,
-    (ExperimentConfig, "scan"): ScanConfig,
-}
-
-
-def _field_dataclass(cls, name: str):
-    return _NESTED.get((cls, name))
+    Dataclasses recurse; a tuple takes a list of its length or one object for all.
+    """
+    where = path or "<root>"
+    if is_dataclass(cls):
+        if not isinstance(data, dict):
+            raise ConfigError(f"expected an object at {where}, got {type(data).__name__}")
+        hints = get_type_hints(cls)
+        kwargs = {}
+        for key, value in data.items():
+            child = f"{path}.{key}" if path else key
+            if key not in hints:
+                raise ConfigError(f"unknown key at {child}")
+            kwargs[key] = _build(hints[key], value, child)
+        try:
+            return cls(**kwargs)
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+    args = get_args(cls)
+    if get_origin(cls) is tuple:
+        if isinstance(data, dict):
+            return tuple(_build(t, data, where) for t in args)
+        if isinstance(data, (list, tuple)) and len(data) == len(args):
+            return tuple(_build(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(args, data)))
+        raise ConfigError(f"{where} must be one object or a list of exactly {len(args)}")
+    if type(None) in args:
+        if data is None:
+            return None
+        (cls,) = (t for t in args if t is not type(None))
+    if cls is float and type(data) in (int, float) and abs(data) <= sys.float_info.max:
+        return float(data)
+    if cls is not float and type(data) is cls:
+        return data
+    expected = "a finite number" if cls is float else cls.__name__
+    raise ConfigError(f"{where} must be {expected}, got {data!r:.40}")
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed JSON document."""
-    if not isinstance(data, dict):
-        raise ConfigError("configuration root must be an object")
-    payload = dict(data)
-    detectors_raw = payload.pop("detectors", None)
-    cfg = _build(ExperimentConfig, payload, "")
-    if detectors_raw is not None:
-        if isinstance(detectors_raw, dict):
-            det = _build(DetectorConfig, detectors_raw, "detectors")
-            detectors = (det, det)
-        elif isinstance(detectors_raw, list) and len(detectors_raw) == 2:
-            detectors = tuple(
-                _build(DetectorConfig, d, f"detectors[{i}]") for i, d in enumerate(detectors_raw)
-            )
-        else:
-            raise ConfigError("detectors must be one object or a list of exactly two")
-        cfg = replace(cfg, detectors=detectors)
-    return cfg
+    return _build(ExperimentConfig, data, "")
 
 
 def load_config(path: str | Path, seed_override: int | None = None) -> ExperimentConfig:
@@ -155,7 +149,7 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
         data = json.loads(path.read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     cfg = config_from_dict(data)
     env_seed = os.environ.get(SEED_ENV_VAR)
@@ -171,17 +165,4 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Plain-dict echo of a config, suitable for JSON serialization."""
-
-    def as_dict(obj):
-        if is_dataclass(obj):
-            out = {}
-            for f in fields(obj):
-                if f.name == "bs_phase":
-                    continue
-                out[f.name] = as_dict(getattr(obj, f.name))
-            return out
-        if isinstance(obj, tuple):
-            return [as_dict(v) for v in obj]
-        return obj
-
-    return as_dict(cfg)
+    return asdict(cfg)

@@ -6,7 +6,8 @@ picoseconds: arrival times are quantized to the module's resolving-time grid,
 a non-paralyzable dead-time filter drops events that follow a kept event too
 closely, and each surviving event becomes one fixed-shape pulse.  Dark counts
 are merged with photon events before filtering since they trigger the same
-avalanche electronics.
+avalanche electronics.  Configured times in seconds become picoseconds in one
+function, ``seconds_to_ps``.
 """
 
 from __future__ import annotations
@@ -26,21 +27,34 @@ CHANNEL_A = "A"  # -> D1
 CHANNEL_B = "B"  # -> D2
 
 
+def seconds_to_ps(seconds: float, name: str, at_least: int | None = 1) -> int:
+    """``seconds`` as whole picoseconds, rounded once.
+
+    Raises ConfigError for a time that is not finite, overflows int64, or
+    rounds below ``at_least`` ps (no lower bound when ``at_least`` is None).
+    """
+    ps = seconds * PS_PER_S
+    if not abs(ps) < 2**63:  # also false for NaN
+        raise ConfigError(f"{name} = {seconds!r} s does not fit an int64 picosecond count")
+    ps = round(ps)
+    if at_least is not None and ps < at_least:
+        raise ConfigError(f"{name} = {seconds!r} s rounds to {ps} ps, below {at_least} ps")
+    return ps
+
+
 @dataclass(frozen=True)
 class DetectorConfig:
-    """SPCM parameters.  The pulse amplitude is metadata for trace synthesis."""
+    """SPCM parameters (seconds, counts per second); each time must round to >= 1 ps."""
 
     dead_time: float = 22e-9
     dark_rate: float = 27.0
     pulse_duration: float = 10e-9
-    pulse_amplitude: float = 4.0
     resolving_time: float = 350e-12
     efficiency: float = 1.0
 
     def __post_init__(self):
         for name in ("dead_time", "pulse_duration", "resolving_time"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0")
+            seconds_to_ps(getattr(self, name), name)
         if self.dark_rate < 0:
             raise ConfigError("dark_rate must be >= 0")
         if not 0.0 <= self.efficiency <= 1.0:
@@ -48,15 +62,15 @@ class DetectorConfig:
 
     @property
     def dead_time_ps(self) -> int:
-        return round(self.dead_time * PS_PER_S)
+        return seconds_to_ps(self.dead_time, "dead_time")
 
     @property
     def pulse_duration_ps(self) -> int:
-        return round(self.pulse_duration * PS_PER_S)
+        return seconds_to_ps(self.pulse_duration, "pulse_duration")
 
     @property
     def resolving_time_ps(self) -> int:
-        return round(self.resolving_time * PS_PER_S)
+        return seconds_to_ps(self.resolving_time, "resolving_time")
 
 
 @dataclass(frozen=True)
@@ -246,7 +260,7 @@ def detect_bin(
         det_a, det_b = detectors
     if slot_width is None:
         slot_width = det_a.dead_time
-    slot_ps = round(slot_width * PS_PER_S)
+    slot_ps = seconds_to_ps(slot_width, "slot_width")
     bin_length = batch.slots_per_bin * slot_ps
     duration_s = bin_length / PS_PER_S
 

@@ -86,7 +86,6 @@ class PztConfig:
     voltage_max: float = 100.0
     voltage_resolution: float = 1.5e-3
     displacement_per_volt: float = 8e-8
-    scan_duration: float = 316.0
 
     def __post_init__(self):
         if self.voltage_max <= self.voltage_min:
@@ -95,8 +94,6 @@ class PztConfig:
             raise ConfigError("voltage_resolution must be > 0")
         if self.displacement_per_volt <= 0:
             raise ConfigError("displacement_per_volt must be > 0")
-        if self.scan_duration <= 0:
-            raise ConfigError("scan_duration must be > 0")
 
     @property
     def voltage_center(self) -> float:

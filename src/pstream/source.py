@@ -56,19 +56,19 @@ class SourceConfig:
             raise ConfigError(
                 f"mean_photon_override must lie in [0, 1), got {self.mean_photon_override}"
             )
+        mean = self.mean_photon()
+        if mean >= 1.0:
+            raise ConfigError(
+                f"configured power/OD gives mean occupancy {mean:.3g} >= 1; "
+                "increase od_total or set mean_photon_override"
+            )
 
     def mean_photon(self) -> float:
         """Mean occupancy per dead-time slot, from the override or the power chain."""
         if self.mean_photon_override is not None:
             return self.mean_photon_override
         flux = photon_flux(attenuated_power(self.input_power, self.od_total), self.wavelength)
-        mean = flux * self.dead_time
-        if mean >= 1.0:
-            raise ConfigError(
-                f"configured power/OD gives mean occupancy {mean:.3g} >= 1; "
-                "increase od_total or set mean_photon_override"
-            )
-        return mean
+        return flux * self.dead_time
 
 
 @dataclass(frozen=True)

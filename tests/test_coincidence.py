@@ -234,8 +234,8 @@ class TestAccumulate:
         assert records[1].partial and records[1].n_a == 3
 
     def test_step_must_tile_bin(self):
-        with pytest.raises(ConfigError):
-            CcmConfig(step=0.3).steps_per_bin
+        with pytest.raises(ConfigError, match="does not tile"):
+            CcmConfig(step=0.3)
 
 
 class TestCountRecord:
@@ -259,3 +259,9 @@ class TestCcmConfig:
             CcmConfig(overlap_threshold=0.0)
         with pytest.raises(ConfigError):
             CcmConfig(step=2.0, accumulation_bin=1.0)
+        with pytest.raises(ConfigError, match="int64"):
+            CcmConfig(delay_tau=-1e300)
+
+    def test_delay_may_be_zero_or_negative(self):
+        assert CcmConfig(delay_tau=0.0).delay_tau_ps == 0
+        assert CcmConfig(delay_tau=-2e-9).delay_tau_ps == -2_000

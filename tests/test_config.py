@@ -1,6 +1,11 @@
 import json
+import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pstream.config import (
     ExperimentConfig,
@@ -10,6 +15,8 @@ from pstream.config import (
     load_config,
 )
 from pstream.errors import ConfigError
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 GOOD = {
     "source": {"mean_photon_override": 0.012, "dead_time": 22e-9},
@@ -95,6 +102,140 @@ class TestLoadConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b"1" * 5000, b"[" * 100_000, b"\xff\xfe{"],
+        ids=["int_over_4300_digits", "nesting_too_deep", "not_utf8"],
+    )
+    def test_unparsable_file(self, tmp_path, raw):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(raw)
+        with pytest.raises(ConfigError):
+            load_config(path)
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
+    def test_committed_configs_load_and_echo(self, path, monkeypatch):
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        cfg = load_config(path)
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+
+# Inputs that used to end in a traceback, run with a config other than the one
+# written, or fail only once the scan had started; each must now stop in
+# load_config.  The base scan is tiny, so a probe that loaded anyway would
+# finish quickly and fail the test rather than hang it.
+PROBE_BASE = {
+    "source": {"mean_photon_override": 0.012},
+    "scan": {"n_points": 2, "seconds_per_point": 0.2, "seed": 1},
+}
+PROBES = {
+    "n_points_float": {"scan": {"n_points": 3.5}},
+    "dead_time_nan": {"detectors": [{"dead_time": math.nan}, {}]},
+    "seed_string": {"scan": {"seed": "abc"}},
+    "dead_time_overflow": {"detectors": {"dead_time": 1e308}},
+    "walkoff_string": {"scan": {"asymmetric_walkoff": "no"}},
+    "resolving_time_sub_ps": {"detectors": [{"resolving_time": 1e-15}, {}]},
+    # 0.6 s is two 0.3 s steps, so only the 1 s accumulation bin is untiled
+    "step_not_tiling_bin": {
+        "ccm": {"step": 0.3, "accumulation_bin": 1.0},
+        "scan": {"seconds_per_point": 0.6},
+    },
+}
+
+
+def probe_document(probe: dict) -> dict:
+    doc = json.loads(json.dumps(PROBE_BASE))
+    for section, value in probe.items():
+        if isinstance(value, dict) and section in doc:
+            doc[section] = {**doc[section], **value}
+        else:
+            doc[section] = value
+    return doc
+
+
+@pytest.mark.parametrize("name", PROBES)
+def test_bad_value_stops_at_load(name, tmp_path, monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(probe_document(PROBES[name])))
+    with pytest.raises(ConfigError):
+        load_config(path)
+
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pstream.cli", "simulate", "--config", str(path), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "configuration error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (out / "scan.csv").exists()
+
+
+# ---------------------------------------------------------------- fuzzing
+
+WILD_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**63, -(2**63), 10**400, -(10**400)]),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-308, 5e-324, -0.0]),
+    st.text(max_size=4),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+)
+
+
+def sometimes(common, rare, one_in: int):
+    """``rare`` about once in ``one_in`` draws, else ``common``."""
+    return st.sampled_from(range(one_in)).flatmap(lambda i: rare if i == 0 else common)
+
+
+def near(default):
+    """Mostly the default value, sometimes one scaled, negated or retyped."""
+    if isinstance(default, bool):
+        off = st.sampled_from([not default, None, 0, 1])
+    elif isinstance(default, int):
+        off = st.sampled_from([2, 0, -1, float(default), 2**63, 10**400])
+    else:
+        off = st.sampled_from([1e308, 1e-308, 0.0, -default, default * 1e-3, default * 1e3])
+    return sometimes(st.just(default), off, 6)
+
+
+def document(template):
+    """A JSON document over the template's key tree: keys dropped at random,
+    now and then a wild value in place of a leaf or an object, and now and
+    then an unknown key."""
+    if isinstance(template, dict):
+        plain = st.fixed_dictionaries({}, optional={k: document(v) for k, v in template.items()})
+        with_unknown = st.builds(lambda d, v: {**d, "bogus": v}, plain, WILD_VALUES)
+        return sometimes(plain, st.one_of(with_unknown, WILD_VALUES), 20)
+    if isinstance(template, list):
+        return st.one_of(st.tuples(*map(document, template)).map(list), document(template[0]))
+    return sometimes(near(template), WILD_VALUES, 20)
+
+
+TEMPLATE = json.loads(json.dumps(config_to_dict(ExperimentConfig())))
+# a template source that loads whether or not the override key is drawn
+TEMPLATE["source"].update(mean_photon_override=0.012, od_total=8.9)
+
+
+@settings(max_examples=400, deadline=None)
+@given(document(TEMPLATE))
+@example({"detectors": {"dead_time": 1e308}})
+@example({"ccm": {"step": 1e-308, "accumulation_bin": 1e308}})
+@example({"scan": {"seconds_per_point": 1e308}})
+@example({"source": {"mean_photon_override": None, "input_power": 1e308, "wavelength": 1e308}})
+def test_any_document_loads_or_raises_config_error(doc):
+    try:
+        cfg = config_from_dict(doc)
+    except ConfigError:
+        return
+    assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
 class TestExperimentConfig:

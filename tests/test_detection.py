@@ -274,3 +274,8 @@ class TestDetectorConfig:
         assert cfg.dead_time_ps == 22_000
         assert cfg.pulse_duration_ps == 10_000
         assert cfg.resolving_time_ps == 350
+        # below 1 ps the grid would be 0 ps; past int64 the count overflows
+        with pytest.raises(ConfigError, match="rounds to 0 ps"):
+            DetectorConfig(resolving_time=1e-15)
+        with pytest.raises(ConfigError, match="int64"):
+            DetectorConfig(dead_time=1e308)

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from pstream import runner
 from pstream.config import ExperimentConfig, ScanConfig
 from pstream.errors import ConfigError, DataError
 from pstream.interferometer import envelope
@@ -84,13 +85,21 @@ class TestRunScanPhysics:
             assert p.n_a + p.n_b < 200  # dark counts only, ~54 expected
             assert p.n_c <= 1
 
-    def test_component_errors_carry_point_index(self):
-        cfg = dataclasses.replace(
-            ExperimentConfig(),
-            scan=ScanConfig(n_points=4, seconds_per_point=0.25, seed=1),
-        )
-        with pytest.raises(ConfigError, match="scan point 0"):
-            run_scan(cfg)
+    def test_dwell_must_be_whole_steps(self):
+        # a 0.25 s dwell is not a whole number of 0.1 s steps: refused when built
+        with pytest.raises(ConfigError, match="whole number of ccm steps"):
+            dataclasses.replace(
+                ExperimentConfig(),
+                scan=ScanConfig(n_points=4, seconds_per_point=0.25, seed=1),
+            )
+
+    def test_component_errors_carry_point_index(self, monkeypatch):
+        def failing_detect_bin(*args, **kwargs):
+            raise DataError("detector fault")
+
+        monkeypatch.setattr(runner, "detect_bin", failing_detect_bin)
+        with pytest.raises(DataError, match="scan point 0: detector fault"):
+            run_scan(small_config(n_points=4))
 
     def test_jitter_perturbs_ramp_deterministically(self):
         plain = run_scan(small_config(n_points=8, seconds=0.2))
