@@ -7,6 +7,12 @@ configurable).  Matching is greedy in time order and one-to-one: a gate that
 re-arms after each count cannot use the same pulse twice.  Singles and
 coincidence counts are tallied in 100 ms steps and summed into 1 s
 accumulation bins.
+
+The matching is defined by a two-pointer walk over both trains.  It runs in
+vectorized numpy except inside the rare groups of three or more mutually
+overlapping pulses: equal-duration trains in which no pulse can overlap two
+others take a searchsorted lookup, and any other input is split into
+independent overlap clusters (see ``_coincide_clusters``).
 """
 
 from __future__ import annotations
@@ -23,7 +29,11 @@ from .errors import ConfigError, ContractError
 
 @dataclass(frozen=True)
 class CcmConfig:
-    """Coincidence counter parameters (seconds); whole steps fill the accumulation bin."""
+    """Coincidence counter parameters (seconds); whole steps fill the accumulation bin.
+
+    ``overlap_threshold_ps`` and ``delay_tau_ps`` hold the same times as int
+    picoseconds, converted once when the config is built.
+    """
 
     overlap_threshold: float = 5e-9
     delay_tau: float = 0.0
@@ -31,22 +41,18 @@ class CcmConfig:
     step: float = 0.1
 
     def __post_init__(self):
-        seconds_to_ps(self.overlap_threshold, "overlap_threshold")
-        seconds_to_ps(self.delay_tau, "delay_tau", at_least=None)
+        object.__setattr__(
+            self, "overlap_threshold_ps", seconds_to_ps(self.overlap_threshold, "overlap_threshold")
+        )
+        object.__setattr__(
+            self, "delay_tau_ps", seconds_to_ps(self.delay_tau, "delay_tau", at_least=None)
+        )
         if self.step <= 0 or self.accumulation_bin <= 0:
             raise ConfigError("step and accumulation_bin must be > 0")
         if not tiles(self.accumulation_bin, self.step, 1e-9 * self.accumulation_bin):
             raise ConfigError(
                 f"step {self.step} s does not tile the {self.accumulation_bin} s accumulation bin"
             )
-
-    @property
-    def overlap_threshold_ps(self) -> int:
-        return seconds_to_ps(self.overlap_threshold, "overlap_threshold")
-
-    @property
-    def delay_tau_ps(self) -> int:
-        return seconds_to_ps(self.delay_tau, "delay_tau", at_least=None)
 
     @property
     def steps_per_bin(self) -> int:
@@ -88,7 +94,12 @@ class CountRecord:
 def _coincide_two_pointer(
     a_starts, a_durs, b_starts, b_durs, threshold: int
 ) -> list[tuple[int, int]]:
-    """Greedy AND-gate matching: earliest qualifying overlap first, one match per pulse."""
+    """Greedy AND-gate matching: earliest qualifying overlap first, one match per pulse.
+
+    Walks both trains (Python sequences of int ps) with one pointer each and
+    advances the pulse that ends first.  This is the reference semantics;
+    ``coincide`` runs it only inside overlap clusters of three or more pulses.
+    """
     matches = []
     i = j = 0
     na, nb = len(a_starts), len(b_starts)
@@ -123,14 +134,80 @@ def _coincide_vectorized(
     return list(zip(a_idx.tolist(), idx[a_idx].tolist()))
 
 
+def _coincide_clusters(
+    a_starts: np.ndarray,
+    a_durs: np.ndarray,
+    b_starts: np.ndarray,
+    b_durs: np.ndarray,
+    threshold: int,
+) -> list[tuple[int, int]]:
+    """The two-pointer matching, run on each overlap cluster on its own.
+
+    Both trains' pulses, merged by start, split into clusters wherever a start
+    is at or after every earlier end.  While the two pointers sit in different
+    clusters, the earlier one's pulse ends at or before the later one's
+    starts, so only the earlier pointer moves and it never matches: the
+    whole-train walk is the concatenation of the per-cluster walks.  A
+    cluster of one A and one B pulse matches iff their overlap reaches
+    ``threshold``, decided for all such clusters at once; the Python loop
+    runs only inside clusters of three or more pulses.
+    """
+    na = a_starts.size
+    starts = np.concatenate([a_starts, b_starts])
+    order = np.argsort(starts, kind="stable")  # merges the two sorted runs in linear time
+    starts = starts[order]
+    ends = np.concatenate([a_starts + a_durs, b_starts + b_durs])[order]
+    first = np.flatnonzero(
+        np.concatenate(([True], starts[1:] >= np.maximum.accumulate(ends)[:-1]))
+    )
+    size = np.diff(first, append=order.size)
+
+    pair = first[size == 2]
+    pair_a, pair_b = order[pair], order[pair + 1]
+    hit = ((pair_a < na) != (pair_b < na)) & (
+        np.minimum(ends[pair], ends[pair + 1]) - starts[pair + 1] >= threshold
+    )
+    a_idx = [np.minimum(pair_a, pair_b)[hit]]
+    b_idx = [np.maximum(pair_a, pair_b)[hit] - na]
+
+    # pulses of earlier clusters end, so also start, before a cluster's first
+    # start; searching each train for that start and for the next cluster's
+    # first start gives the train's slice of the cluster
+    big = size >= 3
+    lo, hi = first[big], first[big] + size[big]
+    top = np.append(starts, np.iinfo(np.int64).max)
+    i_lo, i_hi = np.searchsorted(a_starts, (top[lo], top[hi])).tolist()
+    j_lo, j_hi = np.searchsorted(b_starts, (top[lo], top[hi])).tolist()
+    for i0, i1, j0, j1 in zip(i_lo, i_hi, j_lo, j_hi):
+        found = _coincide_two_pointer(
+            a_starts[i0:i1].tolist(),
+            a_durs[i0:i1].tolist(),
+            b_starts[j0:j1].tolist(),
+            b_durs[j0:j1].tolist(),
+            threshold,
+        )
+        if found:
+            i, j = np.array(found, dtype=np.int64).T
+            a_idx.append(i + i0)
+            b_idx.append(j + j0)
+
+    a_idx, b_idx = np.concatenate(a_idx), np.concatenate(b_idx)
+    by_a = np.argsort(a_idx)
+    return list(zip(a_idx[by_a].tolist(), b_idx[by_a].tolist()))
+
+
 def coincide(
     train_a: PulseTrain, train_b: PulseTrain, cfg: CcmConfig
 ) -> tuple[int, list[tuple[int, int]]]:
     """Count overlapping pulse pairs between two trains.
 
     Channel B is shifted by ``delay_tau`` before matching; a pair qualifies
-    when the interval overlap is at least ``overlap_threshold``.  Returns the
-    count and the matched (index_a, index_b) pairs.
+    when the interval overlap is at least ``overlap_threshold``, and pulses
+    match greedily in time order, one match per pulse (``_coincide_two_pointer``
+    defines the semantics).  Returns the count and the matched
+    (index_a, index_b) pairs in ascending index_a.  Equal-duration trains
+    whose pulses cannot each overlap two others take a searchsorted fast
+    path; any other input goes through the overlap-cluster decomposition.
     """
     train_a.validate()
     train_b.validate()
@@ -156,9 +233,7 @@ def coincide(
             matches = _coincide_vectorized(a_starts, d_a, b_starts, d_b, threshold)
             return len(matches), matches
 
-    matches = _coincide_two_pointer(
-        a_starts.tolist(), a_durs.tolist(), b_starts.tolist(), b_durs.tolist(), threshold
-    )
+    matches = _coincide_clusters(a_starts, a_durs, b_starts, b_durs, threshold)
     return len(matches), matches
 
 

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
 
 from .coincidence import CcmConfig, tiles
-from .detection import DetectorConfig
+from .detection import DetectorConfig, seconds_to_ps
 from .errors import ConfigError
 from .interferometer import PztConfig
 from .source import SourceConfig
@@ -91,6 +91,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if len(self.detectors) != 2:
             raise ConfigError("exactly two detector configurations are required")
+        # the slot width; checked here because detection imports source
+        seconds_to_ps(self.source.dead_time, "source.dead_time")
         if not tiles(self.scan.seconds_per_point, self.ccm.step, 1e-9):
             raise ConfigError("seconds_per_point must be a whole number of ccm steps")
 

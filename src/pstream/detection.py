@@ -44,7 +44,11 @@ def seconds_to_ps(seconds: float, name: str, at_least: int | None = 1) -> int:
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """SPCM parameters (seconds, counts per second); each time must round to >= 1 ps."""
+    """SPCM parameters (seconds, counts per second); each time must round to >= 1 ps.
+
+    ``dead_time_ps``, ``pulse_duration_ps`` and ``resolving_time_ps`` hold the
+    same times as int picoseconds, converted once when the config is built.
+    """
 
     dead_time: float = 22e-9
     dark_rate: float = 27.0
@@ -54,23 +58,11 @@ class DetectorConfig:
 
     def __post_init__(self):
         for name in ("dead_time", "pulse_duration", "resolving_time"):
-            seconds_to_ps(getattr(self, name), name)
+            object.__setattr__(self, f"{name}_ps", seconds_to_ps(getattr(self, name), name))
         if self.dark_rate < 0:
             raise ConfigError("dark_rate must be >= 0")
         if not 0.0 <= self.efficiency <= 1.0:
             raise ConfigError(f"efficiency must lie in [0, 1], got {self.efficiency}")
-
-    @property
-    def dead_time_ps(self) -> int:
-        return seconds_to_ps(self.dead_time, "dead_time")
-
-    @property
-    def pulse_duration_ps(self) -> int:
-        return seconds_to_ps(self.pulse_duration, "pulse_duration")
-
-    @property
-    def resolving_time_ps(self) -> int:
-        return seconds_to_ps(self.resolving_time, "resolving_time")
 
 
 @dataclass(frozen=True)
@@ -219,17 +211,29 @@ def sample_distinct_slots(rng: np.random.Generator, n_slots: int, k: int) -> np.
 
     Rejection fill: oversample with replacement, deduplicate, top up, then
     permute so that slicing the result does not correlate with slot position.
-    O(k) memory regardless of n_slots.
+    O(k) memory regardless of n_slots.  Deduplication sorts and drops each
+    value equal to its predecessor, which gives the same sorted array as
+    ``np.unique``; numpy 2's ``np.unique`` hashes integers and runs over 20 times
+    slower than the sort on the ~58k draws of a 100 ms step.
     """
     if k > n_slots:
         raise DomainError(f"cannot place {k} events in {n_slots} slots")
     if k == 0:
         return np.empty(0, dtype=np.int64)
-    chosen = np.unique(rng.integers(0, n_slots, size=k + k // 16 + 16, dtype=np.int64))
+    chosen = _sorted_distinct(rng.integers(0, n_slots, size=k + k // 16 + 16, dtype=np.int64))
     while chosen.size < k:
         extra = rng.integers(0, n_slots, size=(k - chosen.size) * 2 + 16, dtype=np.int64)
-        chosen = np.unique(np.concatenate([chosen, extra]))
+        chosen = _sorted_distinct(np.concatenate([chosen, extra]))
     return rng.permutation(chosen)[:k]
+
+
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a non-empty 1-d array, ascending."""
+    values = np.sort(values)
+    keep = np.empty(values.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def _quantize(times_ps: np.ndarray, grid_ps: int) -> np.ndarray:

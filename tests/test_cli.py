@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +76,34 @@ class TestSimulate:
 
     def test_missing_config_exits_2(self, tmp_path):
         assert run_cli("simulate", "--config", str(tmp_path / "nope.json"), "--out", ".") == 2
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+# SHA-256 of scan.csv for each committed config cut to 16 points x 0.1 s
+SCAN_DIGESTS = {
+    "coincidence_scan.json": "edceb3108b48f7c5fd3c90e3d8cd73b2193361e6dc10f0893d1d3efbab8ecacc",
+    "walkoff_scan.json": "6184283667b6346558ca8077abcf68fb15bbe730bbe1ae754826b6d9499e78dc",
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("name", sorted(SCAN_DIGESTS))
+def test_committed_config_scan_bytes_pinned(name, workers, tmp_path, monkeypatch):
+    """scan.csv keeps its exact bytes for the committed configs.
+
+    A change that only speeds the program up leaves every random draw and
+    every count as it was, so these digests hold.  A change of the random
+    streams, such as the planned fused slot-occupancy sampler, is expected to
+    change them once; such a change records the new digests with its reason.
+    """
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    doc = json.loads((CONFIG_DIR / name).read_text())
+    doc["scan"].update(n_points=16, seconds_per_point=0.1)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--config", str(path), "--out", str(out), "--workers", workers) == 0
+    assert hashlib.sha256((out / "scan.csv").read_bytes()).hexdigest() == SCAN_DIGESTS[name]
 
 
 class TestAnalyze:

@@ -1,10 +1,18 @@
+import dataclasses
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pstream import coincidence
 from pstream.coincidence import CcmConfig, CountRecord, StepCount, accumulate, coincide
-from pstream.detection import CHANNEL_A, CHANNEL_B, PulseTrain
+from pstream.config import load_config
+from pstream.detection import CHANNEL_A, CHANNEL_B, PulseTrain, detect_bin
 from pstream.errors import ConfigError, ContractError
+from pstream.interferometer import OpticalState
+from pstream.source import sample_batch
 
 NS = 1000  # ps per ns
 
@@ -192,6 +200,102 @@ class TestCoincideOracle:
         joined_a = _concat(first_a, second_a, offset)
         joined_b = _concat(first_b, second_b, offset)
         assert coincide(joined_a, joined_b, cfg)[0] == separate
+
+
+def pulses(channel, items):
+    """Pulse train from (start, duration) pairs in ns."""
+    starts = np.array([s * NS for s, _ in items], dtype=np.int64)
+    durations = np.array([d * NS for _, d in items], dtype=np.int64)
+    return PulseTrain(channel, starts, durations, bin_length=int((starts + durations).max()) + 1)
+
+
+def whole_train_two_pointer(train_a, train_b, cfg):
+    """The greedy walk over both whole trains, the reference for the cluster split."""
+    return coincidence._coincide_two_pointer(
+        train_a.starts.tolist(),
+        train_a.durations.tolist(),
+        (train_b.starts + cfg.delay_tau_ps).tolist(),
+        train_b.durations.tolist(),
+        cfg.overlap_threshold_ps,
+    )
+
+
+class TestCoincideClusters:
+    """Trains that take the overlap-cluster path: unequal durations, or
+    pulses long enough that one can overlap two others."""
+
+    # the chain A1-B1-A2, in which B1 overlaps both A pulses by 5 ns or more,
+    # between two lone matching pairs; the greedy walk gives B1 to whichever A
+    # pulse reaches the threshold first, not to the larger overlap
+    @pytest.mark.parametrize(
+        "b1_start,expected",
+        [
+            (103, [(0, 0), (1, 1), (3, 2)]),  # A1 overlaps B1 by 7 ns, A2 by 10 ns
+            (107, [(0, 0), (2, 1), (3, 2)]),  # A1 overlaps B1 by 3 ns only
+        ],
+    )
+    def test_chain_decided_by_greedy_order(self, b1_start, expected):
+        a = pulses(CHANNEL_A, [(0, 10), (100, 10), (112, 10), (200, 10)])
+        b = pulses(CHANNEL_B, [(2, 20), (b1_start, 20), (202, 20)])
+        cfg = CcmConfig()
+        assert coincide(a, b, cfg) == (len(expected), expected)
+        assert whole_train_two_pointer(a, b, cfg) == expected
+
+    def test_long_pulse_spans_two_short_ones(self):
+        # B0 ends before B1 starts, yet both lie inside A0: one cluster, in
+        # which B0 overlaps A0 by 3 ns only and B1 takes the match
+        a = pulses(CHANNEL_A, [(0, 50)])
+        b = pulses(CHANNEL_B, [(5, 3), (20, 10)])
+        assert coincide(a, b, CcmConfig()) == (1, [(0, 1)])
+
+    def test_random_trains_match_whole_train_walk(self):
+        # unequal durations up to twice the largest gap, so pulses of one train
+        # may overlap each other and clusters of many pulses form
+        rng = np.random.default_rng(20_241_018)
+        for trial in range(400):
+            trains = []
+            for channel in (CHANNEL_A, CHANNEL_B):
+                n = int(rng.integers(1, 40))
+                starts = np.cumsum(rng.integers(1, 30, size=n)) * NS // 4
+                durations = rng.integers(1, 60, size=n) * NS // 4
+                top = int((starts + durations).max()) + 1
+                trains.append(PulseTrain(channel, starts, durations, bin_length=top))
+            cfg = CcmConfig(
+                overlap_threshold=int(rng.integers(1, 12)) * 0.25e-9,
+                delay_tau=int(rng.integers(-20, 21)) * 0.25e-9,
+            )
+            expected = whole_train_two_pointer(*trains, cfg)
+            assert coincide(*trains, cfg) == (len(expected), expected), f"trial {trial}"
+
+    # the lone 3 ns pulse makes train A non-uniform; a pair cluster needs no loop
+    @pytest.mark.parametrize("b_start_ps,count", [(5_000, 1), (5_001, 0)])
+    def test_pair_cluster_at_threshold(self, b_start_ps, count, monkeypatch):
+        a = PulseTrain(CHANNEL_A, [0, 100 * NS], [10 * NS, 3 * NS], bin_length=200 * NS)
+        b = PulseTrain(CHANNEL_B, [b_start_ps], [12 * NS], bin_length=200 * NS)
+
+        def no_loop(*args):
+            raise AssertionError("a one-A-one-B cluster reached the Python loop")
+
+        monkeypatch.setattr(coincidence, "_coincide_two_pointer", no_loop)
+        assert coincide(a, b, CcmConfig()) == (count, [(0, 0)] * count)
+
+    def test_walkoff_step_with_20_ns_pulses(self, monkeypatch):
+        """One real 100 ms step: 20 ns pulses 22 ns apart can each overlap
+        two others, so the searchsorted fast path does not apply."""
+        cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "walkoff_scan.json")
+        detector = dataclasses.replace(cfg.detectors[0], pulse_duration=20e-9)
+        slots = int(cfg.ccm.step / cfg.source.dead_time)
+        batch = sample_batch(cfg.source.mean_photon(), slots, seed=2024, bin_index=0)
+        state = OpticalState(phase=math.pi / 2, intrinsic_visibility=0.882)
+        a, b = detect_bin(batch, state, detector, seed=2025, slot_width=cfg.source.dead_time)
+
+        def no_fast_path(*args):
+            raise AssertionError("took the uniform fast path")
+
+        monkeypatch.setattr(coincidence, "_coincide_vectorized", no_fast_path)
+        count, matches = coincide(a, b, cfg.ccm)
+        assert count > 50
+        assert matches == whole_train_two_pointer(a, b, cfg.ccm)
 
 
 def _random_train(rng, channel, n, duration, min_gap=22_000):

@@ -136,6 +136,8 @@ PROBES = {
     "dead_time_overflow": {"detectors": {"dead_time": 1e308}},
     "walkoff_string": {"scan": {"asymmetric_walkoff": "no"}},
     "resolving_time_sub_ps": {"detectors": [{"resolving_time": 1e-15}, {}]},
+    # the slot width, which detect_bin used to refuse only at scan point 0
+    "slot_width_sub_ps": {"source": {"mean_photon_override": 0.012, "dead_time": 1e-13}},
     # 0.6 s is two 0.3 s steps, so only the 1 s accumulation bin is untiled
     "step_not_tiling_bin": {
         "ccm": {"step": 0.3, "accumulation_bin": 1.0},

@@ -179,6 +179,32 @@ class TestSampleDistinctSlots:
         slots = sample_distinct_slots(np.random.default_rng(0), 64, 64)
         assert sorted(slots.tolist()) == list(range(64))
 
+    # a typical 100 ms step, then k near and at n_slots, where the first fill
+    # comes up short and the top-up loop runs
+    @pytest.mark.parametrize(
+        "n_slots,k", [(500, 0), (4_545_454, 54_000), (520, 500), (64, 64)]
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 20_241_018])
+    def test_same_draws_as_unique_reference(self, n_slots, k, seed):
+        got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_distinct_slots(got_rng, n_slots, k)
+        ref = unique_reference_slots(ref_rng, n_slots, k)
+        assert got.dtype == ref.dtype == np.int64
+        np.testing.assert_array_equal(got, ref)
+        # the generator is left in the same state, so every later draw agrees
+        assert got_rng.integers(2**62) == ref_rng.integers(2**62)
+
+
+def unique_reference_slots(rng, n_slots, k):
+    """sample_distinct_slots as first written, deduplicating with np.unique."""
+    if k == 0:
+        return np.empty(0, dtype=np.int64)
+    chosen = np.unique(rng.integers(0, n_slots, size=k + k // 16 + 16, dtype=np.int64))
+    while chosen.size < k:
+        extra = rng.integers(0, n_slots, size=(k - chosen.size) * 2 + 16, dtype=np.int64)
+        chosen = np.unique(np.concatenate([chosen, extra]))
+    return rng.permutation(chosen)[:k]
+
 
 def quiet_detector(**kwargs) -> DetectorConfig:
     return DetectorConfig(dark_rate=0.0, **kwargs)
