@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -105,12 +106,26 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     events1, events2 = ingest_trace(trace)
     with open(args.out, "w", newline="") as fh:
         fh.write("channel,time_s\n")
-        for t in events1:
-            fh.write(f"1,{t!r}\n")
-        for t in events2:
-            fh.write(f"2,{t!r}\n")
+        fh.write("".join(map("1,{!r}\n".format, events1.tolist())))
+        fh.write("".join(map("2,{!r}\n".format, events2.tolist())))
     print(f"channel 1: {events1.size} events; channel 2: {events2.size} events")
     return EXIT_OK
+
+
+def finite_float(text: str) -> float:
+    """argparse type: a finite real number (not nan or inf)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not finite")
+    return value
+
+
+def positive_float(text: str) -> float:
+    """argparse type: a finite real number > 0."""
+    value = finite_float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not > 0")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,31 +143,35 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="summarize a scan CSV")
     p.add_argument("--scan", required=True, help="scan CSV produced by simulate")
     p.add_argument("--out", required=True, help="report CSV path")
-    p.add_argument("--dead-time", type=float, default=22e-9, dest="dead_time")
-    p.add_argument("--delta-t", type=float, default=10e-9, dest="delta_t")
-    p.add_argument("--bin-seconds", type=float, default=1.0, dest="bin_seconds")
+    p.add_argument("--dead-time", type=positive_float, default=22e-9, dest="dead_time")
+    p.add_argument("--delta-t", type=positive_float, default=10e-9, dest="delta_t")
+    p.add_argument("--bin-seconds", type=positive_float, default=1.0, dest="bin_seconds")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("fig4", help="write analytic reference curves")
-    p.add_argument("--v", type=float, required=True, help="intrinsic visibility")
-    p.add_argument("--leff", type=float, required=True, help="envelope FWHM in meters")
+    p.add_argument("--v", type=finite_float, required=True, help="intrinsic visibility")
+    p.add_argument("--leff", type=positive_float, required=True, help="envelope FWHM in meters")
     p.add_argument("--out", required=True)
-    p.add_argument("--span", type=float, default=4e-6, help="half-range of the x grid, meters")
+    p.add_argument(
+        "--span", type=positive_float, default=4e-6, help="half-range of the x grid, meters"
+    )
     p.add_argument("--points", type=int, default=2001)
-    p.add_argument("--wavelength", type=float, default=632.8e-9)
+    p.add_argument("--wavelength", type=positive_float, default=632.8e-9)
     p.set_defaults(func=_cmd_fig4)
 
     p = sub.add_parser("stats", help="occupancy statistics for a mean photon number")
-    p.add_argument("--mean", type=float, required=True)
-    p.add_argument("--dead-time", type=float, default=22e-9, dest="dead_time")
+    p.add_argument("--mean", type=finite_float, required=True)
+    p.add_argument("--dead-time", type=positive_float, default=22e-9, dest="dead_time")
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("ingest", help="extract events from a trace file")
     p.add_argument("--trace", required=True)
     p.add_argument("--out", required=True, help="events CSV path")
     p.add_argument("--format", choices=["csv", "raw"], default=None)
-    p.add_argument("--sampling-period", type=float, default=400e-12, dest="sampling_period")
-    p.add_argument("--threshold", type=float, default=2.0)
+    p.add_argument(
+        "--sampling-period", type=positive_float, default=400e-12, dest="sampling_period"
+    )
+    p.add_argument("--threshold", type=finite_float, default=2.0)
     p.set_defaults(func=_cmd_ingest)
     return parser
 

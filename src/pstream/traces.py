@@ -7,16 +7,31 @@ contributes one event at its first sample.
 
 Two file forms are supported:
 
-* CSV with header ``time_s,ch1_V,ch2_V``;
+* CSV with header ``time_s,ch1_V,ch2_V`` and one row per sample.  The writer
+  gives each value as the shortest ``repr`` of a Python float: the time is
+  ``k * sampling_period`` and the voltages are the float32 samples widened
+  to float64, so every value reads back exactly.  The reader takes the
+  sampling period as ``times[1] - times[0]`` and rejects, naming the first
+  bad line, a row without exactly three fields (a blank line included), a
+  field that ``float()`` cannot parse, a time that is not finite, a first
+  step that is not > 0, a later step more than half a period away from the
+  first, and a voltage that is not finite or does not fit a float32.  A file
+  with fewer than two samples, or with bytes that do not decode as text,
+  is rejected too;
 * raw packed little-endian float32 with a 16-byte header: the magic
   ``PSTRACE1`` followed by two little-endian uint32 words (sample count,
   channel count), then count*channels floats interleaved per sample
   (ch1, ch2, ch1, ch2, ...).
+
+Every rejection raises ``TraceParseError``, which ``pstream ingest`` turns
+into exit code 3.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
+import operator
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -105,41 +120,114 @@ def ingest_trace(trace: TraceFile) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+_CSV_HEADER = ["time_s", "ch1_V", "ch2_V"]
+# rows formatted and written per chunk, so memory stays bounded for any capture
+_CSV_CHUNK_ROWS = 65_536
+_CSV_ROW = "{!r},{!r},{!r}\n".format
+
+
 def write_trace_csv(trace: TraceFile, path: str | Path) -> None:
+    """Write ``trace`` as CSV, one row per sample (format in the module docstring)."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["time_s", "ch1_V", "ch2_V"])
-        dt = trace.sampling_period
-        for k in range(trace.n_samples):
-            writer.writerow([repr(k * dt), repr(float(trace.ch1[k])), repr(float(trace.ch2[k]))])
+        fh.write(",".join(_CSV_HEADER) + "\n")
+        for start in range(0, trace.n_samples, _CSV_CHUNK_ROWS):
+            stop = min(start + _CSV_CHUNK_ROWS, trace.n_samples)
+            times = (np.arange(start, stop) * trace.sampling_period).tolist()
+            ch1 = trace.ch1[start:stop].tolist()
+            ch2 = trace.ch2[start:stop].tolist()
+            fh.write("".join(map(_CSV_ROW, times, ch1, ch2)))
 
 
 def read_trace_csv(path: str | Path, threshold: float = DEFAULT_THRESHOLD) -> TraceFile:
-    times = []
-    ch1 = []
-    ch2 = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["time_s", "ch1_V", "ch2_V"]:
-            raise TraceParseError(f"{path}: line 1: expected header time_s,ch1_V,ch2_V")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise TraceParseError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
-            try:
-                times.append(float(row[0]))
-                ch1.append(float(row[1]))
-                ch2.append(float(row[2]))
-            except ValueError as exc:
-                raise TraceParseError(f"{path}: line {lineno}: {exc}") from exc
-    if len(times) < 2:
+    """Read a CSV trace written by ``write_trace_csv`` (rules in the module docstring)."""
+    try:
+        with open(path, newline="") as fh:
+            _check_csv_header(path, fh)
+            data = _parse_csv_bulk(fh)
+            if data is None:
+                fh.seek(0)
+                _check_csv_header(path, fh)
+                data = _parse_csv_rows(path, csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise TraceParseError(f"{path}: not {exc.encoding} text ({exc.reason})") from exc
+    return _trace_from_csv_columns(path, data, threshold)
+
+
+def _check_csv_header(path, fh) -> None:
+    if next(csv.reader(fh), None) != _CSV_HEADER:
+        raise TraceParseError(f"{path}: line 1: expected header time_s,ch1_V,ch2_V")
+
+
+def _parse_csv_bulk(fh) -> np.ndarray | None:
+    """The body as an (n, 3) float64 array, or None where only the row loop can decide.
+
+    ``np.loadtxt`` skips blank lines, which the row loop rejects, and warns on
+    an empty body.  So it starts only from a non-blank first line, and its
+    rows must number the lines it was given.  It then accepts no file that the
+    row loop rejects, and gives each field it parses the value ``float()`` gives.
+    """
+    first = fh.readline()
+    if not first.rstrip("\r\n"):
+        return None
+    counter = itertools.count()
+    # zip draws one count per line, and one more when the lines run out
+    lines = map(operator.itemgetter(1), zip(counter, itertools.chain([first], fh)))
+    try:
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if data.shape != (next(counter) - 1, 3):
+        return None
+    return data
+
+
+def _parse_csv_rows(path, rows) -> np.ndarray:
+    """The body row by row; names the first row that has not three parsable fields."""
+    values = []
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != 3:
+            raise TraceParseError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
+        try:
+            values.append([float(field) for field in row])
+        except ValueError as exc:
+            raise TraceParseError(f"{path}: line {lineno}: {exc}") from exc
+    return np.array(values, dtype=np.float64).reshape(-1, 3)
+
+
+def _trace_from_csv_columns(path, data: np.ndarray, threshold: float) -> TraceFile:
+    """Check the parsed rows (module docstring) and build the trace from them."""
+    if len(data) < 2:
         raise TraceParseError(f"{path}: need at least two samples to infer the sampling period")
-    return TraceFile(
-        ch1=np.array(ch1, dtype=np.float32),
-        ch2=np.array(ch2, dtype=np.float32),
-        sampling_period=times[1] - times[0],
-        threshold=threshold,
-    )
+    times = data[:, 0]
+    period = float(times[1]) - float(times[0])
+    bad_time = ~np.isfinite(times)
+    bad_step = np.zeros(len(times), dtype=bool)
+    # non-finite values are reported below, so their arithmetic must not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        channels = [data[:, 1].astype(np.float32), data[:, 2].astype(np.float32)]
+        bad_step[1:] = ~(np.abs(np.diff(times) - period) <= period / 2)
+    bad_step[1] |= not period > 0
+    bad_sample = ~(np.isfinite(channels[0]) & np.isfinite(channels[1]))
+    bad = bad_time | bad_step | bad_sample
+    if bad.any():
+        k = int(np.argmax(bad))
+        where = f"{path}: line {k + 2}"
+        now, before = float(times[k]), float(times[k - 1])
+        if bad_time[k]:
+            raise TraceParseError(f"{where}: time {now!r} is not finite")
+        if bad_step[k] and not period > 0:
+            raise TraceParseError(f"{where}: time {now!r} does not increase from {before!r}")
+        if bad_step[k]:
+            raise TraceParseError(
+                f"{where}: time {now!r} is not one sampling period ({period!r} s, "
+                f"from the first two rows) after {before!r}"
+            )
+        column = 1 if np.isfinite(channels[0][k]) else 0
+        raise TraceParseError(
+            f"{where}: {_CSV_HEADER[1 + column]} value {float(data[k, 1 + column])!r} "
+            "is not a finite float32"
+        )
+    return TraceFile(ch1=channels[0], ch2=channels[1], sampling_period=period, threshold=threshold)
 
 
 def write_trace_raw(trace: TraceFile, path: str | Path) -> None:

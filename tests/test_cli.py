@@ -10,7 +10,7 @@ import pytest
 from pstream.cli import main
 from pstream.config import SEED_ENV_VAR
 from pstream.detection import CHANNEL_A, CHANNEL_B, PulseTrain
-from pstream.traces import synthesize_trace, write_trace_csv, write_trace_raw
+from pstream.traces import ingest_trace, synthesize_trace, write_trace_csv, write_trace_raw
 
 TINY_CONFIG = {
     "source": {"mean_photon_override": 0.012},
@@ -177,6 +177,16 @@ class TestIngest:
         b = PulseTrain(CHANNEL_B, starts_b, np.full(4, 10_000, dtype=np.int64), bin_length=400_000)
         return a, b
 
+    @staticmethod
+    def assert_events_file(out, trace):
+        """Every row is `channel,time_s` with a float time equal to ingest_trace's edge."""
+        lines = out.read_text().splitlines()
+        assert lines[0] == "channel,time_s"
+        rows = [line.split(",") for line in lines[1:]]
+        edges1, edges2 = ingest_trace(trace)
+        assert [c for c, _ in rows] == ["1"] * edges1.size + ["2"] * edges2.size
+        assert [float(t) for _, t in rows] == edges1.tolist() + edges2.tolist()
+
     def test_csv_ingest(self, trains, tmp_path, capsys):
         trace = synthesize_trace(*trains, duration=4e-7)
         path = tmp_path / "trace.csv"
@@ -184,9 +194,7 @@ class TestIngest:
         out = tmp_path / "events.csv"
         assert run_cli("ingest", "--trace", str(path), "--out", str(out)) == 0
         assert "channel 1: 6 events; channel 2: 4 events" in capsys.readouterr().out
-        lines = out.read_text().splitlines()
-        assert lines[0] == "channel,time_s"
-        assert len(lines) == 11
+        self.assert_events_file(out, trace)
 
     def test_raw_ingest(self, trains, tmp_path):
         trace = synthesize_trace(*trains, duration=4e-7)
@@ -194,11 +202,51 @@ class TestIngest:
         write_trace_raw(trace, path)
         out = tmp_path / "events.csv"
         assert run_cli("ingest", "--trace", str(path), "--out", str(out)) == 0
+        self.assert_events_file(out, trace)
+
+    @pytest.mark.parametrize(
+        "row", ["nan,0.0,0.0", "8e-10,inf,0.0", "8e-10,0.0,1e300", "1e-3,0.0,0.0"]
+    )
+    def test_bad_csv_value_exits_3(self, row, tmp_path, capsys):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"time_s,ch1_V,ch2_V\n0.0,0.0,0.0\n4e-10,0.0,0.0\n{row}\n")
+        out = tmp_path / "events.csv"
+        assert run_cli("ingest", "--trace", str(path), "--out", str(out)) == 3
+        assert f"data error: {path}: line 4: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_magic_exits_3(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"JUNKJUNK" + b"\x00" * 8)
         assert run_cli("ingest", "--trace", str(path), "--out", str(tmp_path / "e.csv")) == 3
+
+
+# each value was taken as given: NaN edges or no events with exit 0, exit 3
+# for a configuration error, or a traceback
+BAD_NUMERIC_FLAGS = {
+    "ingest_sampling_period_nan": ["ingest", "--sampling-period", "nan"],
+    "ingest_sampling_period_inf": ["ingest", "--sampling-period", "inf"],
+    "ingest_sampling_period_zero": ["ingest", "--sampling-period", "0"],
+    "ingest_sampling_period_negative": ["ingest", "--sampling-period", "-1"],
+    "ingest_threshold_nan": ["ingest", "--threshold", "nan"],
+    "stats_mean_nan": ["stats", "--mean", "nan"],
+    "stats_dead_time_zero": ["stats", "--mean", "0.012", "--dead-time", "0"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_NUMERIC_FLAGS))
+def test_bad_numeric_flag_exits_2(name, tmp_path, capsys):
+    argv = BAD_NUMERIC_FLAGS[name]
+    flag, value = argv[-2:]
+    if argv[0] == "ingest":
+        argv = argv + ["--trace", str(tmp_path / "trace.bin"), "--out", str(tmp_path / "e.csv")]
+    with pytest.raises(SystemExit) as info:
+        run_cli(*argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    reason = "is not finite" if value in ("nan", "inf") else "is not > 0"
+    assert f"argument {flag}: '{value}' {reason}" in err
+    assert "Traceback" not in err
 
 
 class TestEntryPoint:

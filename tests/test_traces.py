@@ -1,7 +1,12 @@
+import csv
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pstream.detection import (
     CHANNEL_A,
@@ -96,7 +101,7 @@ class TestCsvRoundTrip:
         back = read_trace_csv(path)
         assert np.array_equal(back.ch1, trace.ch1)
         assert np.array_equal(back.ch2, trace.ch2)
-        assert back.sampling_period == pytest.approx(trace.sampling_period, rel=1e-9)
+        assert back.sampling_period == trace.sampling_period
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -115,6 +120,301 @@ class TestCsvRoundTrip:
         path.write_text("time_s,ch1_V,ch2_V\n0.0,0.0,0.0\n")
         with pytest.raises(TraceParseError):
             read_trace_csv(path)
+
+
+def row_writer(trace, path):
+    """Reference: the one-row-at-a-time CSV writer that write_trace_csv replaced."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["time_s", "ch1_V", "ch2_V"])
+        dt = trace.sampling_period
+        for k in range(trace.n_samples):
+            writer.writerow([repr(k * dt), repr(float(trace.ch1[k])), repr(float(trace.ch2[k]))])
+
+
+def row_reader(path, threshold=2.0):
+    """Reference: the one-row-at-a-time CSV reader that read_trace_csv replaced."""
+    times = []
+    ch1 = []
+    ch2 = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["time_s", "ch1_V", "ch2_V"]:
+            raise TraceParseError(f"{path}: line 1: expected header time_s,ch1_V,ch2_V")
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != 3:
+                raise TraceParseError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
+            try:
+                times.append(float(row[0]))
+                ch1.append(float(row[1]))
+                ch2.append(float(row[2]))
+            except ValueError as exc:
+                raise TraceParseError(f"{path}: line {lineno}: {exc}") from exc
+    if len(times) < 2:
+        raise TraceParseError(f"{path}: need at least two samples to infer the sampling period")
+    return TraceFile(
+        ch1=np.array(ch1, dtype=np.float32),
+        ch2=np.array(ch2, dtype=np.float32),
+        sampling_period=times[1] - times[0],
+        threshold=threshold,
+    )
+
+
+def outcome(read, path):
+    """(ch1, ch2, sampling_period) of a read, or the message it raised."""
+    try:
+        trace = read(path)
+    except TraceParseError as exc:
+        return str(exc)
+    return trace.ch1, trace.ch2, trace.sampling_period
+
+
+HEADER = "time_s,ch1_V,ch2_V\n"
+GOOD = "0.0,0.0,4.0\n4e-10,4.0,0.0\n8e-10,0.0,0.0\n"
+# (file text, message that only the new reader gives or None): each None
+# case must read exactly as the row reader reads it
+READER_CORPUS = {
+    "clean": (HEADER + GOOD, None),
+    "blank_line_middle": (HEADER + "0.0,0.0,4.0\n\n4e-10,4.0,0.0\n8e-10,0.0,0.0\n", None),
+    "blank_line_end": (HEADER + GOOD + "\n", None),
+    "blank_line_first": (HEADER + "\n" + GOOD, None),
+    "blank_lines_only": (HEADER + "\n\n", None),
+    "crlf_blank_line": (HEADER + GOOD.replace("\n", "\r\n") + "\r\n", None),
+    "header_only": (HEADER, None),
+    "one_sample": (HEADER + "0.0,0.0,4.0\n", None),
+    "quoted_field": (HEADER + '0.0,"4.0",4.0\n4e-10,4.0,0.0\n8e-10,0.0,0.0\n', None),
+    "underscore_digits": (HEADER + "0.0,1_0,4.0\n4e-10,4.0,0.0\n8e-10,0.0,0.0\n", None),
+    "padded_space_and_tab": (HEADER + "0.0, 4.0 ,\t4.0\t\n4e-10,4.0,0.0\n8e-10,0.0,0.0\n", None),
+    "whitespace_line": (HEADER + "0.0,0.0,4.0\n \t\n4e-10,4.0,0.0\n", None),
+    "crlf": (HEADER + GOOD.replace("\n", "\r\n"), None),
+    "cr_only": (HEADER + GOOD.replace("\n", "\r"), None),
+    "no_final_newline": (HEADER + GOOD.rstrip("\n"), None),
+    "hash_line": (HEADER + "0.0,0.0,4.0\n# comment\n4e-10,4.0,0.0\n", None),
+    "two_fields": (HEADER + "0.0,0.0\n4e-10,4.0\n", None),
+    "four_fields": (HEADER + "0.0,0.0,4.0,1.0\n4e-10,4.0,0.0,1.0\n", None),
+    "trailing_comma": (HEADER + "0.0,0.0,4.0,\n4e-10,4.0,0.0,\n", None),
+    "empty_field": (HEADER + "0.0,,4.0\n4e-10,4.0,0.0\n", None),
+    "hex_literal": (HEADER + "0.0,0x10,4.0\n4e-10,4.0,0.0\n", None),
+    "fortran_exponent": (HEADER + "0.0,1d5,4.0\n4e-10,4.0,0.0\n", None),
+    "complex": (HEADER + "0.0,1j,4.0\n4e-10,4.0,0.0\n", None),
+    "nul_byte": (HEADER + "0.0,1\x00,4.0\n4e-10,4.0,0.0\n", None),
+    "arabic_digit": (HEADER + "0.0,\u0661,4.0\n4e-10,4.0,0.0\n", None),
+    "bad_row_late": (HEADER + GOOD + "1.2e-9,abc,0.0\n", None),
+    "byte_order_mark": ("\ufeff" + HEADER + GOOD, None),
+    "Infinity": (
+        HEADER + "0.0,Infinity,4.0\n4e-10,4.0,0.0\n",
+        "line 2: ch1_V value inf is not a finite float32",
+    ),
+    "Infinity_time_quoted": (
+        HEADER + '"Infinity",0.0,4.0\n4e-10,4.0,0.0\n',
+        "line 2: time inf is not finite",
+    ),
+}
+
+
+class TestCsvDifferential:
+    """write_trace_csv and read_trace_csv against the row-at-a-time references."""
+
+    def test_writer_bytes_match_row_writer(self, tmp_path):
+        f32 = np.finfo(np.float32)
+        edge = np.array(
+            [-0.0, np.nan, np.inf, -np.inf, f32.smallest_subnormal, f32.max, -f32.max,
+             np.float32(0.1), 4.0, 0.0],
+            dtype=np.float32,
+        )
+        n = 65_536 + 1_000  # more rows than one write chunk
+        rng = np.random.default_rng(12)
+        ch1 = rng.choice(edge, size=n)
+        ch2 = rng.integers(0, 2**32, size=n, dtype=np.uint32).view(np.float32)  # any bits
+        ch1[:edge.size] = edge
+        ch2[-edge.size:] = edge
+        for trace in (
+            TraceFile(ch1=ch1, ch2=ch2, sampling_period=400e-12),
+            TraceFile(ch1=ch1, ch2=ch2, sampling_period=1e-9 / 3),
+            TraceFile(ch1=np.zeros(0), ch2=np.zeros(0)),
+        ):
+            write_trace_csv(trace, tmp_path / "new.csv")
+            row_writer(trace, tmp_path / "old.csv")
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", sorted(READER_CORPUS))
+    def test_reader_matches_row_reader(self, name, tmp_path):
+        text, new_rejection = READER_CORPUS[name]
+        path = tmp_path / "trace.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        got = outcome(read_trace_csv, path)
+        if new_rejection is not None:
+            assert got == f"{path}: {new_rejection}"
+            return
+        want = outcome(row_reader, path)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert not isinstance(got, str), got
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert got[2] == want[2]
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"time_s,ch1_V,ch2_V\n0.0,\xff,0.0\n4e-10,0.0,0.0\n", b"time_s\xff,ch1_V,ch2_V\n0,0,0\n"],
+    )
+    def test_reader_rejects_undecodable_bytes(self, content, tmp_path):
+        # the row reader let UnicodeDecodeError escape as a traceback
+        path = tmp_path / "trace.csv"
+        path.write_bytes(content)
+        with pytest.raises(TraceParseError, match="not .* text"):
+            read_trace_csv(path)
+
+    def test_reader_round_trips_written_capture(self, tmp_path):
+        batch = sample_batch(0.012, 1_400, seed=3)  # 30.8 us: 77 000 samples
+        optics = OpticalState(phase=1.0, intrinsic_visibility=0.882)
+        trace = synthesize_trace(*detect_bin(batch, optics, DetectorConfig(), seed=4))
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        got, want = outcome(read_trace_csv, path), outcome(row_reader, path)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[2] == want[2] == trace.sampling_period
+
+
+NUMBER = st.one_of(
+    st.sampled_from(["0.0", "4.0", "-0.0", "1e-45", "3.4028235e+38"]),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(repr),
+)
+ODD = st.one_of(
+    st.sampled_from(["", " 4.0 ", "\t0.0", "nan", "-inf", "Infinity", "1_0", "0x10", '"4.0"', "#",
+                     "1e300", "3.5e38"]),
+    st.text(alphabet="0123456789.eE+-_ ", max_size=6),
+)
+# sample-period offsets of a time from k * 400 ps: on the grid, within half a
+# step of it, beyond half a step, or back to the previous time
+JITTER = st.sampled_from([0.0] * 6 + [0.25, -0.4, 0.7, -0.75, -1.0, 1.5])
+
+
+@st.composite
+def csv_bodies(draw):
+    """Trace CSV bodies near the accepted format: mostly three finite fields
+    with times near the 400 ps grid, any line ending, maybe a blank line."""
+
+    def field():
+        return draw(ODD) if draw(st.integers(0, 7)) == 0 else draw(NUMBER)
+
+    lines = []
+    for k in range(draw(st.integers(0, 6))):
+        time = repr((k + draw(JITTER)) * 400e-12) if draw(st.integers(0, 7)) else field()
+        volts = [field() for _ in range(draw(st.sampled_from([2] * 8 + [1, 3])))]
+        lines.append(",".join([time] + volts))
+    if lines and draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + (end if draw(st.booleans()) else "")
+
+
+def first_bad_line(path):
+    """Loop reference for the checks read_trace_csv adds to the row reader's:
+    the first line with a time that is not finite, a step off the first step's
+    period by more than half of it (or a first step that is not > 0), or a
+    voltage that is not a finite float32; None when no line breaks them."""
+    with open(path, newline="") as fh:
+        rows = [[float(field) for field in row] for row in list(csv.reader(fh))[1:]]
+    period = rows[1][0] - rows[0][0]
+    for k, (time, *volts) in enumerate(rows):
+        step_ok = k == 0 or (period > 0 and abs(time - rows[k - 1][0] - period) <= period / 2)
+        with np.errstate(over="ignore"):
+            volts_ok = all(np.isfinite(np.float32(v)) for v in volts)
+        if not (math.isfinite(time) and step_ok and volts_ok):
+            return k + 2
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_bodies())
+def test_reader_fuzz_matches_row_reader(body):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(HEADER + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = outcome(read_trace_csv, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the row reader warns on float32 overflow
+            want = outcome(row_reader, path)
+        if isinstance(want, str) and "sampling period must be > 0" not in want:
+            assert got == want  # a parse error, or fewer than two samples
+            return
+        line = first_bad_line(path)
+    if line is not None:
+        assert isinstance(got, str) and got.startswith(f"{path}: line {line}: "), got
+    else:
+        assert not isinstance(got, str), got
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
+
+
+# rows that the row reader accepted and read_trace_csv rejects, with the line it names
+BAD_VALUES = {
+    "nan_time": ("0.0,0.0,0.0\nnan,0.0,0.0\n8e-10,0.0,0.0\n", "line 3: time nan is not finite"),
+    "inf_time": ("0.0,0.0,0.0\n4e-10,0.0,0.0\ninf,0.0,0.0\n", "line 4: time inf is not finite"),
+    "inf_first_times": ("inf,0.0,0.0\ninf,0.0,0.0\n", "line 2: time inf is not finite"),
+    "nan_sample": (
+        "0.0,0.0,0.0\n4e-10,0.0,nan\n8e-10,0.0,0.0\n",
+        "line 3: ch2_V value nan is not a finite float32",
+    ),
+    "inf_sample": (
+        "0.0,0.0,0.0\n4e-10,-inf,0.0\n8e-10,0.0,0.0\n",
+        "line 3: ch1_V value -inf is not a finite float32",
+    ),
+    "float32_overflow": (
+        "0.0,0.0,0.0\n4e-10,0.0,0.0\n8e-10,1e300,0.0\n",
+        "line 4: ch1_V value 1e+300 is not a finite float32",
+    ),
+    "non_uniform_time": (
+        "0.0,0.0,0.0\n4e-10,0.0,0.0\n1e-3,0.0,0.0\n",
+        "line 4: time 0.001 is not one sampling period (4e-10 s, from the first two rows) "
+        "after 4e-10",
+    ),
+    "step_short_by_more_than_half": (
+        "0.0,0.0,0.0\n4e-10,0.0,0.0\n5.9e-10,0.0,0.0\n",
+        "line 4: time 5.9e-10 is not one sampling period (4e-10 s, from the first two rows) "
+        "after 4e-10",
+    ),
+    "decreasing_time": (
+        "4e-10,0.0,0.0\n0.0,0.0,0.0\n",
+        "line 3: time 0.0 does not increase from 4e-10",
+    ),
+    "repeated_time": ("0.0,0.0,0.0\n0.0,0.0,0.0\n", "line 3: time 0.0 does not increase from 0.0"),
+    "first_bad_line_wins": (
+        "0.0,0.0,0.0\n4e-10,nan,0.0\n8e-10,0.0,0.0\nnan,0.0,0.0\n",
+        "line 3: ch1_V value nan is not a finite float32",
+    ),
+    "row_path_nan_sample": (
+        '0.0,"0.0",0.0\n4e-10,0.0,0.0\n8e-10,0.0,nan\n',
+        "line 4: ch2_V value nan is not a finite float32",
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(BAD_VALUES))
+def test_reader_rejects_bad_values(name, tmp_path):
+    body, message = BAD_VALUES[name]
+    path = tmp_path / "trace.csv"
+    path.write_text(HEADER + body)
+    with pytest.raises(TraceParseError) as info:
+        read_trace_csv(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_reader_keeps_jittered_grid(tmp_path):
+    # steps within half a period of the first one are kept; the period is the first step
+    path = tmp_path / "trace.csv"
+    path.write_text(HEADER + "0.0,0.0,0.0\n4e-10,0.0,0.0\n6.1e-10,0.0,4.0\n1.2e-9,0.0,0.0\n")
+    trace = read_trace_csv(path)
+    assert trace.sampling_period == 4e-10
+    assert trace.n_samples == 4
 
 
 class TestRawRoundTrip:
