@@ -128,6 +128,18 @@ def positive_float(text: str) -> float:
     return value
 
 
+def int_at_least(low: int):
+    """argparse type: an integer >= ``low``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is not >= {low}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pstream", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=f"pstream {__version__}")
@@ -137,7 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="JSON experiment configuration")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--workers", type=int, default=1, help="worker threads for scan points")
+    p.add_argument(
+        "--workers", type=int_at_least(1), default=1, help="worker threads for scan points"
+    )
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("analyze", help="summarize a scan CSV")
@@ -155,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--span", type=positive_float, default=4e-6, help="half-range of the x grid, meters"
     )
-    p.add_argument("--points", type=int, default=2001)
+    p.add_argument("--points", type=int_at_least(2), default=2001)
     p.add_argument("--wavelength", type=positive_float, default=632.8e-9)
     p.set_defaults(func=_cmd_fig4)
 

@@ -125,12 +125,17 @@ def _coincide_vectorized(
 
     Each pulse then has at most one qualifying counterpart, so a searchsorted
     lookup of the overlap window reproduces the greedy matching exactly.
+    The shorter train's windows are looked up; matches cannot cross, so
+    they come out in ascending index_a either way.
     """
-    lo = a_starts - b_dur + threshold
-    hi = a_starts + a_dur - threshold
-    idx = np.searchsorted(b_starts, lo, side="left")
-    ok = (idx < b_starts.size) & (b_starts[np.minimum(idx, b_starts.size - 1)] <= hi)
-    a_idx = np.nonzero(ok)[0]
+    if b_starts.size < a_starts.size:
+        found = _coincide_vectorized(b_starts, b_dur, a_starts, a_dur, threshold)
+        return [(i, j) for j, i in found]
+    lo = a_starts + (threshold - b_dur)
+    # windows that open after the last B pulse hold none
+    lo = lo[: np.searchsorted(lo, b_starts[-1], side="right")]
+    idx = np.searchsorted(b_starts, lo)
+    a_idx = np.flatnonzero(b_starts[idx] - lo <= a_dur + b_dur - 2 * threshold)
     return list(zip(a_idx.tolist(), idx[a_idx].tolist()))
 
 
@@ -208,9 +213,11 @@ def coincide(
     (index_a, index_b) pairs in ascending index_a.  Equal-duration trains
     whose pulses cannot each overlap two others take a searchsorted fast
     path; any other input goes through the overlap-cluster decomposition.
+    Both trains are checked first, in the pass that also yields each one's
+    smallest start gap and common duration for that choice.
     """
-    train_a.validate()
-    train_b.validate()
+    gap_a, d_a = train_a.validate()
+    gap_b, d_b = train_b.validate()
     threshold = cfg.overlap_threshold_ps
     a_starts, a_durs = train_a.starts, train_a.durations
     b_starts = train_b.starts + cfg.delay_tau_ps
@@ -218,18 +225,12 @@ def coincide(
     if a_starts.size == 0 or b_starts.size == 0:
         return 0, []
 
-    uniform = a_durs[0] == a_durs[-1] and b_durs[0] == b_durs[-1]
-    if uniform:
-        uniform = bool(np.all(a_durs == a_durs[0]) and np.all(b_durs == b_durs[0]))
-    if uniform:
-        d_a, d_b = int(a_durs[0]), int(b_durs[0])
+    if d_a is not None and d_b is not None:
         if min(d_a, d_b) < threshold:
             # no overlap can outlast the shorter pulse
             return 0, []
         conflict_span = d_a + d_b - 2 * threshold
-        gap_a = int(np.min(np.diff(a_starts))) if a_starts.size > 1 else conflict_span + 1
-        gap_b = int(np.min(np.diff(b_starts))) if b_starts.size > 1 else conflict_span + 1
-        if gap_a > conflict_span and gap_b > conflict_span:
+        if (gap_a is None or gap_a > conflict_span) and (gap_b is None or gap_b > conflict_span):
             matches = _coincide_vectorized(a_starts, d_a, b_starts, d_b, threshold)
             return len(matches), matches
 

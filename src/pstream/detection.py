@@ -8,6 +8,12 @@ closely, and each surviving event becomes one fixed-shape pulse.  Dark counts
 are merged with photon events before filtering since they trigger the same
 avalanche electronics.  Configured times in seconds become picoseconds in one
 function, ``seconds_to_ps``.
+
+The occupied slots of a bin are drawn as an ascending array of candidate
+slots plus, for each draw, its rank in that array (``DistinctSlots``).  The
+routing draws are scattered onto the candidates by rank, so each channel's
+photon times come out of the ascending array already sorted: a channel needs
+no sort, only the insertion of its few doubled photons and dark counts.
 """
 
 from __future__ import annotations
@@ -91,21 +97,33 @@ class PulseTrain:
             raise ContractError("starts and durations must be 1-d arrays of equal length")
         self.validate()
 
-    def validate(self) -> None:
+    def validate(self) -> tuple[int | None, int | None]:
+        """Check the invariants; return (smallest start gap, common duration).
+
+        One ``diff`` of the starts and min/max reductions.  The gap is None
+        below two pulses, the duration None for an empty train or unequal
+        durations.
+        """
         starts, durations = self.starts, self.durations
         if starts.size == 0:
-            return
-        if np.any(durations <= 0):
+            return None, None
+        d_min, d_max = int(durations.min()), int(durations.max())
+        if d_min <= 0:
             raise ContractError("pulse durations must be positive")
-        gaps = np.diff(starts)
-        if np.any(gaps <= 0):
-            raise ContractError("pulse starts must be strictly increasing")
-        if self.min_gap and np.any(gaps < self.min_gap):
-            raise ContractError(
-                f"consecutive pulse starts closer than the dead time ({self.min_gap} ps)"
-            )
-        if starts[0] < 0 or np.any(starts + durations > self.bin_length):
+        gap = None
+        if starts.size > 1:
+            gap = int(np.diff(starts).min())
+            if gap <= 0:
+                raise ContractError("pulse starts must be strictly increasing")
+            if gap < self.min_gap:
+                raise ContractError(
+                    f"consecutive pulse starts closer than the dead time ({self.min_gap} ps)"
+                )
+        # with increasing starts and one duration the last pulse ends last
+        end = starts[-1] + d_max if d_min == d_max else (starts + durations).max()
+        if starts[0] < 0 or end > self.bin_length:
             raise ContractError("pulses must lie within [0, bin_length)")
+        return gap, d_min if d_min == d_max else None
 
     def __len__(self) -> int:
         return int(self.starts.size)
@@ -157,27 +175,36 @@ def dead_time_filter(events: np.ndarray, t_d) -> np.ndarray:
     the first event is always kept.  Works on sorted integer or float times
     and preserves the input dtype.
 
-    Implementation: repeated vectorized passes that drop, in each run of
-    violations, the first event whose predecessor survives the pass.  Each
-    pass only removes events the sequential filter would remove, and removes
-    at least one per violating run, so the fixed point is exactly the
-    sequential result.  Production streams converge in one or two passes.
+    Implementation: one ``diff`` finds the gaps shorter than ``t_d``.  An
+    event after a long gap is kept whatever came before, so each run of short
+    gaps is decided on its own, starting from the kept event before it.  A
+    lone short gap drops its later event; the rare longer runs are walked
+    event by event.
     """
     events = np.asarray(events)
     if events.size == 0:
         return events.copy()
-    if np.any(np.diff(events) < 0):
+    gaps = np.diff(events)
+    # a negative gap is shorter than any t_d > 0, so checking the short gaps
+    # checks them all
+    short = np.flatnonzero(gaps < max(t_d, 0))
+    if short.size == 0:
+        return events.copy()
+    if gaps[short].min() < 0:
         raise ContractError("dead_time_filter requires ascending event times")
-    kept = events
-    while kept.size > 1:
-        bad = np.empty(kept.size, dtype=bool)
-        bad[0] = False
-        bad[1:] = np.diff(kept) < t_d
-        if not bad.any():
-            break
-        drop = bad & ~np.concatenate(([False], bad[:-1]))
-        kept = kept[~drop]
-    return kept.copy()
+    run = np.flatnonzero(np.diff(short, prepend=-2) != 1)
+    length = np.diff(run, append=short.size)
+    keep = np.ones(events.size, dtype=bool)
+    keep[short[run[length == 1]] + 1] = False
+    for first, n in zip(short[run[length > 1]].tolist(), length[length > 1].tolist()):
+        times = events[first : first + n + 1].tolist()
+        last = times[0]
+        for offset, t in enumerate(times[1:], start=first + 1):
+            if t - last >= t_d:
+                last = t
+            else:
+                keep[offset] = False
+    return events[keep]
 
 
 def shape_pulses(
@@ -195,7 +222,13 @@ def shape_pulses(
     if bin_length is None:
         top = int(events[-1]) + cfg.pulse_duration_ps if events.size else cfg.pulse_duration_ps
         bin_length = top
-    if events.size and np.any(np.diff(events) < cfg.pulse_duration_ps):
+    # the train checks gaps >= dead time, which rules out overlap unless the
+    # pulse outlasts the dead time
+    if (
+        cfg.pulse_duration_ps > cfg.dead_time_ps
+        and events.size > 1
+        and np.diff(events).min() < cfg.pulse_duration_ps
+    ):
         raise ContractError("events closer than one pulse duration: overlapping pulses")
     return PulseTrain(
         channel=channel,
@@ -206,30 +239,50 @@ def shape_pulses(
     )
 
 
-def sample_distinct_slots(rng: np.random.Generator, n_slots: int, k: int) -> np.ndarray:
+@dataclass(frozen=True)
+class DistinctSlots:
+    """Distinct slots in draw order, held as ascending candidates and ranks.
+
+    Draw ``i`` took slot ``candidates[rank[i]]``.  ``candidates`` may hold
+    more slots than were drawn, and is int32 when every slot index fits;
+    ``len`` is the number drawn.
+    """
+
+    candidates: np.ndarray
+    rank: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.rank.size)
+
+
+def sample_distinct_slots(rng: np.random.Generator, n_slots: int, k: int) -> DistinctSlots:
     """``k`` distinct slot indices drawn uniformly from range(n_slots), in random order.
 
     Rejection fill: oversample with replacement, deduplicate, top up, then
-    permute so that slicing the result does not correlate with slot position.
+    permute so that slicing the draws does not correlate with slot position.
     O(k) memory regardless of n_slots.  Deduplication sorts and drops each
     value equal to its predecessor, which gives the same sorted array as
     ``np.unique``; numpy 2's ``np.unique`` hashes integers and runs over 20 times
-    slower than the sort on the ~58k draws of a 100 ms step.
+    slower than the sort on the ~58k draws of a 100 ms step.  The permutation
+    is of the ranks, which consumes the generator exactly as permuting the
+    sorted array would and leaves that array sorted for the caller.
     """
     if k > n_slots:
         raise DomainError(f"cannot place {k} events in {n_slots} slots")
+    dtype = np.int32 if n_slots <= 2**31 else np.int64  # int32 sorts in half the time
     if k == 0:
-        return np.empty(0, dtype=np.int64)
-    chosen = _sorted_distinct(rng.integers(0, n_slots, size=k + k // 16 + 16, dtype=np.int64))
+        return DistinctSlots(np.empty(0, dtype=dtype), np.empty(0, dtype=np.int64))
+    draws = rng.integers(0, n_slots, size=k + k // 16 + 16, dtype=np.int64)
+    chosen = _sorted_distinct(draws.astype(dtype))
     while chosen.size < k:
         extra = rng.integers(0, n_slots, size=(k - chosen.size) * 2 + 16, dtype=np.int64)
-        chosen = _sorted_distinct(np.concatenate([chosen, extra]))
-    return rng.permutation(chosen)[:k]
+        chosen = _sorted_distinct(np.concatenate([chosen, extra.astype(dtype)]))
+    return DistinctSlots(chosen, rng.permutation(chosen.size)[:k])
 
 
 def _sorted_distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values of a non-empty 1-d array, ascending."""
-    values = np.sort(values)
+    """The distinct values of a non-empty 1-d array, ascending; sorts ``values`` in place."""
+    values.sort()
     keep = np.empty(values.size, dtype=bool)
     keep[0] = True
     np.not_equal(values[1:], values[:-1], out=keep[1:])
@@ -238,7 +291,10 @@ def _sorted_distinct(values: np.ndarray) -> np.ndarray:
 
 def _quantize(times_ps: np.ndarray, grid_ps: int) -> np.ndarray:
     """Round times to the nearest multiple of the resolving-time grid (half up)."""
-    return (times_ps + grid_ps // 2) // grid_ps * grid_ps
+    out = times_ps + grid_ps // 2
+    out //= grid_ps
+    out *= grid_ps
+    return out
 
 
 def detect_bin(
@@ -257,6 +313,13 @@ def detect_bin(
     the per-channel efficiency draw are merged with dark events, quantized to
     the resolving-time grid, dead-time filtered and shaped into pulses.
     Deterministic per seed.
+
+    Routing is by sorted rank: the draws mark, on the ascending candidate
+    slots, which ones send a photon to each channel, so a channel's times are
+    taken in ascending order.  A pair with both photons on one channel adds a
+    second, equal time; it and the dark counts are inserted by
+    ``searchsorted``.  The efficiency draw runs over a channel's photons in
+    the order singles, pair-first, pair-second, as drawn.
     """
     if isinstance(detectors, DetectorConfig):
         det_a, det_b = detectors, detectors
@@ -273,33 +336,40 @@ def detect_bin(
 
     n_s = batch.n_single_slots
     n_p = batch.n_pair_slots + batch.n_higher_slots
-    slots = sample_distinct_slots(rng, batch.slots_per_bin, n_s + n_p)
-    single_t = slots[:n_s] * slot_ps
-    pair_t = slots[n_s:] * slot_ps
+    drawn = sample_distinct_slots(rng, batch.slots_per_bin, n_s + n_p)
+    candidates = drawn.candidates
+    single, pair = drawn.rank[:n_s], drawn.rank[n_s:]
 
     to_d1 = rng.random(n_s) < p_d1
     pair_first = rng.random(n_p) < p_d1
     pair_second = rng.random(n_p) < p_d1
-
-    times = {CHANNEL_A: [], CHANNEL_B: []}
-    times[CHANNEL_A].append(single_t[to_d1])
-    times[CHANNEL_B].append(single_t[~to_d1])
-    times[CHANNEL_A].append(pair_t[pair_first])
-    times[CHANNEL_B].append(pair_t[~pair_first])
-    times[CHANNEL_A].append(pair_t[pair_second])
-    times[CHANNEL_B].append(pair_t[~pair_second])
+    routes = [(to_d1, pair_first, pair_second), (~to_d1, ~pair_first, ~pair_second)]
+    # per candidate: bit 0 set when a photon goes to D1, bit 1 when one goes to D2
+    route = np.zeros(candidates.size, dtype=np.uint8)
+    route[single] = 2 - to_d1.view(np.uint8)
+    route[pair] = (pair_first | pair_second) + 2 * ~(pair_first & pair_second)
 
     trains = []
     for lane, (channel, det) in enumerate([(CHANNEL_A, det_a), (CHANNEL_B, det_b)]):
-        t = np.concatenate(times[channel])
+        single_hit, first_hit, second_hit = routes[lane]
         if det.efficiency < 1.0:
-            t = t[rng.random(t.size) < det.efficiency]
+            ranks = np.concatenate([single[single_hit], pair[first_hit], pair[second_hit]])
+            ranks = ranks[rng.random(ranks.size) < det.efficiency]
+            photons = np.bincount(ranks, minlength=candidates.size)
+            hit = photons > 0
+            doubled = np.flatnonzero(photons > 1)
+        else:
+            hit = (route >> lane & 1).view(bool)
+            doubled = np.sort(pair[first_hit & second_hit])
+        t = np.multiply(candidates.take(np.flatnonzero(hit)), slot_ps, dtype=np.int64)
         dark = generate_dark_events(det.dark_rate, duration_s, derive_seed(seed, 1 + lane))
         dark_ps = np.round(dark * PS_PER_S).astype(np.int64)
-        t = np.concatenate([t, dark_ps])
-        t = _quantize(np.sort(t), det.resolving_time_ps)
+        doubled_ps = np.multiply(candidates.take(doubled), slot_ps, dtype=np.int64)
+        extra = np.sort(np.concatenate([doubled_ps, dark_ps]))
+        t = np.insert(t, np.searchsorted(t, extra), extra)
+        t = _quantize(t, det.resolving_time_ps)
         # rounding can push a boundary event past the bin; the pulse must fit
-        t = t[t + det.pulse_duration_ps <= bin_length]
+        t = t[: np.searchsorted(t, bin_length - det.pulse_duration_ps, side="right")]
         t = dead_time_filter(t, det.dead_time_ps)
         trains.append(shape_pulses(t, det, channel=channel, bin_length=bin_length))
     return trains[0], trains[1]

@@ -258,7 +258,11 @@ def export_scan_csv(result: ScanResult, path: str | Path) -> None:
 
 
 def read_scan_csv(path: str | Path) -> list[ScanPoint]:
-    """Read a scan CSV back into records; floats round-trip exactly via repr."""
+    """Read a scan CSV back into records; floats round-trip exactly via repr.
+
+    Raises DataError for a malformed row, a non-finite float, a negative
+    count, or more coincidences than the smaller singles count.
+    """
     points = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -269,20 +273,17 @@ def read_scan_csv(path: str | Path) -> list[ScanPoint]:
             if len(row) != len(SCAN_COLUMNS):
                 raise DataError(f"{path}: line {lineno}: expected {len(SCAN_COLUMNS)} fields")
             try:
-                points.append(
-                    ScanPoint(
-                        point=int(row[0]),
-                        voltage=float(row[1]),
-                        x=float(row[2]),
-                        phase=float(row[3]),
-                        envelope=float(row[4]),
-                        n_a=int(row[5]),
-                        n_b=int(row[6]),
-                        n_c=int(row[7]),
-                    )
-                )
+                floats = [float(v) for v in row[1:5]]
+                point, n_a, n_b, n_c = int(row[0]), int(row[5]), int(row[6]), int(row[7])
             except ValueError as exc:
                 raise DataError(f"{path}: line {lineno}: {exc}") from exc
+            if not all(map(math.isfinite, floats)):
+                raise DataError(f"{path}: line {lineno}: non-finite value in {','.join(row[1:5])}")
+            if min(n_a, n_b, n_c) < 0:
+                raise DataError(f"{path}: line {lineno}: negative count")
+            if n_c > min(n_a, n_b):
+                raise DataError(f"{path}: line {lineno}: N_c = {n_c} exceeds min(N_A, N_B)")
+            points.append(ScanPoint(point, *floats, n_a, n_b, n_c))
     return points
 
 

@@ -24,6 +24,7 @@ from pstream.detection import (
     dead_time_filter,
     detect_bin,
     generate_dark_events,
+    shape_pulses,
 )
 from pstream.interferometer import OpticalState
 from pstream.runner import analytic_fig4, export_scan_csv, run_scan, scan_series
@@ -271,6 +272,44 @@ def test_oracle_equivalences():
         ok,
         f"coincidence matcher vs brute force: {1000 - mismatches}/1000 trains agree; "
         f"dead-time gaps >= 22 ns and idempotence on adversarial inputs: {filter_ok}",
+    )
+
+
+def test_accidental_rate_of_independent_streams():
+    """Two independent Poisson streams coincide at R_A·R_B·W·T.
+
+    Each stream is 270 kHz of continuous-time events, about the singles rate
+    of a scan point, run through the dead-time filter, pulse shaping and the
+    AND gate in 100 ms steps.  W = d_A + d_B − 2·threshold = 10 ns is the span
+    of start differences at which two pulses overlap by the threshold; no
+    pulse can overlap two others, so every such pair counts.  R is the
+    non-paralyzable dead-time rate r / (1 + r·τ) (Müller, NIM 112, 47, 1973).
+    Unlike the slot grid, these streams put events closer than the dead time
+    in runs, which the filter resolves event by event.
+    """
+    rate, step, steps, z_bound = 270e3, 0.1, 100, 5.0
+    det, cfg = DetectorConfig(), CcmConfig()
+    bin_length = round(step * 1e12)
+    counts = np.zeros(3)
+    for k in range(steps):
+        trains = []
+        for lane, channel in enumerate((CHANNEL_A, CHANNEL_B)):
+            times = generate_dark_events(rate, step, seed=90_000 + 2 * k + lane)
+            events = np.round(times * 1e12).astype(np.int64)
+            events = events[events + det.pulse_duration_ps <= bin_length]
+            kept = dead_time_filter(events, det.dead_time_ps)
+            trains.append(shape_pulses(kept, det, channel=channel, bin_length=bin_length))
+        counts += (len(trains[0]), len(trains[1]), coincide(*trains, cfg)[0])
+    seconds = steps * step
+    rate_kept = rate / (1.0 + rate * det.dead_time)
+    window = 2 * det.pulse_duration - 2 * cfg.overlap_threshold
+    expected = np.array([rate_kept * seconds] * 2 + [rate_kept**2 * window * seconds])
+    z = (counts - expected) / np.sqrt(expected)
+    check(
+        "accidental rate of independent streams",
+        bool(np.all(np.abs(z) < z_bound)),
+        f"N_A, N_B, N_c = {counts.astype(int).tolist()} vs {np.round(expected, 1).tolist()} "
+        f"(z = {np.round(z, 2).tolist()}, bound {z_bound})",
     )
 
 

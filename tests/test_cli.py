@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pstream.cli import main
+from pstream.cli import build_parser, main
 from pstream.config import SEED_ENV_VAR
 from pstream.detection import CHANNEL_A, CHANNEL_B, PulseTrain
 from pstream.traces import ingest_trace, synthesize_trace, write_trace_csv, write_trace_raw
@@ -79,10 +79,29 @@ class TestSimulate:
 
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
-# SHA-256 of scan.csv for each committed config cut to 16 points x 0.1 s
+# the coherent config on draw paths the committed configs never take:
+# efficiency below 1, 20 ns pulses, a delayed channel B, a jittered ramp, and
+# on B a dead time longer than the slot, many darks and a 1 ns grid
+STRESSED = {
+    "detectors": [
+        {"pulse_duration": 20e-9, "efficiency": 0.7},
+        {
+            "pulse_duration": 20e-9,
+            "efficiency": 0.85,
+            "dead_time": 30e-9,
+            "dark_rate": 3000.0,
+            "resolving_time": 1e-9,
+        },
+    ],
+    "ccm": {"delay_tau": 3e-9},
+    "scan": {"jitter_volts": 0.5},
+}
+# SHA-256 of scan.csv for each committed config cut to 16 points x 0.1 s,
+# and for the coherent one with the STRESSED overrides
 SCAN_DIGESTS = {
     "coincidence_scan.json": "edceb3108b48f7c5fd3c90e3d8cd73b2193361e6dc10f0893d1d3efbab8ecacc",
     "walkoff_scan.json": "6184283667b6346558ca8077abcf68fb15bbe730bbe1ae754826b6d9499e78dc",
+    "coincidence_scan.json, stressed": "f408f092ed1c13a01a6d4d74058344e85570351fd72c3beda0d8229aa603a4f6",
 }
 
 
@@ -97,7 +116,13 @@ def test_committed_config_scan_bytes_pinned(name, workers, tmp_path, monkeypatch
     change them once; such a change records the new digests with its reason.
     """
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-    doc = json.loads((CONFIG_DIR / name).read_text())
+    config_file, _, variant = name.partition(", ")
+    doc = json.loads((CONFIG_DIR / config_file).read_text())
+    if variant:
+        for det, overrides in zip(doc["detectors"], STRESSED["detectors"]):
+            det.update(overrides)
+        doc["ccm"].update(STRESSED["ccm"])
+        doc["scan"].update(STRESSED["scan"])
     doc["scan"].update(n_points=16, seconds_per_point=0.1)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
@@ -107,8 +132,9 @@ def test_committed_config_scan_bytes_pinned(name, workers, tmp_path, monkeypatch
 
 
 class TestAnalyze:
-    @pytest.fixture()
-    def scan_csv(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def scan_csv(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("scan")
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
             json.dumps(
@@ -138,6 +164,33 @@ class TestAnalyze:
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n1,2\n")
         assert run_cli("analyze", "--scan", str(bad), "--out", str(tmp_path / "r.csv")) == 3
+
+    # (column, value) written into line 7 of a simulated scan; each was read
+    # as given and analyze exited 0
+    BAD_VALUES = {
+        "voltage_nan": (1, "nan"),
+        "x_nan": (2, "nan"),
+        "phase_inf": (3, "inf"),
+        "envelope_minus_inf": (4, "-inf"),
+        "n_a_negative": (5, "-1"),
+        "n_c_negative": (7, "-1"),
+        "n_c_above_min_singles": (7, None),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BAD_VALUES))
+    def test_bad_scan_value_exits_3(self, name, scan_csv, tmp_path, capsys):
+        lines = scan_csv.read_text().splitlines()
+        fields = lines[6].split(",")
+        column, value = self.BAD_VALUES[name]
+        fields[column] = value or str(min(int(fields[5]), int(fields[6])) + 1)
+        lines[6] = ",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        report = tmp_path / "r.csv"
+        code = run_cli("analyze", "--scan", str(bad), "--out", str(report), "--bin-seconds", "0.5")
+        assert code == 3
+        assert f"data error: {bad}: line 7: " in capsys.readouterr().err
+        assert not report.exists()
 
     def test_flat_scan_exits_4(self, tmp_path):
         rows = ["point,voltage_V,x_m,phase_rad,envelope,N_A,N_B,N_c"]
@@ -247,6 +300,47 @@ def test_bad_numeric_flag_exits_2(name, tmp_path, capsys):
     reason = "is not finite" if value in ("nan", "inf") else "is not > 0"
     assert f"argument {flag}: '{value}' {reason}" in err
     assert "Traceback" not in err
+
+
+# each value was taken as given: a ValueError traceback, exit 3 for a
+# configuration error, or a worker count below one run as one worker
+BAD_INTEGER_FLAGS = {
+    "fig4_points_negative": (["fig4", "--points", "-5"], 2),
+    "fig4_points_one": (["fig4", "--points", "1"], 2),
+    "simulate_workers_zero": (["simulate", "--workers", "0"], 1),
+    "simulate_workers_negative": (["simulate", "--workers", "-3"], 1),
+}
+REQUIRED = {
+    "fig4": ["--v", "1.0", "--leff", "2e-6", "--out", "curves.csv"],
+    "simulate": ["--config", "cfg.json", "--out", "out"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INTEGER_FLAGS))
+def test_out_of_range_integer_flag_exits_2(name, capsys):
+    argv, low = BAD_INTEGER_FLAGS[name]
+    flag, value = argv[-2:]
+    with pytest.raises(SystemExit) as info:
+        build_parser().parse_args(argv[:1] + REQUIRED[argv[0]] + argv[1:])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: '{value}' is not >= {low}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,flag", [("fig4", "--points"), ("simulate", "--workers")])
+def test_integer_flag_takes_only_integers(command, flag, capsys):
+    with pytest.raises(SystemExit) as info:
+        build_parser().parse_args([command, *REQUIRED[command], flag, "2.5"])
+    assert info.value.code == 2
+    assert f"argument {flag}: invalid integer value: '2.5'" in capsys.readouterr().err
+
+
+def test_integer_flags_accept_their_lower_bounds():
+    args = build_parser().parse_args(["fig4", *REQUIRED["fig4"], "--points", "2"])
+    assert args.points == 2
+    args = build_parser().parse_args(["simulate", *REQUIRED["simulate"], "--workers", "1"])
+    assert args.workers == 1
 
 
 class TestEntryPoint:

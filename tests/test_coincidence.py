@@ -168,6 +168,18 @@ class TestCoincideOracle:
             assert count == ref_count, f"trial {trial}"
             assert sorted(matches) == ref_matches, f"trial {trial}"
 
+    @pytest.mark.parametrize("n_a,n_b", [(400, 60), (60, 400), (200, 200)])
+    def test_fast_path_ascending_index_a_either_train_shorter(self, n_a, n_b):
+        # the fast path looks up the shorter train's windows in the longer one
+        rng = np.random.default_rng(n_a * 1000 + n_b)
+        for trial in range(20):
+            # about the same time span for both, gaps above the 10 ns overlap span
+            a = _random_train(rng, CHANNEL_A, n_a, 10 * NS, min_gap=22 * NS * max(1, n_b // n_a))
+            b = _random_train(rng, CHANNEL_B, n_b, 10 * NS, min_gap=22 * NS * max(1, n_a // n_b))
+            cfg = CcmConfig(delay_tau=int(rng.integers(-8, 9)) * 1e-9)
+            count, matches = coincide(a, b, cfg)
+            assert (count, matches) == brute_force_coincide(a, b, cfg), f"trial {trial}"
+
     @given(train_strategy(CHANNEL_A), train_strategy(CHANNEL_B))
     @settings(max_examples=100, deadline=None)
     def test_symmetric_without_delay(self, a, b):

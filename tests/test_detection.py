@@ -1,12 +1,16 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from pstream import detection
+from pstream.coincidence import CcmConfig, _coincide_two_pointer, coincide
 from pstream.detection import (
     CHANNEL_A,
     CHANNEL_B,
+    PS_PER_S,
     DetectorConfig,
     PulseTrain,
     dead_time_filter,
@@ -14,10 +18,12 @@ from pstream.detection import (
     empty_train,
     generate_dark_events,
     sample_distinct_slots,
+    seconds_to_ps,
     shape_pulses,
 )
 from pstream.errors import ConfigError, ContractError, DomainError
 from pstream.interferometer import OpticalState
+from pstream.seeding import derive_seed
 from pstream.source import PhotonBatch, sample_batch
 
 T_D = 22_000  # default dead time in ps
@@ -46,6 +52,30 @@ adversarial_events = st.lists(
     min_size=1,
     max_size=20,
 )
+
+
+def reference_dead_time_filter(events, t_d):
+    """dead_time_filter before it resolved short-gap runs on their own: repeated
+    passes, each dropping the first event of every run of violations."""
+    events = np.asarray(events)
+    if events.size == 0:
+        return events.copy()
+    if np.any(np.diff(events) < 0):
+        raise ContractError("dead_time_filter requires ascending event times")
+    kept = events
+    while kept.size > 1:
+        bad = np.empty(kept.size, dtype=bool)
+        bad[0] = False
+        bad[1:] = np.diff(kept) < t_d
+        if not bad.any():
+            break
+        drop = bad & ~np.concatenate(([False], bad[:-1]))
+        kept = kept[~drop]
+    return kept.copy()
+
+
+# dense sorted times, so that long runs of short gaps are common
+dense_event_lists = st.lists(st.integers(min_value=0, max_value=300), max_size=120).map(sorted)
 
 
 class TestDeadTimeFilter:
@@ -89,6 +119,34 @@ class TestDeadTimeFilter:
         once = dead_time_filter(np.array(events, dtype=np.int64), T_D)
         twice = dead_time_filter(once, T_D)
         assert once.tolist() == twice.tolist()
+
+    @given(dense_event_lists, st.integers(min_value=0, max_value=40), st.booleans())
+    @settings(max_examples=300)
+    def test_dense_runs_match_sequential_loop(self, events, t_d, as_float):
+        dtype = np.float64 if as_float else np.int64
+        array = np.array(events, dtype=dtype)
+        out = dead_time_filter(array, dtype(t_d))
+        assert out.dtype == dtype
+        assert out.tolist() == sequential_dead_time(array.tolist(), dtype(t_d))
+        assert out.tolist() == reference_dead_time_filter(array, dtype(t_d)).tolist()
+        # the result is a new array, never a view of the input
+        assert not np.shares_memory(out, array)
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=300), min_size=2, max_size=60),
+        st.integers(min_value=-10, max_value=40),
+    )
+    @example(events=[5, 3], t_d=-10)  # a descent shorter than a negative t_d
+    @example(events=[5, 3], t_d=0)
+    def test_unsorted_rejected_as_before(self, events, t_d):
+        array = np.array(events, dtype=np.int64)
+        if np.all(np.diff(array) >= 0):
+            assert dead_time_filter(array, t_d).tolist() == sequential_dead_time(events, t_d)
+        else:
+            with pytest.raises(ContractError):
+                reference_dead_time_filter(array, t_d)
+            with pytest.raises(ContractError, match="ascending"):
+                dead_time_filter(array, t_d)
 
     def test_float_times_supported(self):
         out = dead_time_filter(np.array([0.0, 1e-9, 30e-9]), 22e-9)
@@ -144,7 +202,60 @@ class TestShapePulses:
             shape_pulses(np.array([0, 5_000]), DetectorConfig())
 
 
+def reference_validate(train):
+    """PulseTrain.validate before it became one diff and min/max reductions."""
+    starts, durations = train.starts, train.durations
+    if starts.size == 0:
+        return
+    if np.any(durations <= 0):
+        raise ContractError("pulse durations must be positive")
+    gaps = np.diff(starts)
+    if np.any(gaps <= 0):
+        raise ContractError("pulse starts must be strictly increasing")
+    if train.min_gap and np.any(gaps < train.min_gap):
+        raise ContractError(
+            f"consecutive pulse starts closer than the dead time ({train.min_gap} ps)"
+        )
+    if starts[0] < 0 or np.any(starts + durations > train.bin_length):
+        raise ContractError("pulses must lie within [0, bin_length)")
+
+
+# trains that may break any invariant: unsorted, repeated or negative starts,
+# non-positive durations, pulses past the bin, gaps at and around min_gap
+unchecked_trains = st.integers(min_value=0, max_value=12).flatmap(
+    lambda n: st.builds(
+        SimpleNamespace,
+        starts=st.tuples(
+            st.integers(-5, 40), st.lists(st.integers(-3, 40), min_size=n, max_size=n)
+        ).map(lambda first_gaps: first_gaps[0] + np.cumsum(first_gaps[1], dtype=np.int64)),
+        durations=st.one_of(
+            st.integers(-2, 30).map(lambda d: np.full(n, d, dtype=np.int64)),
+            st.lists(st.integers(-2, 30), min_size=n, max_size=n).map(
+                lambda v: np.array(v, dtype=np.int64)
+            ),
+        ),
+        bin_length=st.integers(0, 450),
+        min_gap=st.integers(-5, 40),
+    )
+)
+
+
 class TestPulseTrain:
+    @given(unchecked_trains)
+    @settings(max_examples=400)
+    def test_validate_matches_reference(self, train):
+        try:
+            reference_validate(train)
+        except ContractError as exc:
+            with pytest.raises(ContractError) as info:
+                PulseTrain.validate(train)
+            assert str(info.value) == str(exc)
+            return
+        gap, duration = PulseTrain.validate(train)
+        assert gap == (int(np.diff(train.starts).min()) if train.starts.size > 1 else None)
+        common = train.starts.size and np.all(train.durations == train.durations[0])
+        assert duration == (int(train.durations[0]) if common else None)
+
     def test_invariants_enforced(self):
         with pytest.raises(ContractError):
             PulseTrain(CHANNEL_A, np.array([10, 5]), np.array([2, 2]), bin_length=100)
@@ -165,7 +276,10 @@ class TestSampleDistinctSlots:
     @settings(max_examples=100)
     def test_distinct_and_in_range(self, k, seed):
         rng = np.random.default_rng(seed)
-        slots = sample_distinct_slots(rng, 500, k)
+        drawn = sample_distinct_slots(rng, 500, k)
+        assert len(drawn) == k
+        assert np.all(np.diff(drawn.candidates) > 0)
+        slots = drawn.candidates[drawn.rank]
         assert slots.size == k
         assert np.unique(slots).size == k
         if k:
@@ -176,8 +290,8 @@ class TestSampleDistinctSlots:
             sample_distinct_slots(np.random.default_rng(0), 10, 11)
 
     def test_full_occupancy_allowed(self):
-        slots = sample_distinct_slots(np.random.default_rng(0), 64, 64)
-        assert sorted(slots.tolist()) == list(range(64))
+        drawn = sample_distinct_slots(np.random.default_rng(0), 64, 64)
+        assert sorted(drawn.candidates[drawn.rank].tolist()) == list(range(64))
 
     # a typical 100 ms step, then k near and at n_slots, where the first fill
     # comes up short and the top-up loop runs
@@ -189,10 +303,25 @@ class TestSampleDistinctSlots:
         got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = sample_distinct_slots(got_rng, n_slots, k)
         ref = unique_reference_slots(ref_rng, n_slots, k)
-        assert got.dtype == ref.dtype == np.int64
-        np.testing.assert_array_equal(got, ref)
+        assert ref.dtype == np.int64 and got.rank.dtype == np.int64
+        # slot indices below 2**31 are held as int32
+        assert got.candidates.dtype == np.int32
+        assert len(got) == got.rank.size == k
+        # draw i took the same slot
+        np.testing.assert_array_equal(got.candidates[got.rank], ref)
         # the generator is left in the same state, so every later draw agrees
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
         assert got_rng.integers(2**62) == ref_rng.integers(2**62)
+
+    @pytest.mark.parametrize("k", [0, 1, 300])
+    def test_wide_slot_range_same_draws(self, k):
+        # past 2**31 slots the candidates stay int64
+        got_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = sample_distinct_slots(got_rng, 2**40, k)
+        ref = unique_reference_slots(ref_rng, 2**40, k)
+        assert got.candidates.dtype == np.int64
+        np.testing.assert_array_equal(got.candidates[got.rank], ref)
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def unique_reference_slots(rng, n_slots, k):
@@ -284,6 +413,157 @@ class TestDetectBin:
         for train in (train_a, train_b):
             if len(train) > 1:
                 assert np.diff(train.starts).min() >= train.min_gap
+
+
+def reference_detect_bin(batch, optics, detectors, seed, slot_width=None):
+    """detect_bin before routing by sorted rank: random masks over the photons
+    in draw order, then a concatenation and a sort per channel.
+
+    Returns each channel's (dead-time filter input, filtered event times) and
+    the state the generator is left in.
+    """
+    if isinstance(detectors, DetectorConfig):
+        det_a, det_b = detectors, detectors
+    else:
+        det_a, det_b = detectors
+    if slot_width is None:
+        slot_width = det_a.dead_time
+    slot_ps = seconds_to_ps(slot_width, "slot_width")
+    bin_length = batch.slots_per_bin * slot_ps
+    duration_s = bin_length / PS_PER_S
+
+    rng = np.random.default_rng(derive_seed(seed, 0))
+    p_d1 = optics.d1_probability()
+
+    n_s = batch.n_single_slots
+    n_p = batch.n_pair_slots + batch.n_higher_slots
+    slots = unique_reference_slots(rng, batch.slots_per_bin, n_s + n_p)
+    single_t = slots[:n_s] * slot_ps
+    pair_t = slots[n_s:] * slot_ps
+
+    to_d1 = rng.random(n_s) < p_d1
+    pair_first = rng.random(n_p) < p_d1
+    pair_second = rng.random(n_p) < p_d1
+
+    times = {CHANNEL_A: [], CHANNEL_B: []}
+    times[CHANNEL_A].append(single_t[to_d1])
+    times[CHANNEL_B].append(single_t[~to_d1])
+    times[CHANNEL_A].append(pair_t[pair_first])
+    times[CHANNEL_B].append(pair_t[~pair_first])
+    times[CHANNEL_A].append(pair_t[pair_second])
+    times[CHANNEL_B].append(pair_t[~pair_second])
+
+    events = []
+    for lane, (channel, det) in enumerate([(CHANNEL_A, det_a), (CHANNEL_B, det_b)]):
+        t = np.concatenate(times[channel])
+        if det.efficiency < 1.0:
+            t = t[rng.random(t.size) < det.efficiency]
+        dark = generate_dark_events(det.dark_rate, duration_s, derive_seed(seed, 1 + lane))
+        dark_ps = np.round(dark * PS_PER_S).astype(np.int64)
+        t = np.sort(np.concatenate([t, dark_ps]))
+        grid = det.resolving_time_ps
+        t = (t + grid // 2) // grid * grid
+        t = t[t + det.pulse_duration_ps <= bin_length]
+        events.append((t, reference_dead_time_filter(t, det.dead_time_ps)))
+    return events[0], events[1], rng.bit_generator.state
+
+
+def traced_detect_bin(monkeypatch, *args, **kwargs):
+    """detect_bin's trains, the inputs it gives the dead-time filter, and the
+    state its generator is left in, read from the generator it hands to
+    sample_distinct_slots."""
+    generators, filter_inputs = [], []
+    sample, dead_time = detection.sample_distinct_slots, detection.dead_time_filter
+
+    def recording_sample(rng, n_slots, k):
+        generators.append(rng)
+        return sample(rng, n_slots, k)
+
+    def recording_filter(events, t_d):
+        filter_inputs.append(np.array(events))
+        return dead_time(events, t_d)
+
+    monkeypatch.setattr(detection, "sample_distinct_slots", recording_sample)
+    monkeypatch.setattr(detection, "dead_time_filter", recording_filter)
+    trains = detect_bin(*args, **kwargs)
+    monkeypatch.undo()
+    (rng,) = generators
+    return trains, filter_inputs, rng.bit_generator.state
+
+
+STEP_SLOTS = 4_545_454  # one 100 ms counter step of 22 ns slots
+# (mean occupancy or a fixed PhotonBatch, phase, per-detector overrides of the
+# committed detector config)
+REFERENCE_CASES = {
+    "committed_phase_0": (0.012, 0.0, {}),
+    "committed_phase_1": (0.012, 1.0, {}),
+    "committed_quadrature": (0.012, math.pi / 2, {}),
+    "committed_phase_pi": (0.012, math.pi, {}),
+    # thinning runs over singles, pair-first, pair-second photons in that order
+    "efficiency_half": (0.012, 1.0, {"efficiency": 0.5}),
+    "efficiency_half_dense": (0.3, 2.0, {"efficiency": 0.5}),
+    "efficiency_unequal": (0.05, 0.4, ({"efficiency": 0.9}, {"efficiency": 0.35})),
+    "no_darks": (0.012, 1.0, {"dark_rate": 0.0}),
+    # every slot occupied, so the sampler's top-up loop runs
+    "full_occupancy": (PhotonBatch(0, 3_000, 1_500, 500, 5_000), 0.7, {}),
+    "full_occupancy_thinned": (PhotonBatch(0, 3_000, 1_500, 500, 5_000), 0.7, {"efficiency": 0.6}),
+    "pulses_20ns": (0.012, 1.0, {"pulse_duration": 20e-9}),
+    # a dead time past the slot width, dense darks, a coarse grid and pulses
+    # that the bin edge trims
+    "long_dead_time_dense_darks": (
+        0.2,
+        2.5,
+        (
+            {"dead_time": 50e-9, "dark_rate": 2e6},
+            {"pulse_duration": 21.9e-9, "resolving_time": 1e-9},
+        ),
+    ),
+    "empty": (PhotonBatch(0, 0, 0, 0, 1_000), 0.3, {}),
+}
+
+
+class TestDetectBinMatchesReference:
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+    def test_same_trains_and_generator_state(self, name, monkeypatch):
+        occupancy, phase, overrides = REFERENCE_CASES[name]
+        case = sorted(REFERENCE_CASES).index(name)
+        if isinstance(occupancy, PhotonBatch):
+            batch = occupancy
+        else:
+            slots = STEP_SLOTS if occupancy < 0.1 else 200_000
+            batch = sample_batch(occupancy, slots, seed=case)
+        if isinstance(overrides, dict):
+            overrides = (overrides, overrides)
+        dets = tuple(DetectorConfig(**kw) for kw in overrides)
+        optics = OpticalState(phase=phase, intrinsic_visibility=0.882)
+        seed = 1000 + case
+
+        trains, inputs, state = traced_detect_bin(monkeypatch, batch, optics, dets, seed, 22e-9)
+        *events, ref_state = reference_detect_bin(batch, optics, dets, seed, 22e-9)
+        assert state == ref_state
+        bin_length = batch.slots_per_bin * 22_000
+        for lane, (channel, det) in enumerate(zip((CHANNEL_A, CHANNEL_B), dets)):
+            train, (ref_in, ref) = trains[lane], events[lane]
+            # the same filter input, doubled photons of same-port pairs included
+            np.testing.assert_array_equal(inputs[lane], ref_in)
+            assert train.channel == channel
+            np.testing.assert_array_equal(train.starts, ref)
+            assert train.starts.dtype == np.int64
+            assert np.all(train.durations == det.pulse_duration_ps)
+            assert train.bin_length == bin_length and train.min_gap == det.dead_time_ps
+
+        # coincide on these trains, B delayed or not, agrees with the two-pointer walk
+        for tau in (0.0, 3e-9, -7e-9):
+            cfg = CcmConfig(delay_tau=tau)
+            shifted = trains[1].starts + cfg.delay_tau_ps
+            expected = _coincide_two_pointer(
+                trains[0].starts.tolist(),
+                trains[0].durations.tolist(),
+                shifted.tolist(),
+                trains[1].durations.tolist(),
+                cfg.overlap_threshold_ps,
+            )
+            assert coincide(*trains, cfg) == (len(expected), expected)
 
 
 class TestDetectorConfig:
