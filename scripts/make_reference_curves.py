@@ -13,14 +13,15 @@ from pathlib import Path
 import numpy as np
 
 from pstream import analytic_fig4, export_fig4_csv
+from pstream.cli import finite_float, int_at_least, positive_float
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--v", type=float, default=1.0, help="intrinsic visibility")
-    parser.add_argument("--leff", type=float, default=2e-6, help="envelope FWHM, meters")
-    parser.add_argument("--span", type=float, default=4e-6, help="half-range of x, meters")
-    parser.add_argument("--points", type=int, default=8001)
+    parser.add_argument("--v", type=finite_float, default=1.0, help="intrinsic visibility")
+    parser.add_argument("--leff", type=positive_float, default=2e-6, help="envelope FWHM, meters")
+    parser.add_argument("--span", type=positive_float, default=4e-6, help="half-range of x, meters")
+    parser.add_argument("--points", type=int_at_least(2), default=8001)
     parser.add_argument("--out", default="out/reference_curves.csv")
     args = parser.parse_args()
 

@@ -13,6 +13,7 @@ import time
 from pathlib import Path
 
 from pstream import build_report, export_report_csv, export_scan_csv, load_config, run_scan
+from pstream.cli import int_at_least
 
 HERE = Path(__file__).resolve().parent
 
@@ -24,7 +25,7 @@ def main():
     )
     parser.add_argument("--out", default="out/coincidence")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--workers", type=int, default=2)
+    parser.add_argument("--workers", type=int_at_least(1), default=2)
     args = parser.parse_args()
 
     cfg = load_config(args.config, seed_override=args.seed)

@@ -13,6 +13,7 @@ import csv
 from pathlib import Path
 
 from pstream import averaged_g2, load_config, run_scan, scan_series
+from pstream.cli import int_at_least
 from pstream.runner import export_scan_csv
 
 HERE = Path(__file__).resolve().parent
@@ -23,7 +24,7 @@ def main():
     parser.add_argument("--config", default=HERE.parent / "configs" / "walkoff_scan.json")
     parser.add_argument("--out", default="out/walkoff")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--workers", type=int, default=2)
+    parser.add_argument("--workers", type=int_at_least(1), default=2)
     args = parser.parse_args()
 
     cfg = load_config(args.config, seed_override=args.seed)

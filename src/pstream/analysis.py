@@ -39,7 +39,6 @@ class FringeSeries:
 
     positions: np.ndarray
     values: np.ndarray
-    channel: str = ""
 
     def __post_init__(self):
         positions = np.asarray(self.positions, dtype=float)
@@ -154,7 +153,7 @@ def averaged_g2(
         raise NumericalError("coincidence series has no positive coherent-center maximum")
     n_c = coinc.values / peak
     blended = envelope_gain * n_c + (1.0 - envelope_gain) * 0.5
-    return FringeSeries(positions=coinc.positions, values=blended, channel="g2")
+    return FringeSeries(positions=coinc.positions, values=blended)
 
 
 def eta21(n_bunched: float, n_single_per_path: float) -> float:

@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a configured scan")
     p.add_argument("--config", required=True, help="JSON experiment configuration")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p.add_argument("--seed", type=int, default=None, help="override the config seed, in [0, 2**64)")
     p.add_argument(
         "--workers", type=int_at_least(1), default=1, help="worker threads for scan points"
     )

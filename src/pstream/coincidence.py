@@ -213,11 +213,11 @@ def coincide(
     (index_a, index_b) pairs in ascending index_a.  Equal-duration trains
     whose pulses cannot each overlap two others take a searchsorted fast
     path; any other input goes through the overlap-cluster decomposition.
-    Both trains are checked first, in the pass that also yields each one's
-    smallest start gap and common duration for that choice.
+    That choice reads each train's ``min_start_gap`` and ``common_duration``,
+    kept when the train was built and checked, so neither is checked again.
     """
-    gap_a, d_a = train_a.validate()
-    gap_b, d_b = train_b.validate()
+    gap_a, d_a = train_a.min_start_gap, train_a.common_duration
+    gap_b, d_b = train_b.min_start_gap, train_b.common_duration
     threshold = cfg.overlap_threshold_ps
     a_starts, a_durs = train_a.starts, train_a.durations
     b_starts = train_b.starts + cfg.delay_tau_ps

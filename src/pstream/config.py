@@ -61,6 +61,7 @@ class ScanConfig:
 
     ``jitter_volts``, when nonzero, adds a slow seeded sinusoidal wobble to
     the voltage ramp as a loose stand-in for manual-scan nonuniformity.
+    ``seed`` lies in [0, 2**64), which ``derive_seed`` mixes without aliasing.
     """
 
     n_points: int = 316
@@ -74,6 +75,8 @@ class ScanConfig:
             raise ConfigError("n_points must be >= 2")
         if self.seconds_per_point <= 0:
             raise ConfigError("seconds_per_point must be > 0")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.jitter_volts < 0:
             raise ConfigError("jitter_volts must be >= 0")
 
@@ -155,14 +158,12 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     cfg = config_from_dict(data)
     env_seed = os.environ.get(SEED_ENV_VAR)
-    if seed_override is not None:
-        cfg = cfg.with_seed(seed_override)
-    elif env_seed is not None:
+    if seed_override is None and env_seed is not None:
         try:
-            cfg = cfg.with_seed(int(env_seed))
+            seed_override = int(env_seed)
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from exc
-    return cfg
+    return cfg if seed_override is None else cfg.with_seed(seed_override)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

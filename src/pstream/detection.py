@@ -54,6 +54,7 @@ class DetectorConfig:
 
     ``dead_time_ps``, ``pulse_duration_ps`` and ``resolving_time_ps`` hold the
     same times as int picoseconds, converted once when the config is built.
+    A pulse may not outlast the dead time, so one channel's pulses never overlap.
     """
 
     dead_time: float = 22e-9
@@ -65,6 +66,10 @@ class DetectorConfig:
     def __post_init__(self):
         for name in ("dead_time", "pulse_duration", "resolving_time"):
             object.__setattr__(self, f"{name}_ps", seconds_to_ps(getattr(self, name), name))
+        if self.pulse_duration_ps > self.dead_time_ps:
+            raise ConfigError(
+                f"pulse_duration {self.pulse_duration} s exceeds dead_time {self.dead_time} s"
+            )
         if self.dark_rate < 0:
             raise ConfigError("dark_rate must be >= 0")
         if not 0.0 <= self.efficiency <= 1.0:
@@ -78,6 +83,9 @@ class PulseTrain:
     ``starts`` and ``durations`` are int64 picoseconds.  Invariants: starts
     strictly increasing with consecutive gaps >= ``min_gap`` (the generating
     detector's dead time), and every pulse contained in [0, bin_length).
+    Construction checks them once and keeps ``min_start_gap`` (None below two
+    pulses) and ``common_duration`` (None if the durations differ or there are
+    none), which ``coincide`` reads.
     """
 
     channel: str
@@ -95,14 +103,14 @@ class PulseTrain:
         object.__setattr__(self, "durations", durations)
         if starts.shape != durations.shape or starts.ndim != 1:
             raise ContractError("starts and durations must be 1-d arrays of equal length")
-        self.validate()
+        gap, duration = self.validate()
+        object.__setattr__(self, "min_start_gap", gap)
+        object.__setattr__(self, "common_duration", duration)
 
     def validate(self) -> tuple[int | None, int | None]:
-        """Check the invariants; return (smallest start gap, common duration).
+        """Check the invariants; return (min_start_gap, common_duration).
 
-        One ``diff`` of the starts and min/max reductions.  The gap is None
-        below two pulses, the duration None for an empty train or unequal
-        durations.
+        One ``diff`` of the starts and min/max reductions.
         """
         starts, durations = self.starts, self.durations
         if starts.size == 0:
@@ -127,20 +135,6 @@ class PulseTrain:
 
     def __len__(self) -> int:
         return int(self.starts.size)
-
-    @property
-    def pulses(self) -> list[tuple[int, int]]:
-        return list(zip(self.starts.tolist(), self.durations.tolist()))
-
-
-def empty_train(channel: str, bin_length: int, min_gap: int = 0) -> PulseTrain:
-    return PulseTrain(
-        channel=channel,
-        starts=np.empty(0, dtype=np.int64),
-        durations=np.empty(0, dtype=np.int64),
-        bin_length=bin_length,
-        min_gap=min_gap,
-    )
 
 
 def generate_dark_events(rate: float, duration: float, seed: int) -> np.ndarray:
@@ -215,21 +209,13 @@ def shape_pulses(
 ) -> PulseTrain:
     """One fixed-duration pulse per dead-time-filtered event time (int ps).
 
-    Overlapping pulses mean the dead-time precondition was violated and raise
-    a contract error via the train invariants.
+    Events closer than the dead time raise a contract error via the train
+    invariants, which rules out overlap since no pulse outlasts the dead time.
     """
     events = np.asarray(events, dtype=np.int64)
     if bin_length is None:
         top = int(events[-1]) + cfg.pulse_duration_ps if events.size else cfg.pulse_duration_ps
         bin_length = top
-    # the train checks gaps >= dead time, which rules out overlap unless the
-    # pulse outlasts the dead time
-    if (
-        cfg.pulse_duration_ps > cfg.dead_time_ps
-        and events.size > 1
-        and np.diff(events).min() < cfg.pulse_duration_ps
-    ):
-        raise ContractError("events closer than one pulse duration: overlapping pulses")
     return PulseTrain(
         channel=channel,
         starts=events,

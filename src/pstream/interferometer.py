@@ -6,8 +6,8 @@ toward detector D1 with probability (1 - V*G*cos(phase))/2, where V is the
 static overlap quality of the two beams and G is a Gaussian envelope modelling
 the walk-off decoherence induced by single-axis piezo scanning.  The pi/2
 phase picked up between the transmitted and reflected fields of a lossless
-splitter is what pins the zero-phase output to D2; it is carried here as a
-frozen constant.
+splitter sends every photon to D2 at zero phase and full contrast; it lives in
+the sign of that formula, so the state at a scan point is just phase, V and G.
 
 All functions are pure; OpticalState and PztConfig are immutable.
 """
@@ -15,13 +15,11 @@ All functions are pure; OpticalState and PztConfig are immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
-
-BS_PHASE = math.pi / 2
 
 _FOUR_LN2 = 4.0 * math.log(2.0)
 
@@ -30,48 +28,21 @@ _FOUR_LN2 = 4.0 * math.log(2.0)
 class OpticalState:
     """Interferometer state at one scan position.
 
-    phase                      relative phase between the arms at the output
-                               splitter, radians (unwrapped)
-    intrinsic_visibility       static fringe contrast from alignment / splitter
-                               ratio imperfections, in [0, 1]
-    scan_position              piezo path-length offset from the zero-path
-                               center, meters
-    effective_coherence_length scale (FWHM) of the walk-off envelope actually
-                               in effect: the ~2 um artifact scale when the
-                               asymmetric scan is on, else the laser coherence
-                               length
-    laser_coherence_length     bandwidth-limited coherence length of the
-                               unattenuated laser
+    phase                  relative phase between the arms at the output
+                           splitter, radians (unwrapped)
+    intrinsic_visibility   static fringe contrast V from alignment / splitter
+                           ratio imperfections, in [0, 1]
+    envelope_gain          walk-off envelope value G at the scan position, in
+                           [0, 1]
     """
 
     phase: float = 0.0
     intrinsic_visibility: float = 1.0
-    scan_position: float = 0.0
-    effective_coherence_length: float = 2e-6
-    laser_coherence_length: float = 0.30
-    bs_phase: float = field(default=BS_PHASE, init=False)
-
-    def __post_init__(self):
-        if not 0.0 <= self.intrinsic_visibility <= 1.0:
-            raise ConfigError(
-                f"intrinsic_visibility must lie in [0, 1], got {self.intrinsic_visibility}"
-            )
-        if self.effective_coherence_length <= 0:
-            raise ConfigError("effective_coherence_length must be > 0")
-        if self.laser_coherence_length <= 0:
-            raise ConfigError("laser_coherence_length must be > 0")
-
-    def envelope_gain(self) -> float:
-        """Walk-off envelope value G at the current scan position."""
-        return envelope(self.scan_position, self.effective_coherence_length)
-
-    def fringe_contrast(self) -> float:
-        """Total fringe contrast V*G at the current scan position."""
-        return self.intrinsic_visibility * self.envelope_gain()
+    envelope_gain: float = 1.0
 
     def d1_probability(self) -> float:
-        """Probability that a photon exits toward D1 in this state."""
-        return port_probability(self.phase, self.envelope_gain(), self.intrinsic_visibility)
+        """Probability that a photon exits toward D1; DomainError for a V or G outside [0, 1]."""
+        return port_probability(self.phase, self.envelope_gain, self.intrinsic_visibility)
 
 
 @dataclass(frozen=True)

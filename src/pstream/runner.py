@@ -45,6 +45,8 @@ from .seeding import derive_seed
 from .source import mean_photon_number, sample_batch
 
 SCAN_COLUMNS = ["point", "voltage_V", "x_m", "phase_rad", "envelope", "N_A", "N_B", "N_c"]
+# half-width of the zero-path window that build_report reads fringes in, meters
+CENTER_HALFWIDTH = 2e-6
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,7 @@ def _scan_voltages(cfg: ExperimentConfig) -> np.ndarray:
     return volts
 
 
-def _point_optics(cfg: ExperimentConfig, volt: float) -> tuple[float, float, float, OpticalState]:
+def _simulate_point(cfg: ExperimentConfig, index: int, volt: float) -> ScanPoint:
     x = voltage_to_displacement(volt, cfg.optics.pzt)
     phase = pzt_phase(x, cfg.source.wavelength)
     scale = (
@@ -89,18 +91,8 @@ def _point_optics(cfg: ExperimentConfig, volt: float) -> tuple[float, float, flo
         if cfg.scan.asymmetric_walkoff
         else cfg.optics.laser_coherence_length
     )
-    state = OpticalState(
-        phase=phase,
-        intrinsic_visibility=cfg.optics.intrinsic_visibility,
-        scan_position=x,
-        effective_coherence_length=scale,
-        laser_coherence_length=cfg.optics.laser_coherence_length,
-    )
-    return x, phase, state.envelope_gain(), state
-
-
-def _simulate_point(cfg: ExperimentConfig, index: int, volt: float) -> ScanPoint:
-    x, phase, gain, state = _point_optics(cfg, volt)
+    gain = envelope(x, scale)
+    state = OpticalState(phase, cfg.optics.intrinsic_visibility, gain)
     mean = cfg.source.mean_photon()
     point_seed = derive_seed(cfg.scan.seed, index)
     n_steps = round(cfg.scan.seconds_per_point / cfg.ccm.step)
@@ -108,7 +100,7 @@ def _simulate_point(cfg: ExperimentConfig, index: int, volt: float) -> ScanPoint
     steps = []
     for j in range(n_steps):
         step_seed = derive_seed(point_seed, j)
-        batch = sample_batch(mean, slots_per_step, derive_seed(step_seed, 0), bin_index=j)
+        batch = sample_batch(mean, slots_per_step, derive_seed(step_seed, 0))
         train_a, train_b = detect_bin(
             batch, state, cfg.detectors, derive_seed(step_seed, 1), slot_width=cfg.source.dead_time
         )
@@ -151,9 +143,9 @@ def scan_series(result: ScanResult) -> tuple[FringeSeries, FringeSeries, FringeS
     """Decompose a scan into (singles A, singles B, coincidence, envelope) series."""
     xs = np.array([p.x for p in result.points])
     gains = np.array([p.envelope for p in result.points])
-    series_a = FringeSeries(xs, np.array([p.n_a for p in result.points], dtype=float), "A")
-    series_b = FringeSeries(xs, np.array([p.n_b for p in result.points], dtype=float), "B")
-    series_c = FringeSeries(xs, np.array([p.n_c for p in result.points], dtype=float), "C")
+    series_a = FringeSeries(xs, np.array([p.n_a for p in result.points], dtype=float))
+    series_b = FringeSeries(xs, np.array([p.n_b for p in result.points], dtype=float))
+    series_c = FringeSeries(xs, np.array([p.n_c for p in result.points], dtype=float))
     return series_a, series_b, series_c, gains
 
 
@@ -162,19 +154,19 @@ def build_report(
     dead_time: float = 22e-9,
     accumulation: float | None = None,
     delta_t: float = 10e-9,
-    center_halfwidth: float = 2e-6,
 ) -> CorrelationReport:
     """Correlation summary for a scan.
 
     ``accumulation`` defaults to the per-point dwell recorded in the config
     echo, falling back to 1 s.  The bunched-event count entering eta21 is the
     robust maximum of the coincidence fringe, matching how a counter reads the
-    crossing-point rate.
+    crossing-point rate.  Visibilities, the g2 ratio and that maximum are
+    taken over |x| <= ``CENTER_HALFWIDTH``.
     """
     if accumulation is None:
         accumulation = float(result.config.get("scan", {}).get("seconds_per_point", 1.0))
     series_a, series_b, series_c, _ = scan_series(result)
-    window = (-center_halfwidth, center_halfwidth)
+    window = (-CENTER_HALFWIDTH, CENTER_HALFWIDTH)
     vis_a = visibility(series_a, window)
     vis_b = visibility(series_b, window)
     ratio = g2_ratio(series_c, window)
@@ -237,8 +229,8 @@ def analytic_fig4(
     i_d1, i_d2 = singles_fringe(phase, gain, visibility_v)
     product = i_d1 * i_d2
     g2 = averaged_g2(
-        (FringeSeries(x, i_d1, "D1"), FringeSeries(x, i_d2, "D2")),
-        FringeSeries(x, product, "coincidence"),
+        (FringeSeries(x, i_d1), FringeSeries(x, i_d2)),
+        FringeSeries(x, product),
         gain,
     )
     return Fig4Curves(

@@ -75,15 +75,12 @@ class SourceConfig:
 class PhotonBatch:
     """Occupancy counts for one accumulation bin of ``slots_per_bin`` slots."""
 
-    bin_index: int
     n_single_slots: int
     n_pair_slots: int
     n_higher_slots: int
     slots_per_bin: int
 
     def __post_init__(self):
-        if self.bin_index < 0:
-            raise DomainError("bin_index must be >= 0")
         if self.slots_per_bin < 1:
             raise DomainError("slots_per_bin must be >= 1")
         counts = (self.n_single_slots, self.n_pair_slots, self.n_higher_slots)
@@ -177,17 +174,16 @@ def pair_fraction(mean: float) -> float:
     return mean / 2.0
 
 
-def sample_batch(
-    mean: float, slots_per_bin: int, seed: int, bin_index: int = 0
-) -> PhotonBatch:
-    """Draw the occupancy-class counts for one bin.
+def sample_batch(mean: float, slots_per_bin: int, seed: int) -> PhotonBatch:
+    """Draw the occupancy-class counts for one bin of ``slots_per_bin`` slots.
 
     Single, pair and higher-order slot counts are independent Poisson draws
     with means slots*P(1), slots*P(2) and slots*P(>=3).  Deterministic for a
-    fixed seed.  In the configured regime (mean << 1, slots >> 1) their sum
-    never approaches slots_per_bin; if an extreme configuration does overflow,
-    the counts are clamped in the order higher, pair, single so the batch
-    invariant always holds.
+    fixed seed; the seed is all that tells one bin from another.  In the
+    configured regime (mean << 1, slots >> 1) their sum never approaches
+    slots_per_bin; if an extreme configuration does overflow, the counts are
+    clamped in the order higher, pair, single so the batch invariant always
+    holds.
     """
     if not 0.0 <= mean < 1.0:
         raise ConfigError(f"mean occupancy must lie in [0, 1), got {mean}")
@@ -201,7 +197,6 @@ def sample_batch(
     n_pair = min(n_pair, slots_per_bin - n_single)
     n_higher = min(n_higher, slots_per_bin - n_single - n_pair)
     return PhotonBatch(
-        bin_index=bin_index,
         n_single_slots=n_single,
         n_pair_slots=n_pair,
         n_higher_slots=n_higher,

@@ -70,10 +70,6 @@ class TraceFile:
     def n_samples(self) -> int:
         return int(self.ch1.size)
 
-    @property
-    def duration(self) -> float:
-        return self.n_samples * self.sampling_period
-
 
 def synthesize_trace(
     train_ch1: PulseTrain,

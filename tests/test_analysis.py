@@ -26,16 +26,16 @@ def fringe_grid(n=4001, span=4e-6):
     return np.linspace(-span, span, n)
 
 
-def singles_series(contrast, n=4001, span=4e-6, scale=1.0, channel="A"):
+def singles_series(contrast, n=4001, span=4e-6, scale=1.0):
     x = fringe_grid(n, span)
     phase = 2 * np.pi * x / WAVELENGTH
-    return FringeSeries(x, scale * (1 + contrast * np.cos(phase)) / 2, channel)
+    return FringeSeries(x, scale * (1 + contrast * np.cos(phase)) / 2)
 
 
 def coincidence_series(contrast, n=4001, span=4e-6, scale=1.0):
     x = fringe_grid(n, span)
     phase = 2 * np.pi * x / WAVELENGTH
-    return FringeSeries(x, scale * (1 - (contrast * np.cos(phase)) ** 2) / 2, "C")
+    return FringeSeries(x, scale * (1 - (contrast * np.cos(phase)) ** 2) / 2)
 
 
 class TestFringeSeries:
@@ -134,9 +134,9 @@ class TestAveragedG2:
         x = fringe_grid()
         phase = 2 * np.pi * x / WAVELENGTH
         p = (1 - contrast * gain * np.cos(phase)) / 2
-        series_a = FringeSeries(x, p, "A")
-        series_b = FringeSeries(x, 1 - p, "B")
-        coinc = FringeSeries(x, p * (1 - p), "C")
+        series_a = FringeSeries(x, p)
+        series_b = FringeSeries(x, 1 - p)
+        coinc = FringeSeries(x, p * (1 - p))
         return (series_a, series_b), coinc, gain if isinstance(gain, np.ndarray) else np.full_like(x, gain)
 
     def test_full_coherence_swings_zero_to_one(self):
@@ -168,8 +168,8 @@ class TestAveragedG2:
         gain = envelope(x, 2e-6)
         phase = 2 * np.pi * x / WAVELENGTH
         p = (1 - gain * np.cos(phase)) / 2
-        pair = (FringeSeries(x, p, "A"), FringeSeries(x, 1 - p, "B"))
-        coinc = FringeSeries(x, p * (1 - p), "C")
+        pair = (FringeSeries(x, p), FringeSeries(x, 1 - p))
+        coinc = FringeSeries(x, p * (1 - p))
         out = averaged_g2(pair, coinc, gain)
         assert np.all(out.values >= 0.0) and np.all(out.values <= 1.0)
         far = np.abs(x) > 3.9e-6
@@ -177,7 +177,7 @@ class TestAveragedG2:
 
     def test_misaligned_grids_rejected(self):
         pair, coinc, gain = self.make_inputs(1.0, 1.0)
-        other = FringeSeries(coinc.positions + 1e-9, coinc.values, "C")
+        other = FringeSeries(coinc.positions + 1e-9, coinc.values)
         with pytest.raises(DataError):
             averaged_g2(pair, other, gain)
 

@@ -343,6 +343,36 @@ def test_integer_flags_accept_their_lower_bounds():
     assert args.workers == 1
 
 
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+# flags of the scripts in scripts/ that used to end in a traceback, or, for
+# --v nan, write NaN curves and exit 0; argparse now stops each before any work
+BAD_SCRIPT_FLAGS = {
+    "reference_v_nan": ("make_reference_curves.py", "--v", "nan"),
+    "reference_leff_zero": ("make_reference_curves.py", "--leff", "0"),
+    "reference_span_zero": ("make_reference_curves.py", "--span", "0"),
+    "reference_points_one": ("make_reference_curves.py", "--points", "1"),
+    "reference_points_negative": ("make_reference_curves.py", "--points", "-3"),
+    "coincidence_workers_zero": ("run_coincidence_scan.py", "--workers", "0"),
+    "walkoff_workers_zero": ("run_walkoff_scan.py", "--workers", "0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SCRIPT_FLAGS))
+def test_script_rejects_bad_flag(name, tmp_path):
+    script, flag, value = BAD_SCRIPT_FLAGS[name]
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), flag, value, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert f"argument {flag}: '{value}'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(

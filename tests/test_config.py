@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pstream.cli import main
 from pstream.config import (
     ExperimentConfig,
     SEED_ENV_VAR,
@@ -143,6 +144,8 @@ PROBES = {
         "ccm": {"step": 0.3, "accumulation_bin": 1.0},
         "scan": {"seconds_per_point": 0.6},
     },
+    # 30 ns pulses 22 ns apart overlap; this used to exit 3 at scan point 0
+    "pulse_longer_than_dead_time": {"detectors": {"pulse_duration": 30e-9}},
 }
 
 
@@ -175,6 +178,45 @@ def test_bad_value_stops_at_load(name, tmp_path, monkeypatch):
     assert "configuration error" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (out / "scan.csv").exists()
+
+
+# derive_seed masks to 64 bits, so -1 and 2**64 used to alias 2**64 - 1 and 0
+SEED_ROUTES = ("scan.seed", SEED_ENV_VAR, "--seed")
+
+
+def seed_route(route, seed, tmp_path, monkeypatch):
+    """A config file, and the --seed value or None, that give ``seed`` through ``route``."""
+    doc = probe_document({})
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    if route == "scan.seed":
+        doc["scan"]["seed"] = seed
+    elif route == SEED_ENV_VAR:
+        monkeypatch.setenv(SEED_ENV_VAR, str(seed))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return path, seed if route == "--seed" else None
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("route", SEED_ROUTES)
+def test_seed_outside_64_bits_exits_2(route, seed, tmp_path, monkeypatch, capsys):
+    path, flag = seed_route(route, seed, tmp_path, monkeypatch)
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(path), "--out", str(out)]
+    if flag is not None:
+        argv += ["--seed", str(flag)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"seed must lie in [0, 2**64), got {seed}" in err
+    assert "Traceback" not in err
+    assert not (out / "scan.csv").exists()
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("route", SEED_ROUTES)
+def test_seed_range_ends_accepted(route, seed, tmp_path, monkeypatch):
+    path, flag = seed_route(route, seed, tmp_path, monkeypatch)
+    assert load_config(path, seed_override=flag).scan.seed == seed
 
 
 # ---------------------------------------------------------------- fuzzing

@@ -15,7 +15,6 @@ from pstream.detection import (
     PulseTrain,
     dead_time_filter,
     detect_bin,
-    empty_train,
     generate_dark_events,
     sample_distinct_slots,
     seconds_to_ps,
@@ -187,11 +186,12 @@ class TestGenerateDarkEvents:
 class TestShapePulses:
     def test_single_event(self):
         train = shape_pulses(np.array([0]), DetectorConfig(), channel=CHANNEL_A)
-        assert train.pulses == [(0, 10_000)]
+        assert train.starts.tolist() == [0] and train.durations.tolist() == [10_000]
 
     def test_two_disjoint(self):
         train = shape_pulses(np.array([0, 30_000]), DetectorConfig(), bin_length=100_000)
-        assert train.pulses == [(0, 10_000), (30_000, 10_000)]
+        assert train.starts.tolist() == [0, 30_000]
+        assert train.durations.tolist() == [10_000, 10_000]
 
     def test_empty(self):
         train = shape_pulses(np.array([], dtype=np.int64), DetectorConfig())
@@ -255,6 +255,9 @@ class TestPulseTrain:
         assert gap == (int(np.diff(train.starts).min()) if train.starts.size > 1 else None)
         common = train.starts.size and np.all(train.durations == train.durations[0])
         assert duration == (int(train.durations[0]) if common else None)
+        # a train the reference accepts constructs, and keeps what validate returns
+        built = PulseTrain(CHANNEL_A, train.starts, train.durations, train.bin_length, train.min_gap)
+        assert (built.min_start_gap, built.common_duration) == (gap, duration)
 
     def test_invariants_enforced(self):
         with pytest.raises(ContractError):
@@ -265,10 +268,6 @@ class TestPulseTrain:
             PulseTrain(CHANNEL_A, np.array([95]), np.array([10]), bin_length=100)
         with pytest.raises(ContractError):
             PulseTrain("C", np.array([0]), np.array([1]), bin_length=100)
-
-    def test_empty_train_helper(self):
-        train = empty_train(CHANNEL_B, bin_length=1000)
-        assert len(train) == 0 and train.channel == CHANNEL_B
 
 
 class TestSampleDistinctSlots:
@@ -341,15 +340,15 @@ def quiet_detector(**kwargs) -> DetectorConfig:
 
 class TestDetectBin:
     def test_pairs_only_at_zero_phase_all_reach_d2(self):
-        batch = PhotonBatch(0, 0, 500, 0, 100_000)
-        optics = OpticalState(phase=0.0, intrinsic_visibility=1.0, scan_position=0.0)
+        batch = PhotonBatch(0, 500, 0, 100_000)
+        optics = OpticalState(phase=0.0, intrinsic_visibility=1.0)
         train_a, train_b = detect_bin(batch, optics, quiet_detector(), seed=11)
         assert len(train_a) == 0
         # both photons of each pair land on D2 and collapse into one pulse
         assert len(train_b) == 500
 
     def test_empty_batch_no_darks(self):
-        batch = PhotonBatch(0, 0, 0, 0, 1000)
+        batch = PhotonBatch(0, 0, 0, 1000)
         train_a, train_b = detect_bin(batch, OpticalState(), quiet_detector(), seed=3)
         assert len(train_a) == 0 and len(train_b) == 0
 
@@ -365,7 +364,7 @@ class TestDetectBin:
 
     def test_quadrature_split_is_binomial(self):
         n_singles, n_seeds = 600, 1000
-        batch = PhotonBatch(0, n_singles, 0, 0, 1_000_000)
+        batch = PhotonBatch(n_singles, 0, 0, 1_000_000)
         optics = OpticalState(phase=math.pi / 2, intrinsic_visibility=1.0)
         fractions = np.empty(n_seeds)
         counts_a = np.empty(n_seeds)
@@ -380,13 +379,13 @@ class TestDetectBin:
         assert binom_sd * 0.8 < counts_a.std() < binom_sd * 1.2
 
     def test_count_conservation_without_darks(self):
-        batch = PhotonBatch(0, 300, 40, 5, 500_000)
+        batch = PhotonBatch(300, 40, 5, 500_000)
         optics = OpticalState(phase=0.7, intrinsic_visibility=0.8)
         train_a, train_b = detect_bin(batch, optics, quiet_detector(), seed=21)
         assert len(train_a) + len(train_b) <= 300 + 2 * (40 + 5)
 
     def test_efficiency_thins_counts(self):
-        batch = PhotonBatch(0, 20_000, 0, 0, 1_000_000)
+        batch = PhotonBatch(20_000, 0, 0, 1_000_000)
         optics = OpticalState(phase=math.pi / 2, intrinsic_visibility=1.0)
         half = quiet_detector(efficiency=0.5)
         train_a, train_b = detect_bin(batch, optics, (half, half), seed=5)
@@ -400,7 +399,7 @@ class TestDetectBin:
             assert np.all(train.starts % 350 == 0)
 
     def test_dark_events_populate_empty_batch(self):
-        batch = PhotonBatch(0, 0, 0, 0, 45_454_545)  # one full second
+        batch = PhotonBatch(0, 0, 0, 45_454_545)  # one full second
         counts = []
         for k in range(50):
             train_a, train_b = detect_bin(batch, OpticalState(), DetectorConfig(), seed=1000 + k)
@@ -505,8 +504,8 @@ REFERENCE_CASES = {
     "efficiency_unequal": (0.05, 0.4, ({"efficiency": 0.9}, {"efficiency": 0.35})),
     "no_darks": (0.012, 1.0, {"dark_rate": 0.0}),
     # every slot occupied, so the sampler's top-up loop runs
-    "full_occupancy": (PhotonBatch(0, 3_000, 1_500, 500, 5_000), 0.7, {}),
-    "full_occupancy_thinned": (PhotonBatch(0, 3_000, 1_500, 500, 5_000), 0.7, {"efficiency": 0.6}),
+    "full_occupancy": (PhotonBatch(3_000, 1_500, 500, 5_000), 0.7, {}),
+    "full_occupancy_thinned": (PhotonBatch(3_000, 1_500, 500, 5_000), 0.7, {"efficiency": 0.6}),
     "pulses_20ns": (0.012, 1.0, {"pulse_duration": 20e-9}),
     # a dead time past the slot width, dense darks, a coarse grid and pulses
     # that the bin edge trims
@@ -518,7 +517,7 @@ REFERENCE_CASES = {
             {"pulse_duration": 21.9e-9, "resolving_time": 1e-9},
         ),
     ),
-    "empty": (PhotonBatch(0, 0, 0, 0, 1_000), 0.3, {}),
+    "empty": (PhotonBatch(0, 0, 0, 1_000), 0.3, {}),
 }
 
 
@@ -574,6 +573,12 @@ class TestDetectorConfig:
             DetectorConfig(efficiency=1.5)
         with pytest.raises(ConfigError):
             DetectorConfig(dark_rate=-1.0)
+
+    def test_pulse_no_longer_than_dead_time(self):
+        with pytest.raises(ConfigError, match="exceeds dead_time"):
+            DetectorConfig(pulse_duration=22.001e-9)
+        cfg = DetectorConfig(pulse_duration=22e-9)
+        assert cfg.pulse_duration_ps == cfg.dead_time_ps
 
     def test_ps_conversions(self):
         cfg = DetectorConfig()

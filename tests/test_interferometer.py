@@ -6,7 +6,6 @@ from hypothesis import assume, given, strategies as st
 
 from pstream.errors import ConfigError, DomainError
 from pstream.interferometer import (
-    BS_PHASE,
     OpticalState,
     PztConfig,
     envelope,
@@ -203,22 +202,27 @@ class TestPairCoincidence:
 
 class TestOpticalState:
     def test_beam_splitter_phase_is_fixed(self):
+        # the splitter's pi/2 sends every photon to D2 at zero phase and full contrast
         state = OpticalState()
-        assert state.bs_phase == math.pi / 2 == BS_PHASE
+        assert state.d1_probability() == 0.0
+        assert OpticalState(phase=math.pi).d1_probability() == 1.0
         with pytest.raises(Exception):
             object.__delattr__(state, "nonexistent")  # frozen dataclass, no mutation
         with pytest.raises(Exception):
             state.phase = 1.0
 
     def test_contrast_composition(self):
-        state = OpticalState(
-            phase=0.0, intrinsic_visibility=0.9, scan_position=1e-6, effective_coherence_length=2e-6
-        )
-        assert state.fringe_contrast() == pytest.approx(0.45, rel=1e-9)
+        state = OpticalState(phase=0.0, intrinsic_visibility=0.9, envelope_gain=envelope(1e-6, 2e-6))
         assert state.d1_probability() == pytest.approx((1 - 0.45) / 2, rel=1e-9)
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            OpticalState(intrinsic_visibility=1.2)
-        with pytest.raises(ConfigError):
-            OpticalState(effective_coherence_length=0.0)
+        with pytest.raises(DomainError):
+            OpticalState(intrinsic_visibility=1.2).d1_probability()
+        with pytest.raises(DomainError):
+            OpticalState(envelope_gain=-0.1).d1_probability()
+
+    @given(PHASES, UNIT)
+    def test_trace_workload_form_is_port_probability(self, phase, v):
+        """The keyword form that the benchmark's trace workload builds."""
+        state = OpticalState(phase=phase, intrinsic_visibility=v)
+        assert state.d1_probability() == port_probability(phase, 1.0, v)

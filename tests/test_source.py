@@ -182,16 +182,16 @@ class TestSampleBatch:
 
 class TestPhotonBatch:
     def test_occupancy_histogram(self):
-        batch = PhotonBatch(0, 5, 2, 1, 100)
+        batch = PhotonBatch(5, 2, 1, 100)
         assert batch.occupancy_counts().tolist() == [92, 5, 2, 1]
 
     def test_overfull_batch_rejected(self):
         with pytest.raises(DomainError):
-            PhotonBatch(0, 60, 30, 20, 100)
+            PhotonBatch(60, 30, 20, 100)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(DomainError):
-            PhotonBatch(0, -1, 0, 0, 100)
+            PhotonBatch(-1, 0, 0, 100)
 
 
 class TestSourceConfig:

@@ -464,7 +464,3 @@ class TestTraceFile:
     def test_channel_shape_mismatch(self):
         with pytest.raises(TraceParseError):
             TraceFile(ch1=np.zeros(3), ch2=np.zeros(4))
-
-    def test_duration(self):
-        trace = TraceFile(ch1=np.zeros(2_500_000), ch2=np.zeros(2_500_000))
-        assert trace.duration == pytest.approx(1e-3, rel=1e-9)
