@@ -8,12 +8,13 @@ settles at the classical 0.5 beyond the walk-off envelope.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from pstream import analytic_fig4, export_fig4_csv
-from pstream.cli import finite_float, int_at_least, positive_float
+from pstream.cli import exit_code, finite_float, int_at_least, positive_float
 
 
 def main():
@@ -36,4 +37,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(exit_code(main))

@@ -9,11 +9,12 @@ period, and a min/max intensity correlation well under the classical 0.5.
 """
 
 import argparse
+import sys
 import time
 from pathlib import Path
 
 from pstream import build_report, export_report_csv, export_scan_csv, load_config, run_scan
-from pstream.cli import int_at_least
+from pstream.cli import exit_code, int_at_least
 
 HERE = Path(__file__).resolve().parent
 
@@ -44,4 +45,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(exit_code(main))

@@ -9,12 +9,12 @@ plus the phase-resolved g2 curve built from the measured fringes.
 """
 
 import argparse
-import csv
+import sys
 from pathlib import Path
 
 from pstream import averaged_g2, load_config, run_scan, scan_series
-from pstream.cli import int_at_least
-from pstream.runner import export_scan_csv
+from pstream.cli import exit_code, int_at_least
+from pstream.runner import _write_table, export_scan_csv
 
 HERE = Path(__file__).resolve().parent
 
@@ -36,11 +36,8 @@ def main():
 
     series_a, series_b, series_c, gains = scan_series(result)
     g2 = averaged_g2((series_a, series_b), series_c, gains)
-    with open(out / "g2.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x_m", "envelope", "g2"])
-        for x, gain, value in zip(g2.positions, gains, g2.values):
-            writer.writerow([repr(float(x)), repr(float(gain)), repr(float(value))])
+    rows = zip(g2.positions.tolist(), gains.tolist(), g2.values.tolist())
+    _write_table(out / "g2.csv", ["x_m", "envelope", "g2"], rows)
 
     center = g2.values[abs(g2.positions) < 1e-6]
     edges = g2.values[abs(g2.positions) > 3e-6]
@@ -50,4 +47,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(exit_code(main))

@@ -22,7 +22,7 @@ from .analysis import (
     poisson_gof,
     visibility,
 )
-from .coincidence import CcmConfig, CountRecord, StepCount, accumulate, coincide
+from .coincidence import CcmConfig, coincide
 from .config import (
     ExperimentConfig,
     OpticsConfig,

@@ -50,13 +50,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     result = run_scan(cfg, workers=args.workers)
     export_scan_csv(result, out_dir / "scan.csv")
     (out_dir / "config.json").write_text(json.dumps(config_to_dict(cfg), indent=2) + "\n")
-    print(f"wrote {out_dir / 'scan.csv'} ({len(result.points)} points, seed {result.seed})")
+    print(f"wrote {out_dir / 'scan.csv'} ({len(result.points)} points, seed {cfg.scan.seed})")
     return EXIT_OK
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     points = read_scan_csv(args.scan)
-    result = ScanResult(points=points, seed=-1, config={})
+    result = ScanResult(points=points, config={})
     report = build_report(
         result,
         dead_time=args.dead_time,
@@ -190,11 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def exit_code(fn, *args):
+    """Call ``fn(*args)`` and return its result; if it raises a configuration,
+    data, numerical or OS error, print it as one stderr line and return its exit code."""
     try:
-        return args.func(args)
+        return fn(*args)
     except (ConfigError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -207,6 +207,11 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_DATA
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    return exit_code(args.func, args)
 
 
 if __name__ == "__main__":

@@ -5,8 +5,8 @@ detectors overlap for at least a configured fraction of their duration
 ("about half" of the 10 ns pulse by default, fixed here at >= 5 ns and
 configurable).  Matching is greedy in time order and one-to-one: a gate that
 re-arms after each count cannot use the same pulse twice.  Singles and
-coincidence counts are tallied in 100 ms steps and summed into 1 s
-accumulation bins.
+coincidence counts are tallied in 100 ms counter steps, and a scan point's
+counts are the sums over its steps.
 
 The matching is defined by a two-pointer walk over both trains.  It runs in
 vectorized numpy except inside the rare groups of three or more mutually
@@ -17,19 +17,18 @@ independent overlap clusters (see ``_coincide_clusters``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .detection import PulseTrain, seconds_to_ps
-from .errors import ConfigError, ContractError
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
 class CcmConfig:
-    """Coincidence counter parameters (seconds); whole steps fill the accumulation bin.
+    """Coincidence counter parameters (seconds).
 
     ``overlap_threshold_ps`` and ``delay_tau_ps`` hold the same times as int
     picoseconds, converted once when the config is built.
@@ -37,7 +36,6 @@ class CcmConfig:
 
     overlap_threshold: float = 5e-9
     delay_tau: float = 0.0
-    accumulation_bin: float = 1.0
     step: float = 0.1
 
     def __post_init__(self):
@@ -47,48 +45,8 @@ class CcmConfig:
         object.__setattr__(
             self, "delay_tau_ps", seconds_to_ps(self.delay_tau, "delay_tau", at_least=None)
         )
-        if self.step <= 0 or self.accumulation_bin <= 0:
-            raise ConfigError("step and accumulation_bin must be > 0")
-        if not tiles(self.accumulation_bin, self.step, 1e-9 * self.accumulation_bin):
-            raise ConfigError(
-                f"step {self.step} s does not tile the {self.accumulation_bin} s accumulation bin"
-            )
-
-    @property
-    def steps_per_bin(self) -> int:
-        return round(self.accumulation_bin / self.step)
-
-
-def tiles(total: float, step: float, tol: float) -> bool:
-    """Whether ``0 < step <= total`` and whole steps make up ``total`` to within ``tol``."""
-    ratio = total / step
-    return 1.0 <= ratio < math.inf and abs(round(ratio) * step - total) <= tol
-
-
-@dataclass(frozen=True)
-class StepCount:
-    """Singles and coincidence tallies for one counter step."""
-
-    n_a: int
-    n_b: int
-    n_c: int
-
-
-@dataclass(frozen=True)
-class CountRecord:
-    """Per-accumulation-bin counts; ``partial`` marks a bin cut short by end of stream."""
-
-    bin_index: int
-    n_a: int
-    n_b: int
-    n_c: int
-    partial: bool = False
-
-    def __post_init__(self):
-        if min(self.n_a, self.n_b, self.n_c) < 0:
-            raise ContractError("counts must be >= 0")
-        if self.n_c > min(self.n_a, self.n_b):
-            raise ContractError("coincidences cannot exceed the smaller singles count")
+        if self.step <= 0:
+            raise ConfigError("step must be > 0")
 
 
 def _coincide_two_pointer(
@@ -238,23 +196,9 @@ def coincide(
     return len(matches), matches
 
 
-def accumulate(steps: Sequence[StepCount], cfg: CcmConfig) -> list[CountRecord]:
-    """Sum per-step tallies into accumulation-bin records.
-
-    A final bin fed fewer than ``steps_per_bin`` steps is emitted with the
-    ``partial`` flag set.
-    """
-    k = cfg.steps_per_bin
-    records = []
-    for start in range(0, len(steps), k):
-        chunk = steps[start : start + k]
-        records.append(
-            CountRecord(
-                bin_index=start // k,
-                n_a=sum(s.n_a for s in chunk),
-                n_b=sum(s.n_b for s in chunk),
-                n_c=sum(s.n_c for s in chunk),
-                partial=len(chunk) < k,
-            )
-        )
-    return records
+def accumulate(steps: Iterable[tuple[int, int, int]]) -> tuple[int, int, int]:
+    """A scan point's (N_A, N_B, N_c): the sums of its steps' (n_a, n_b, n_c) tallies."""
+    n_a = n_b = n_c = 0
+    for a, b, c in steps:
+        n_a, n_b, n_c = n_a + a, n_b + b, n_c + c
+    return n_a, n_b, n_c

@@ -15,28 +15,35 @@ Unknown keys are rejected with the offending dotted path.  Each value must
 match its field's annotation: a bool takes only true/false, an int an integer
 (not a bool or a float), a float any finite number; null only where optional.
 Times are in seconds, and those used as picoseconds must round to >= 1 ps.
-Cross-field rules (steps tile the accumulation bin and the dwell; the power
-chain gives an occupancy below 1) are checked when the config is built.  The
-PSTREAM_SEED environment variable overrides the config seed; an explicit CLI
-flag wins over both.
+Cross-field rules (counter steps tile the dwell; the power chain gives an
+occupancy below 1) are checked when the config is built.  The PSTREAM_SEED
+environment variable overrides the config seed; an explicit CLI flag wins
+over both.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
 
-from .coincidence import CcmConfig, tiles
+from .coincidence import CcmConfig
 from .detection import DetectorConfig, seconds_to_ps
 from .errors import ConfigError
 from .interferometer import PztConfig
 from .source import SourceConfig
 
 SEED_ENV_VAR = "PSTREAM_SEED"
+
+
+def tiles(total: float, step: float, tol: float) -> bool:
+    """Whether ``0 < step <= total`` and whole steps make up ``total`` to within ``tol``."""
+    ratio = total / step
+    return 1.0 <= ratio < math.inf and abs(round(ratio) * step - total) <= tol
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Single-photon counting module (SPCM) model.
 
-Optical detection slots become timestamped electrical pulses.  Channel "A"
-feeds detector D1, channel "B" feeds detector D2.  All pulse times are integer
+Optical detection slots become timestamped electrical pulses, one train per
+detector, given as a (D1, D2) pair.  All pulse times are integer
 picoseconds: arrival times are quantized to the module's resolving-time grid,
 a non-paralyzable dead-time filter drops events that follow a kept event too
 closely, and each surviving event becomes one fixed-shape pulse.  Dark counts
@@ -9,7 +9,7 @@ are merged with photon events before filtering since they trigger the same
 avalanche electronics.  Configured times in seconds become picoseconds in one
 function, ``seconds_to_ps``.
 
-The occupied slots of a bin are drawn as an ascending array of candidate
+The occupied slots of a step are drawn as an ascending array of candidate
 slots plus, for each draw, its rank in that array (``DistinctSlots``).  The
 routing draws are scattered onto the candidates by rank, so each channel's
 photon times come out of the ascending array already sorted: a channel needs
@@ -28,9 +28,6 @@ from .seeding import derive_seed
 from .source import PhotonBatch
 
 PS_PER_S = 1_000_000_000_000
-
-CHANNEL_A = "A"  # -> D1
-CHANNEL_B = "B"  # -> D2
 
 
 def seconds_to_ps(seconds: float, name: str, at_least: int | None = 1) -> int:
@@ -88,15 +85,12 @@ class PulseTrain:
     none), which ``coincide`` reads.
     """
 
-    channel: str
     starts: np.ndarray
     durations: np.ndarray
     bin_length: int
     min_gap: int = 0
 
     def __post_init__(self):
-        if self.channel not in (CHANNEL_A, CHANNEL_B):
-            raise ContractError(f"channel must be {CHANNEL_A!r} or {CHANNEL_B!r}")
         starts = np.asarray(self.starts, dtype=np.int64)
         durations = np.asarray(self.durations, dtype=np.int64)
         object.__setattr__(self, "starts", starts)
@@ -201,23 +195,15 @@ def dead_time_filter(events: np.ndarray, t_d) -> np.ndarray:
     return events[keep]
 
 
-def shape_pulses(
-    events: np.ndarray,
-    cfg: DetectorConfig,
-    channel: str = CHANNEL_A,
-    bin_length: int | None = None,
-) -> PulseTrain:
+def shape_pulses(events: np.ndarray, cfg: DetectorConfig, bin_length: int) -> PulseTrain:
     """One fixed-duration pulse per dead-time-filtered event time (int ps).
 
-    Events closer than the dead time raise a contract error via the train
-    invariants, which rules out overlap since no pulse outlasts the dead time.
+    Events closer than the dead time, or pulses outside [0, ``bin_length``),
+    raise a contract error via the train invariants; no pulse outlasts the
+    dead time, so pulses of one train never overlap.
     """
     events = np.asarray(events, dtype=np.int64)
-    if bin_length is None:
-        top = int(events[-1]) + cfg.pulse_duration_ps if events.size else cfg.pulse_duration_ps
-        bin_length = top
     return PulseTrain(
-        channel=channel,
         starts=events,
         durations=np.full(events.shape, cfg.pulse_duration_ps, dtype=np.int64),
         bin_length=bin_length,
@@ -286,11 +272,13 @@ def _quantize(times_ps: np.ndarray, grid_ps: int) -> np.ndarray:
 def detect_bin(
     batch: PhotonBatch,
     optics: OpticalState,
-    detectors: DetectorConfig | tuple[DetectorConfig, DetectorConfig],
+    detectors: tuple[DetectorConfig, DetectorConfig],
     seed: int,
-    slot_width: float | None = None,
+    slot_width: float,
 ) -> tuple[PulseTrain, PulseTrain]:
-    """Full detection chain for one accumulation bin: (train toward D1, train toward D2).
+    """Full detection chain for one counter step: (train toward D1, train toward D2).
+
+    ``detectors`` is the (D1, D2) pair; ``batch`` fills slots ``slot_width`` s wide.
 
     Occupied slots are placed collision-free at uniformly random slot
     positions; each single photon is routed to D1 with the state's port
@@ -307,12 +295,6 @@ def detect_bin(
     ``searchsorted``.  The efficiency draw runs over a channel's photons in
     the order singles, pair-first, pair-second, as drawn.
     """
-    if isinstance(detectors, DetectorConfig):
-        det_a, det_b = detectors, detectors
-    else:
-        det_a, det_b = detectors
-    if slot_width is None:
-        slot_width = det_a.dead_time
     slot_ps = seconds_to_ps(slot_width, "slot_width")
     bin_length = batch.slots_per_bin * slot_ps
     duration_s = bin_length / PS_PER_S
@@ -336,7 +318,7 @@ def detect_bin(
     route[pair] = (pair_first | pair_second) + 2 * ~(pair_first & pair_second)
 
     trains = []
-    for lane, (channel, det) in enumerate([(CHANNEL_A, det_a), (CHANNEL_B, det_b)]):
+    for lane, det in enumerate(detectors):
         single_hit, first_hit, second_hit = routes[lane]
         if det.efficiency < 1.0:
             ranks = np.concatenate([single[single_hit], pair[first_hit], pair[second_hit]])
@@ -357,5 +339,5 @@ def detect_bin(
         # rounding can push a boundary event past the bin; the pulse must fit
         t = t[: np.searchsorted(t, bin_length - det.pulse_duration_ps, side="right")]
         t = dead_time_filter(t, det.dead_time_ps)
-        trains.append(shape_pulses(t, det, channel=channel, bin_length=bin_length))
+        trains.append(shape_pulses(t, det, bin_length))
     return trains[0], trains[1]

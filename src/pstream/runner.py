@@ -36,7 +36,7 @@ from .analysis import (
     visibility,
     robust_extrema,
 )
-from .coincidence import StepCount, accumulate, coincide
+from .coincidence import accumulate, coincide
 from .config import ExperimentConfig, config_to_dict
 from .detection import detect_bin
 from .errors import DataError, PstreamError
@@ -64,7 +64,6 @@ class ScanPoint:
 @dataclass(frozen=True)
 class ScanResult:
     points: list[ScanPoint]
-    seed: int
     config: dict
 
 
@@ -105,18 +104,8 @@ def _simulate_point(cfg: ExperimentConfig, index: int, volt: float) -> ScanPoint
             batch, state, cfg.detectors, derive_seed(step_seed, 1), slot_width=cfg.source.dead_time
         )
         n_c, _ = coincide(train_a, train_b, cfg.ccm)
-        steps.append(StepCount(n_a=len(train_a), n_b=len(train_b), n_c=n_c))
-    bins = accumulate(steps, cfg.ccm)
-    return ScanPoint(
-        point=index,
-        voltage=float(volt),
-        x=x,
-        phase=phase,
-        envelope=float(gain),
-        n_a=sum(b.n_a for b in bins),
-        n_b=sum(b.n_b for b in bins),
-        n_c=sum(b.n_c for b in bins),
-    )
+        steps.append((len(train_a), len(train_b), n_c))
+    return ScanPoint(index, float(volt), x, phase, float(gain), *accumulate(steps))
 
 
 def run_scan(cfg: ExperimentConfig, workers: int = 1) -> ScanResult:
@@ -136,7 +125,7 @@ def run_scan(cfg: ExperimentConfig, workers: int = 1) -> ScanResult:
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             points = list(pool.map(job, tasks))
-    return ScanResult(points=points, seed=cfg.scan.seed, config=config_to_dict(cfg))
+    return ScanResult(points=points, config=config_to_dict(cfg))
 
 
 def scan_series(result: ScanResult) -> tuple[FringeSeries, FringeSeries, FringeSeries, np.ndarray]:
@@ -238,15 +227,18 @@ def analytic_fig4(
     )
 
 
-def export_scan_csv(result: ScanResult, path: str | Path) -> None:
-    """Write a scan as CSV with the fixed column schema (header always present)."""
+def _write_table(path: str | Path, header: list[str], rows) -> None:
+    """Write ``header`` and ``rows`` as CSV with ``"\\n"`` line ends, floats as ``repr``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SCAN_COLUMNS)
-        for p in result.points:
-            writer.writerow(
-                [p.point, repr(p.voltage), repr(p.x), repr(p.phase), repr(p.envelope), p.n_a, p.n_b, p.n_c]
-            )
+        writer.writerow(header)
+        writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
+
+
+def export_scan_csv(result: ScanResult, path: str | Path) -> None:
+    """Write a scan as CSV with the fixed column schema (header always present)."""
+    # a point's fields are the columns, in order
+    _write_table(path, SCAN_COLUMNS, (vars(p).values() for p in result.points))
 
 
 def read_scan_csv(path: str | Path) -> list[ScanPoint]:
@@ -280,25 +272,10 @@ def read_scan_csv(path: str | Path) -> list[ScanPoint]:
 
 
 def export_report_csv(report: CorrelationReport, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["key", "value"])
-        for key, value in report.as_items():
-            writer.writerow([key, repr(value) if isinstance(value, float) else value])
+    _write_table(path, ["key", "value"], report.as_items())
 
 
 def export_fig4_csv(curves: Fig4Curves, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x_m", "envelope", "intensity_d1", "intensity_d2", "coincidence", "g2"])
-        for k in range(curves.x.size):
-            writer.writerow(
-                [
-                    repr(float(curves.x[k])),
-                    repr(float(curves.envelope[k])),
-                    repr(float(curves.intensity_d1[k])),
-                    repr(float(curves.intensity_d2[k])),
-                    repr(float(curves.coincidence[k])),
-                    repr(float(curves.g2[k])),
-                ]
-            )
+    header = ["x_m", "envelope", "intensity_d1", "intensity_d2", "coincidence", "g2"]
+    # the curves' fields, in header order
+    _write_table(path, header, zip(*(column.tolist() for column in vars(curves).values())))

@@ -73,7 +73,7 @@ class SourceConfig:
 
 @dataclass(frozen=True)
 class PhotonBatch:
-    """Occupancy counts for one accumulation bin of ``slots_per_bin`` slots."""
+    """Occupancy counts for one counter step of ``slots_per_bin`` slots."""
 
     n_single_slots: int
     n_pair_slots: int
@@ -96,7 +96,7 @@ class PhotonBatch:
         return self.n_single_slots + self.n_pair_slots + self.n_higher_slots
 
     def occupancy_counts(self) -> np.ndarray:
-        """Histogram [empty, single, pair, higher] over the bin's slots."""
+        """Histogram [empty, single, pair, higher] over the step's slots."""
         return np.array(
             [
                 self.slots_per_bin - self.n_occupied,
@@ -175,11 +175,11 @@ def pair_fraction(mean: float) -> float:
 
 
 def sample_batch(mean: float, slots_per_bin: int, seed: int) -> PhotonBatch:
-    """Draw the occupancy-class counts for one bin of ``slots_per_bin`` slots.
+    """Draw the occupancy-class counts for one counter step of ``slots_per_bin`` slots.
 
     Single, pair and higher-order slot counts are independent Poisson draws
     with means slots*P(1), slots*P(2) and slots*P(>=3).  Deterministic for a
-    fixed seed; the seed is all that tells one bin from another.  In the
+    fixed seed; the seed is all that tells one step from another.  In the
     configured regime (mean << 1, slots >> 1) their sum never approaches
     slots_per_bin; if an extreme configuration does overflow, the counts are
     clamped in the order higher, pair, single so the batch invariant always

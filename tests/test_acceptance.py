@@ -17,8 +17,6 @@ from pstream.analysis import fringe_period, g2_ratio, visibility
 from pstream.coincidence import CcmConfig, coincide
 from pstream.config import ExperimentConfig, ScanConfig
 from pstream.detection import (
-    CHANNEL_A,
-    CHANNEL_B,
     DetectorConfig,
     PulseTrain,
     dead_time_filter,
@@ -180,7 +178,8 @@ def test_bunched_to_singles_ratio():
     n_c = total = 0
     for k in range(10):
         batch = sample_batch(MEAN, 45_454_545, seed=4000 + k)
-        train_a, train_b = detect_bin(batch, optics, DetectorConfig(), seed=5000 + k)
+        det = DetectorConfig()
+        train_a, train_b = detect_bin(batch, optics, (det, det), 5000 + k, slot_width=22e-9)
         count, _ = coincide(train_a, train_b, CcmConfig())
         n_c += count
         total += len(train_a) + len(train_b)
@@ -230,12 +229,12 @@ def _numpy_brute_coincide(train_a, train_b, cfg):
     return len(matches), sorted(matches)
 
 
-def _random_train(rng, channel, n, duration, min_gap=22_000):
+def _random_train(rng, n, duration, min_gap=22_000):
     gaps = rng.integers(min_gap, 4 * min_gap, size=n)
     starts = np.cumsum(gaps).astype(np.int64)
     durations = np.full(n, duration, dtype=np.int64)
     top = int(starts[-1] + duration + 1) if n else 1
-    return PulseTrain(channel, starts, durations, bin_length=top, min_gap=min_gap)
+    return PulseTrain(starts, durations, bin_length=top, min_gap=min_gap)
 
 
 def test_oracle_equivalences():
@@ -248,8 +247,8 @@ def test_oracle_equivalences():
         duration = int(rng.integers(2, 23)) * 1000
         threshold = int(rng.integers(1, duration // 1000 + 1)) * 1e-9
         cfg = CcmConfig(overlap_threshold=threshold)
-        train_a = _random_train(rng, CHANNEL_A, n_a, duration)
-        train_b = _random_train(rng, CHANNEL_B, n_b, duration)
+        train_a = _random_train(rng, n_a, duration)
+        train_b = _random_train(rng, n_b, duration)
         count, matches = coincide(train_a, train_b, cfg)
         ref_count, ref_matches = _numpy_brute_coincide(train_a, train_b, cfg)
         if count != ref_count or sorted(matches) != ref_matches:
@@ -293,12 +292,12 @@ def test_accidental_rate_of_independent_streams():
     counts = np.zeros(3)
     for k in range(steps):
         trains = []
-        for lane, channel in enumerate((CHANNEL_A, CHANNEL_B)):
+        for lane in range(2):
             times = generate_dark_events(rate, step, seed=90_000 + 2 * k + lane)
             events = np.round(times * 1e12).astype(np.int64)
             events = events[events + det.pulse_duration_ps <= bin_length]
             kept = dead_time_filter(events, det.dead_time_ps)
-            trains.append(shape_pulses(kept, det, channel=channel, bin_length=bin_length))
+            trains.append(shape_pulses(kept, det, bin_length))
         counts += (len(trains[0]), len(trains[1]), coincide(*trains, cfg)[0])
     seconds = steps * step
     rate_kept = rate / (1.0 + rate * det.dead_time)

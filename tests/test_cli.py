@@ -9,7 +9,7 @@ import pytest
 
 from pstream.cli import build_parser, main
 from pstream.config import SEED_ENV_VAR
-from pstream.detection import CHANNEL_A, CHANNEL_B, PulseTrain
+from pstream.detection import PulseTrain
 from pstream.traces import ingest_trace, synthesize_trace, write_trace_csv, write_trace_raw
 
 TINY_CONFIG = {
@@ -211,6 +211,14 @@ class TestFig4:
         product = data[:, 2] * data[:, 3]
         assert np.max(np.abs(product - data[:, 4])) < 1e-14
 
+    def test_curve_bytes_pinned(self, tmp_path):
+        # SHA-256 of the file as the per-row csv writer wrote it, before the
+        # CSV exporters shared one table writer
+        out = tmp_path / "curves.csv"
+        assert run_cli("fig4", "--v", "0.882", "--leff", "2e-6", "--out", str(out)) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "50ceb779d4f3f9f2bae4c6b77ff948ab4d6ec17ed02bdc2d0ea73324d6d36cbe"
+
 
 class TestStats:
     def test_prints_occupancy_table(self, capsys):
@@ -226,8 +234,8 @@ class TestIngest:
     def trains(self):
         starts_a = (np.arange(6) * 50_000 + 7_000).astype(np.int64)
         starts_b = (np.arange(4) * 70_000 + 23_000).astype(np.int64)
-        a = PulseTrain(CHANNEL_A, starts_a, np.full(6, 10_000, dtype=np.int64), bin_length=400_000)
-        b = PulseTrain(CHANNEL_B, starts_b, np.full(4, 10_000, dtype=np.int64), bin_length=400_000)
+        a = PulseTrain(starts_a, np.full(6, 10_000, dtype=np.int64), bin_length=400_000)
+        b = PulseTrain(starts_b, np.full(4, 10_000, dtype=np.int64), bin_length=400_000)
         return a, b
 
     @staticmethod
@@ -369,6 +377,42 @@ def test_script_rejects_bad_flag(name, tmp_path):
     )
     assert proc.returncode == 2
     assert f"argument {flag}: '{value}'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+# values that pass argparse but that pstream refuses: each script used to end
+# in a traceback with exit 1 where the CLI exits 2 with one line
+SCRIPT_ERRORS = {
+    "reference_visibility_above_one": (
+        ["make_reference_curves.py", "--v", "2"],
+        "visibility must lie in [0, 1]",
+    ),
+    "coincidence_seed_negative": (
+        ["run_coincidence_scan.py", "--seed", "-1"],
+        "seed must lie in [0, 2**64), got -1",
+    ),
+    "walkoff_seed_too_large": (
+        ["run_walkoff_scan.py", "--seed", str(2**64)],
+        f"seed must lie in [0, 2**64), got {2**64}",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCRIPT_ERRORS))
+def test_script_maps_error_to_exit_code(name, tmp_path):
+    (script, *argv), message = SCRIPT_ERRORS[name]
+    out = tmp_path / "out"
+    target = out / "curves.csv" if script == "make_reference_curves.py" else out
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *argv, "--out", str(target)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("configuration error: ") and message in proc.stderr
+    assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
     assert not out.exists()
 

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pstream import coincidence
-from pstream.coincidence import CcmConfig, CountRecord, StepCount, accumulate, coincide
-from pstream.config import load_config
-from pstream.detection import CHANNEL_A, CHANNEL_B, PulseTrain, detect_bin
+from pstream.coincidence import CcmConfig, accumulate, coincide
+from pstream.config import ExperimentConfig, load_config
+from pstream.detection import PulseTrain, detect_bin
 from pstream.errors import ConfigError, ContractError
 from pstream.interferometer import OpticalState
 from pstream.source import sample_batch
@@ -17,11 +17,11 @@ from pstream.source import sample_batch
 NS = 1000  # ps per ns
 
 
-def make_train(starts, duration=10 * NS, channel=CHANNEL_A, min_gap=0):
+def make_train(starts, duration=10 * NS, min_gap=0):
     starts = np.asarray(starts, dtype=np.int64)
     durations = np.full(starts.shape, duration, dtype=np.int64)
     top = int(starts[-1] + duration + 1) if starts.size else 1
-    return PulseTrain(channel, starts, durations, bin_length=top, min_gap=min_gap)
+    return PulseTrain(starts, durations, bin_length=top, min_gap=min_gap)
 
 
 def brute_force_coincide(train_a, train_b, cfg):
@@ -46,10 +46,9 @@ def brute_force_coincide(train_a, train_b, cfg):
     return len(matches), sorted(matches)
 
 
-def train_from_items(channel, items, min_gap=22 * NS):
+def train_from_items(items, min_gap=22 * NS):
     """Pulse train from (gap to previous start, duration) pairs."""
     return PulseTrain(
-        channel,
         np.cumsum([g for g, _ in items]).astype(np.int64) if items else np.empty(0, np.int64),
         np.array([d for _, d in items], dtype=np.int64),
         bin_length=int(sum(g for g, _ in items) + 5 * min_gap + 1) if items else 1,
@@ -59,7 +58,7 @@ def train_from_items(channel, items, min_gap=22 * NS):
 
 # gap/duration generator guaranteeing the PulseTrain invariants: starts strictly
 # increasing, gaps at least the dead time, durations no longer than the gap floor
-def train_strategy(channel, min_gap=22 * NS):
+def train_strategy(min_gap=22 * NS):
     return st.lists(
         st.tuples(
             st.integers(min_value=min_gap, max_value=4 * min_gap),  # gap to previous
@@ -67,39 +66,39 @@ def train_strategy(channel, min_gap=22 * NS):
         ),
         min_size=0,
         max_size=25,
-    ).map(lambda items: train_from_items(channel, items, min_gap))
+    ).map(lambda items: train_from_items(items, min_gap))
 
 
 class TestCoincideExamples:
     def test_six_nanosecond_overlap_counts(self):
         a = make_train([0])
-        b = make_train([4 * NS], channel=CHANNEL_B)
+        b = make_train([4 * NS])
         count, matches = coincide(a, b, CcmConfig())
         assert count == 1 and list(matches) == [(0, 0)]
 
     def test_four_nanosecond_overlap_rejected(self):
         a = make_train([0])
-        b = make_train([6 * NS], channel=CHANNEL_B)
+        b = make_train([6 * NS])
         count, matches = coincide(a, b, CcmConfig())
         assert count == 0 and list(matches) == []
 
     def test_empty_train(self):
         a = make_train([0, 30 * NS])
-        b = make_train([], channel=CHANNEL_B)
+        b = make_train([])
         assert coincide(a, b, CcmConfig())[0] == 0
         assert coincide(b, a, CcmConfig())[0] == 0
 
     def test_simultaneous_pulses_always_match(self):
         starts = np.arange(10) * 40 * NS
         a = make_train(starts)
-        b = make_train(starts, channel=CHANNEL_B)
+        b = make_train(starts)
         count, matches = coincide(a, b, CcmConfig())
         assert count == 10
         assert list(matches) == [(k, k) for k in range(10)]
 
     def test_delay_tau_shifts_channel_b(self):
         a = make_train([100 * NS])
-        b = make_train([80 * NS], channel=CHANNEL_B)
+        b = make_train([80 * NS])
         assert coincide(a, b, CcmConfig())[0] == 0
         shifted = CcmConfig(delay_tau=20e-9)
         assert coincide(a, b, shifted)[0] == 1
@@ -108,18 +107,18 @@ class TestCoincideExamples:
         # equal durations within each train take the uniform-duration fast path;
         # the 2 ns pulse overlaps the 10 ns one for only 2 ns
         a = make_train([4 * NS], duration=2 * NS)
-        b = make_train([0], duration=10 * NS, channel=CHANNEL_B)
+        b = make_train([0], duration=10 * NS)
         assert coincide(a, b, CcmConfig()) == (0, [])
         assert coincide(b, a, CcmConfig()) == (0, [])
 
     def test_invariant_violating_train_rejected(self):
         # checked once, when the train is built; coincide reads what that check kept
         with pytest.raises(ContractError, match="strictly increasing"):
-            PulseTrain(CHANNEL_B, np.array([10, 5]), np.array([3, 3]), bin_length=100)
+            PulseTrain(np.array([10, 5]), np.array([3, 3]), bin_length=100)
 
 
 class TestCoincideOracle:
-    @given(train_strategy(CHANNEL_A), train_strategy(CHANNEL_B), st.integers(1, 10))
+    @given(train_strategy(), train_strategy(), st.integers(1, 10))
     @settings(max_examples=300, deadline=None)
     def test_matches_brute_force(self, a, b, threshold_ns):
         cfg = CcmConfig(overlap_threshold=threshold_ns * 1e-9)
@@ -129,14 +128,14 @@ class TestCoincideOracle:
         assert sorted(matches) == ref_matches
 
     @given(
-        train_strategy(CHANNEL_A),
-        train_strategy(CHANNEL_B),
+        train_strategy(),
+        train_strategy(),
         st.integers(1, 10),
         st.integers(-60, 60),
     )
     @example(  # a 1 ns pulse nested in a 3 ns one: 1 ns overlap, below the 2 ns threshold
-        a=train_from_items(CHANNEL_A, [(22 * NS, 1 * NS)]),
-        b=train_from_items(CHANNEL_B, [(22 * NS, 3 * NS)]),
+        a=train_from_items([(22 * NS, 1 * NS)]),
+        b=train_from_items([(22 * NS, 3 * NS)]),
         threshold_ns=2,
         tau_ns=-1,
     )
@@ -153,8 +152,8 @@ class TestCoincideOracle:
         for trial in range(300):
             n_a, n_b = rng.integers(0, 120, size=2)
             dur = int(rng.integers(2, 22)) * NS
-            a = _random_train(rng, CHANNEL_A, n_a, dur)
-            b = _random_train(rng, CHANNEL_B, n_b, dur)
+            a = _random_train(rng, n_a, dur)
+            b = _random_train(rng, n_b, dur)
             threshold = int(rng.integers(1, max(dur // NS, 2))) * 1e-9
             cfg = CcmConfig(overlap_threshold=threshold)
             count, matches = coincide(a, b, cfg)
@@ -168,22 +167,19 @@ class TestCoincideOracle:
         rng = np.random.default_rng(n_a * 1000 + n_b)
         for trial in range(20):
             # about the same time span for both, gaps above the 10 ns overlap span
-            a = _random_train(rng, CHANNEL_A, n_a, 10 * NS, min_gap=22 * NS * max(1, n_b // n_a))
-            b = _random_train(rng, CHANNEL_B, n_b, 10 * NS, min_gap=22 * NS * max(1, n_a // n_b))
+            a = _random_train(rng, n_a, 10 * NS, min_gap=22 * NS * max(1, n_b // n_a))
+            b = _random_train(rng, n_b, 10 * NS, min_gap=22 * NS * max(1, n_a // n_b))
             cfg = CcmConfig(delay_tau=int(rng.integers(-8, 9)) * 1e-9)
             count, matches = coincide(a, b, cfg)
             assert (count, matches) == brute_force_coincide(a, b, cfg), f"trial {trial}"
 
-    @given(train_strategy(CHANNEL_A), train_strategy(CHANNEL_B))
+    @given(train_strategy(), train_strategy())
     @settings(max_examples=100, deadline=None)
     def test_symmetric_without_delay(self, a, b):
         cfg = CcmConfig()
-        ab = coincide(a, b, cfg)[0]
-        b_as_a = PulseTrain(CHANNEL_A, b.starts, b.durations, b.bin_length, b.min_gap)
-        a_as_b = PulseTrain(CHANNEL_B, a.starts, a.durations, a.bin_length, a.min_gap)
-        assert ab == coincide(b_as_a, a_as_b, cfg)[0]
+        assert coincide(a, b, cfg)[0] == coincide(b, a, cfg)[0]
 
-    @given(train_strategy(CHANNEL_A), train_strategy(CHANNEL_B))
+    @given(train_strategy(), train_strategy())
     @settings(max_examples=100, deadline=None)
     def test_lower_threshold_never_reduces_count(self, a, b):
         counts = [
@@ -194,11 +190,11 @@ class TestCoincideOracle:
 
     def test_additive_over_disjoint_ranges(self):
         rng = np.random.default_rng(7)
-        first_a = _random_train(rng, CHANNEL_A, 40, 10 * NS)
-        first_b = _random_train(rng, CHANNEL_B, 40, 10 * NS)
+        first_a = _random_train(rng, 40, 10 * NS)
+        first_b = _random_train(rng, 40, 10 * NS)
         offset = max(first_a.bin_length, first_b.bin_length) + 100 * NS
-        second_a = _random_train(rng, CHANNEL_A, 40, 10 * NS)
-        second_b = _random_train(rng, CHANNEL_B, 40, 10 * NS)
+        second_a = _random_train(rng, 40, 10 * NS)
+        second_b = _random_train(rng, 40, 10 * NS)
         cfg = CcmConfig()
         separate = (
             coincide(first_a, first_b, cfg)[0] + coincide(second_a, second_b, cfg)[0]
@@ -208,11 +204,11 @@ class TestCoincideOracle:
         assert coincide(joined_a, joined_b, cfg)[0] == separate
 
 
-def pulses(channel, items):
+def pulses(items):
     """Pulse train from (start, duration) pairs in ns."""
     starts = np.array([s * NS for s, _ in items], dtype=np.int64)
     durations = np.array([d * NS for _, d in items], dtype=np.int64)
-    return PulseTrain(channel, starts, durations, bin_length=int((starts + durations).max()) + 1)
+    return PulseTrain(starts, durations, bin_length=int((starts + durations).max()) + 1)
 
 
 def whole_train_two_pointer(train_a, train_b, cfg):
@@ -241,8 +237,8 @@ class TestCoincideClusters:
         ],
     )
     def test_chain_decided_by_greedy_order(self, b1_start, expected):
-        a = pulses(CHANNEL_A, [(0, 10), (100, 10), (112, 10), (200, 10)])
-        b = pulses(CHANNEL_B, [(2, 20), (b1_start, 20), (202, 20)])
+        a = pulses([(0, 10), (100, 10), (112, 10), (200, 10)])
+        b = pulses([(2, 20), (b1_start, 20), (202, 20)])
         cfg = CcmConfig()
         assert coincide(a, b, cfg) == (len(expected), expected)
         assert whole_train_two_pointer(a, b, cfg) == expected
@@ -250,8 +246,8 @@ class TestCoincideClusters:
     def test_long_pulse_spans_two_short_ones(self):
         # B0 ends before B1 starts, yet both lie inside A0: one cluster, in
         # which B0 overlaps A0 by 3 ns only and B1 takes the match
-        a = pulses(CHANNEL_A, [(0, 50)])
-        b = pulses(CHANNEL_B, [(5, 3), (20, 10)])
+        a = pulses([(0, 50)])
+        b = pulses([(5, 3), (20, 10)])
         assert coincide(a, b, CcmConfig()) == (1, [(0, 1)])
 
     def test_random_trains_match_whole_train_walk(self):
@@ -260,12 +256,12 @@ class TestCoincideClusters:
         rng = np.random.default_rng(20_241_018)
         for trial in range(400):
             trains = []
-            for channel in (CHANNEL_A, CHANNEL_B):
+            for _ in range(2):
                 n = int(rng.integers(1, 40))
                 starts = np.cumsum(rng.integers(1, 30, size=n)) * NS // 4
                 durations = rng.integers(1, 60, size=n) * NS // 4
                 top = int((starts + durations).max()) + 1
-                trains.append(PulseTrain(channel, starts, durations, bin_length=top))
+                trains.append(PulseTrain(starts, durations, bin_length=top))
             cfg = CcmConfig(
                 overlap_threshold=int(rng.integers(1, 12)) * 0.25e-9,
                 delay_tau=int(rng.integers(-20, 21)) * 0.25e-9,
@@ -276,8 +272,8 @@ class TestCoincideClusters:
     # the lone 3 ns pulse makes train A non-uniform; a pair cluster needs no loop
     @pytest.mark.parametrize("b_start_ps,count", [(5_000, 1), (5_001, 0)])
     def test_pair_cluster_at_threshold(self, b_start_ps, count, monkeypatch):
-        a = PulseTrain(CHANNEL_A, [0, 100 * NS], [10 * NS, 3 * NS], bin_length=200 * NS)
-        b = PulseTrain(CHANNEL_B, [b_start_ps], [12 * NS], bin_length=200 * NS)
+        a = PulseTrain([0, 100 * NS], [10 * NS, 3 * NS], bin_length=200 * NS)
+        b = PulseTrain([b_start_ps], [12 * NS], bin_length=200 * NS)
 
         def no_loop(*args):
             raise AssertionError("a one-A-one-B cluster reached the Python loop")
@@ -293,7 +289,9 @@ class TestCoincideClusters:
         slots = int(cfg.ccm.step / cfg.source.dead_time)
         batch = sample_batch(cfg.source.mean_photon(), slots, seed=2024)
         state = OpticalState(phase=math.pi / 2, intrinsic_visibility=0.882)
-        a, b = detect_bin(batch, state, detector, seed=2025, slot_width=cfg.source.dead_time)
+        a, b = detect_bin(
+            batch, state, (detector, detector), seed=2025, slot_width=cfg.source.dead_time
+        )
 
         def no_fast_path(*args):
             raise AssertionError("took the uniform fast path")
@@ -304,19 +302,18 @@ class TestCoincideClusters:
         assert matches == whole_train_two_pointer(a, b, cfg.ccm)
 
 
-def _random_train(rng, channel, n, duration, min_gap=22_000):
+def _random_train(rng, n, duration, min_gap=22_000):
     gaps = rng.integers(min_gap, 4 * min_gap, size=n)
     starts = np.cumsum(gaps).astype(np.int64)
     durations = np.full(n, duration, dtype=np.int64)
     top = int(starts[-1] + duration + 1) if n else 1
-    return PulseTrain(channel, starts, durations, bin_length=top, min_gap=min_gap)
+    return PulseTrain(starts, durations, bin_length=top, min_gap=min_gap)
 
 
 def _concat(first, second, offset):
     starts = np.concatenate([first.starts, second.starts + offset])
     durations = np.concatenate([first.durations, second.durations])
     return PulseTrain(
-        first.channel,
         starts,
         durations,
         bin_length=int(offset + second.bin_length),
@@ -326,49 +323,29 @@ def _concat(first, second, offset):
 
 class TestAccumulate:
     def test_all_zero_steps(self):
-        steps = [StepCount(0, 0, 0)] * 10
-        records = accumulate(steps, CcmConfig())
-        assert records == [CountRecord(0, 0, 0, 0, partial=False)]
+        assert accumulate([(0, 0, 0)] * 10) == (0, 0, 0)
 
     def test_measured_rates_sum_to_bin(self):
-        steps = [StepCount(27_000, 27_000, 82)] * 10
-        (record,) = accumulate(steps, CcmConfig())
-        assert (record.n_a, record.n_b, record.n_c) == (270_000, 270_000, 820)
-        assert not record.partial
-
-    def test_partial_final_bin_flagged(self):
-        steps = [StepCount(1, 1, 0)] * 13
-        records = accumulate(steps, CcmConfig())
-        assert len(records) == 2
-        assert not records[0].partial and records[0].n_a == 10
-        assert records[1].partial and records[1].n_a == 3
+        # a 1 s point of ten 100 ms steps
+        assert accumulate([(27_000, 27_000, 82)] * 10) == (270_000, 270_000, 820)
 
     def test_step_must_tile_bin(self):
-        with pytest.raises(ConfigError, match="does not tile"):
-            CcmConfig(step=0.3)
-
-
-class TestCountRecord:
-    def test_coincidences_bounded_by_singles(self):
-        with pytest.raises(ContractError):
-            CountRecord(0, 10, 5, 6)
-
-    def test_negative_counts_rejected(self):
-        with pytest.raises(ContractError):
-            CountRecord(0, -1, 5, 0)
+        # a point's dwell is the bin its steps fill: 0.3 s steps leave 1 s untiled
+        with pytest.raises(ConfigError, match="whole number of ccm steps"):
+            ExperimentConfig(ccm=CcmConfig(step=0.3))
 
 
 class TestCcmConfig:
     def test_defaults(self):
         cfg = CcmConfig()
         assert cfg.overlap_threshold_ps == 5_000
-        assert cfg.steps_per_bin == 10
+        assert cfg.step == 0.1
 
     def test_validation(self):
         with pytest.raises(ConfigError):
             CcmConfig(overlap_threshold=0.0)
-        with pytest.raises(ConfigError):
-            CcmConfig(step=2.0, accumulation_bin=1.0)
+        with pytest.raises(ConfigError, match="step must be > 0"):
+            CcmConfig(step=0.0)
         with pytest.raises(ConfigError, match="int64"):
             CcmConfig(delay_tau=-1e300)
 

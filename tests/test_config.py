@@ -139,14 +139,15 @@ PROBES = {
     "resolving_time_sub_ps": {"detectors": [{"resolving_time": 1e-15}, {}]},
     # the slot width, which detect_bin used to refuse only at scan point 0
     "slot_width_sub_ps": {"source": {"mean_photon_override": 0.012, "dead_time": 1e-13}},
-    # 0.6 s is two 0.3 s steps, so only the 1 s accumulation bin is untiled
-    "step_not_tiling_bin": {
-        "ccm": {"step": 0.3, "accumulation_bin": 1.0},
-        "scan": {"seconds_per_point": 0.6},
-    },
+    # 0.3 s steps do not make up a 0.5 s dwell (a 0.6 s dwell loads)
+    "step_not_tiling_dwell": {"ccm": {"step": 0.3}, "scan": {"seconds_per_point": 0.5}},
+    # the accumulation bin changed no output byte and is gone, like pzt.scan_duration
+    "accumulation_bin_removed": {"ccm": {"accumulation_bin": 1.0}},
     # 30 ns pulses 22 ns apart overlap; this used to exit 3 at scan point 0
     "pulse_longer_than_dead_time": {"detectors": {"pulse_duration": 30e-9}},
 }
+# what the message must name, beyond "configuration error"
+PROBE_MESSAGES = {"accumulation_bin_removed": "unknown key at ccm.accumulation_bin"}
 
 
 def probe_document(probe: dict) -> dict:
@@ -176,6 +177,7 @@ def test_bad_value_stops_at_load(name, tmp_path, monkeypatch):
     )
     assert proc.returncode == 2
     assert "configuration error" in proc.stderr
+    assert PROBE_MESSAGES.get(name, "") in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (out / "scan.csv").exists()
 
@@ -271,7 +273,7 @@ TEMPLATE["source"].update(mean_photon_override=0.012, od_total=8.9)
 @settings(max_examples=400, deadline=None)
 @given(document(TEMPLATE))
 @example({"detectors": {"dead_time": 1e308}})
-@example({"ccm": {"step": 1e-308, "accumulation_bin": 1e308}})
+@example({"ccm": {"step": 1e-308}, "scan": {"seconds_per_point": 1e308}})
 @example({"scan": {"seconds_per_point": 1e308}})
 @example({"source": {"mean_photon_override": None, "input_power": 1e308, "wavelength": 1e308}})
 def test_any_document_loads_or_raises_config_error(doc):
@@ -288,10 +290,16 @@ class TestExperimentConfig:
         from pstream.config import ScanConfig
 
         with pytest.raises(ConfigError):
-            ExperimentConfig(
-                ccm=CcmConfig(step=0.5, accumulation_bin=1.0),
-                scan=ScanConfig(seconds_per_point=0.2),
-            )
+            ExperimentConfig(ccm=CcmConfig(step=0.5), scan=ScanConfig(seconds_per_point=0.2))
+
+    @pytest.mark.parametrize("step,dwell", [(0.3, 0.6), (2.0, 4.0)])
+    def test_step_need_only_tile_the_dwell(self, step, dwell):
+        # neither tiles 1 s, which the removed accumulation bin used to demand
+        from pstream.coincidence import CcmConfig
+        from pstream.config import ScanConfig
+
+        cfg = ExperimentConfig(ccm=CcmConfig(step=step), scan=ScanConfig(seconds_per_point=dwell))
+        assert round(cfg.scan.seconds_per_point / cfg.ccm.step) == 2
 
     def test_with_seed(self):
         cfg = ExperimentConfig()

@@ -8,8 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 from pstream import detection
 from pstream.coincidence import CcmConfig, _coincide_two_pointer, coincide
 from pstream.detection import (
-    CHANNEL_A,
-    CHANNEL_B,
     PS_PER_S,
     DetectorConfig,
     PulseTrain,
@@ -185,7 +183,7 @@ class TestGenerateDarkEvents:
 
 class TestShapePulses:
     def test_single_event(self):
-        train = shape_pulses(np.array([0]), DetectorConfig(), channel=CHANNEL_A)
+        train = shape_pulses(np.array([0]), DetectorConfig(), bin_length=100_000)
         assert train.starts.tolist() == [0] and train.durations.tolist() == [10_000]
 
     def test_two_disjoint(self):
@@ -194,12 +192,12 @@ class TestShapePulses:
         assert train.durations.tolist() == [10_000, 10_000]
 
     def test_empty(self):
-        train = shape_pulses(np.array([], dtype=np.int64), DetectorConfig())
+        train = shape_pulses(np.array([], dtype=np.int64), DetectorConfig(), bin_length=100_000)
         assert len(train) == 0
 
     def test_overlapping_events_rejected(self):
         with pytest.raises(ContractError):
-            shape_pulses(np.array([0, 5_000]), DetectorConfig())
+            shape_pulses(np.array([0, 5_000]), DetectorConfig(), bin_length=100_000)
 
 
 def reference_validate(train):
@@ -256,18 +254,16 @@ class TestPulseTrain:
         common = train.starts.size and np.all(train.durations == train.durations[0])
         assert duration == (int(train.durations[0]) if common else None)
         # a train the reference accepts constructs, and keeps what validate returns
-        built = PulseTrain(CHANNEL_A, train.starts, train.durations, train.bin_length, train.min_gap)
+        built = PulseTrain(train.starts, train.durations, train.bin_length, train.min_gap)
         assert (built.min_start_gap, built.common_duration) == (gap, duration)
 
     def test_invariants_enforced(self):
         with pytest.raises(ContractError):
-            PulseTrain(CHANNEL_A, np.array([10, 5]), np.array([2, 2]), bin_length=100)
+            PulseTrain(np.array([10, 5]), np.array([2, 2]), bin_length=100)
         with pytest.raises(ContractError):
-            PulseTrain(CHANNEL_A, np.array([0, 10]), np.array([2, 2]), bin_length=100, min_gap=22)
+            PulseTrain(np.array([0, 10]), np.array([2, 2]), bin_length=100, min_gap=22)
         with pytest.raises(ContractError):
-            PulseTrain(CHANNEL_A, np.array([95]), np.array([10]), bin_length=100)
-        with pytest.raises(ContractError):
-            PulseTrain("C", np.array([0]), np.array([1]), bin_length=100)
+            PulseTrain(np.array([95]), np.array([10]), bin_length=100)
 
 
 class TestSampleDistinctSlots:
@@ -338,28 +334,33 @@ def quiet_detector(**kwargs) -> DetectorConfig:
     return DetectorConfig(dark_rate=0.0, **kwargs)
 
 
+def detect_both(batch, optics, det, seed):
+    """detect_bin with ``det`` as both D1 and D2, on 22 ns slots."""
+    return detect_bin(batch, optics, (det, det), seed, slot_width=22e-9)
+
+
 class TestDetectBin:
     def test_pairs_only_at_zero_phase_all_reach_d2(self):
         batch = PhotonBatch(0, 500, 0, 100_000)
         optics = OpticalState(phase=0.0, intrinsic_visibility=1.0)
-        train_a, train_b = detect_bin(batch, optics, quiet_detector(), seed=11)
+        train_a, train_b = detect_both(batch, optics, quiet_detector(), seed=11)
         assert len(train_a) == 0
         # both photons of each pair land on D2 and collapse into one pulse
         assert len(train_b) == 500
 
     def test_empty_batch_no_darks(self):
         batch = PhotonBatch(0, 0, 0, 1000)
-        train_a, train_b = detect_bin(batch, OpticalState(), quiet_detector(), seed=3)
+        train_a, train_b = detect_both(batch, OpticalState(), quiet_detector(), seed=3)
         assert len(train_a) == 0 and len(train_b) == 0
 
     def test_reproducible(self):
         batch = sample_batch(0.012, 4_545_454, seed=77)
         optics = OpticalState(phase=1.0, intrinsic_visibility=0.9)
-        a1, b1 = detect_bin(batch, optics, DetectorConfig(), seed=42)
-        a2, b2 = detect_bin(batch, optics, DetectorConfig(), seed=42)
+        a1, b1 = detect_both(batch, optics, DetectorConfig(), seed=42)
+        a2, b2 = detect_both(batch, optics, DetectorConfig(), seed=42)
         assert np.array_equal(a1.starts, a2.starts)
         assert np.array_equal(b1.starts, b2.starts)
-        a3, _ = detect_bin(batch, optics, DetectorConfig(), seed=43)
+        a3, _ = detect_both(batch, optics, DetectorConfig(), seed=43)
         assert not np.array_equal(a1.starts, a3.starts)
 
     def test_quadrature_split_is_binomial(self):
@@ -369,7 +370,7 @@ class TestDetectBin:
         fractions = np.empty(n_seeds)
         counts_a = np.empty(n_seeds)
         for k in range(n_seeds):
-            train_a, train_b = detect_bin(batch, optics, quiet_detector(), seed=900 + k)
+            train_a, train_b = detect_both(batch, optics, quiet_detector(), seed=900 + k)
             counts_a[k] = len(train_a)
             fractions[k] = len(train_a) / (len(train_a) + len(train_b))
         stderr = 0.5 / math.sqrt(n_singles * n_seeds)
@@ -381,20 +382,20 @@ class TestDetectBin:
     def test_count_conservation_without_darks(self):
         batch = PhotonBatch(300, 40, 5, 500_000)
         optics = OpticalState(phase=0.7, intrinsic_visibility=0.8)
-        train_a, train_b = detect_bin(batch, optics, quiet_detector(), seed=21)
+        train_a, train_b = detect_both(batch, optics, quiet_detector(), seed=21)
         assert len(train_a) + len(train_b) <= 300 + 2 * (40 + 5)
 
     def test_efficiency_thins_counts(self):
         batch = PhotonBatch(20_000, 0, 0, 1_000_000)
         optics = OpticalState(phase=math.pi / 2, intrinsic_visibility=1.0)
         half = quiet_detector(efficiency=0.5)
-        train_a, train_b = detect_bin(batch, optics, (half, half), seed=5)
+        train_a, train_b = detect_both(batch, optics, half, seed=5)
         total = len(train_a) + len(train_b)
         assert abs(total - 10_000) < 3 * math.sqrt(20_000 * 0.25)
 
     def test_timestamps_on_resolving_grid(self):
         batch = sample_batch(0.012, 454_545, seed=8)
-        train_a, train_b = detect_bin(batch, OpticalState(phase=0.3), DetectorConfig(), seed=9)
+        train_a, train_b = detect_both(batch, OpticalState(phase=0.3), DetectorConfig(), seed=9)
         for train in (train_a, train_b):
             assert np.all(train.starts % 350 == 0)
 
@@ -402,31 +403,25 @@ class TestDetectBin:
         batch = PhotonBatch(0, 0, 0, 45_454_545)  # one full second
         counts = []
         for k in range(50):
-            train_a, train_b = detect_bin(batch, OpticalState(), DetectorConfig(), seed=1000 + k)
+            train_a, train_b = detect_both(batch, OpticalState(), DetectorConfig(), seed=1000 + k)
             counts.append(len(train_a) + len(train_b))
         assert abs(np.mean(counts) - 54.0) < 3 * math.sqrt(54 / 50)
 
     def test_gap_invariant_held(self):
         batch = sample_batch(0.04, 454_545, seed=31)  # denser stream than usual
-        train_a, train_b = detect_bin(batch, OpticalState(phase=0.2), DetectorConfig(), seed=32)
+        train_a, train_b = detect_both(batch, OpticalState(phase=0.2), DetectorConfig(), seed=32)
         for train in (train_a, train_b):
             if len(train) > 1:
                 assert np.diff(train.starts).min() >= train.min_gap
 
 
-def reference_detect_bin(batch, optics, detectors, seed, slot_width=None):
+def reference_detect_bin(batch, optics, detectors, seed, slot_width):
     """detect_bin before routing by sorted rank: random masks over the photons
     in draw order, then a concatenation and a sort per channel.
 
     Returns each channel's (dead-time filter input, filtered event times) and
     the state the generator is left in.
     """
-    if isinstance(detectors, DetectorConfig):
-        det_a, det_b = detectors, detectors
-    else:
-        det_a, det_b = detectors
-    if slot_width is None:
-        slot_width = det_a.dead_time
     slot_ps = seconds_to_ps(slot_width, "slot_width")
     bin_length = batch.slots_per_bin * slot_ps
     duration_s = bin_length / PS_PER_S
@@ -444,17 +439,14 @@ def reference_detect_bin(batch, optics, detectors, seed, slot_width=None):
     pair_first = rng.random(n_p) < p_d1
     pair_second = rng.random(n_p) < p_d1
 
-    times = {CHANNEL_A: [], CHANNEL_B: []}
-    times[CHANNEL_A].append(single_t[to_d1])
-    times[CHANNEL_B].append(single_t[~to_d1])
-    times[CHANNEL_A].append(pair_t[pair_first])
-    times[CHANNEL_B].append(pair_t[~pair_first])
-    times[CHANNEL_A].append(pair_t[pair_second])
-    times[CHANNEL_B].append(pair_t[~pair_second])
+    times = (
+        [single_t[to_d1], pair_t[pair_first], pair_t[pair_second]],
+        [single_t[~to_d1], pair_t[~pair_first], pair_t[~pair_second]],
+    )
 
     events = []
-    for lane, (channel, det) in enumerate([(CHANNEL_A, det_a), (CHANNEL_B, det_b)]):
-        t = np.concatenate(times[channel])
+    for lane, det in enumerate(detectors):
+        t = np.concatenate(times[lane])
         if det.efficiency < 1.0:
             t = t[rng.random(t.size) < det.efficiency]
         dark = generate_dark_events(det.dark_rate, duration_s, derive_seed(seed, 1 + lane))
@@ -541,11 +533,10 @@ class TestDetectBinMatchesReference:
         *events, ref_state = reference_detect_bin(batch, optics, dets, seed, 22e-9)
         assert state == ref_state
         bin_length = batch.slots_per_bin * 22_000
-        for lane, (channel, det) in enumerate(zip((CHANNEL_A, CHANNEL_B), dets)):
+        for lane, det in enumerate(dets):
             train, (ref_in, ref) = trains[lane], events[lane]
             # the same filter input, doubled photons of same-port pairs included
             np.testing.assert_array_equal(inputs[lane], ref_in)
-            assert train.channel == channel
             np.testing.assert_array_equal(train.starts, ref)
             assert train.starts.dtype == np.int64
             assert np.all(train.durations == det.pulse_duration_ps)

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from pstream import runner
+from pstream.coincidence import coincide
 from pstream.config import ExperimentConfig, ScanConfig
+from pstream.detection import detect_bin
 from pstream.errors import ConfigError, DataError
-from pstream.interferometer import envelope
+from pstream.interferometer import OpticalState, envelope
+from pstream.seeding import derive_seed
+from pstream.source import sample_batch
 from pstream.runner import (
     Fig4Curves,
     ScanPoint,
@@ -58,6 +62,30 @@ class TestRunScanDeterminism:
         short_total = sum(p.n_a + p.n_b for p in small_scan.points)
         long_total = sum(p.n_a + p.n_b for p in double.points)
         assert long_total == pytest.approx(2 * short_total, rel=0.05)
+
+
+class TestPointCounts:
+    def test_counts_are_sums_of_steps(self, small_scan):
+        # each 0.2 s point is two 100 ms steps of 4 545 454 slots of 22 ns,
+        # seeded point -> step -> (batch lane 0, detection lane 1)
+        cfg = small_config()
+        for p in small_scan.points:
+            state = OpticalState(p.phase, cfg.optics.intrinsic_visibility, p.envelope)
+            point_seed = derive_seed(cfg.scan.seed, p.point)
+            sums = [0, 0, 0]
+            for j in range(2):
+                step_seed = derive_seed(point_seed, j)
+                batch = sample_batch(0.012, 4_545_454, derive_seed(step_seed, 0))
+                a, b = detect_bin(
+                    batch, state, cfg.detectors, derive_seed(step_seed, 1), slot_width=22e-9
+                )
+                for k, n in enumerate((len(a), len(b), coincide(a, b, cfg.ccm)[0])):
+                    sums[k] += n
+            assert [p.n_a, p.n_b, p.n_c] == sums, f"point {p.point}"
+
+    def test_coincidences_bounded_by_singles(self, small_scan):
+        for p in small_scan.points:
+            assert 0 <= p.n_c <= min(p.n_a, p.n_b), f"point {p.point}"
 
 
 class TestRunScanPhysics:
@@ -118,7 +146,7 @@ class TestScanCsv:
 
     def test_empty_result_writes_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        export_scan_csv(ScanResult(points=[], seed=0, config={}), path)
+        export_scan_csv(ScanResult(points=[], config={}), path)
         assert path.read_text() == "point,voltage_V,x_m,phase_rad,envelope,N_A,N_B,N_c\n"
         assert read_scan_csv(path) == []
 
@@ -128,7 +156,7 @@ class TestScanCsv:
             ScanPoint(1, 100.0, 4e-6, 39.7, 1.0, 12, 13, 2),
         ]
         path = tmp_path / "two.csv"
-        export_scan_csv(ScanResult(points=points, seed=0, config={}), path)
+        export_scan_csv(ScanResult(points=points, config={}), path)
         assert len(path.read_text().splitlines()) == 3
 
     def test_wrong_header_rejected(self, tmp_path):
@@ -197,7 +225,7 @@ def synthetic_scan(contrast, counts_scale=3e5):
         )
         for i in range(316)
     ]
-    return ScanResult(points=points, seed=0, config={})
+    return ScanResult(points=points, config={})
 
 
 class TestClassicalityFlags:

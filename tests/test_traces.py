@@ -8,14 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pstream.detection import (
-    CHANNEL_A,
-    CHANNEL_B,
-    DetectorConfig,
-    PulseTrain,
-    detect_bin,
-    shape_pulses,
-)
+from pstream.detection import DetectorConfig, PulseTrain, detect_bin
 from pstream.errors import TraceParseError
 from pstream.interferometer import OpticalState
 from pstream.source import sample_batch
@@ -32,19 +25,22 @@ from pstream.traces import (
 PS = 1
 
 
-def regular_train(n, channel, spacing_ps=3_700_000, duration_ps=10_000, start=50_000):
+def detect_both(batch, optics, det, seed):
+    """detect_bin with ``det`` as both D1 and D2, on 22 ns slots."""
+    return detect_bin(batch, optics, (det, det), seed, slot_width=22e-9)
+
+
+def regular_train(n, spacing_ps=3_700_000, duration_ps=10_000, start=50_000):
     starts = (start + np.arange(n) * spacing_ps).astype(np.int64)
     durations = np.full(n, duration_ps, dtype=np.int64)
-    return PulseTrain(
-        channel, starts, durations, bin_length=int(starts[-1] + duration_ps + 1_000_000)
-    )
+    return PulseTrain(starts, durations, bin_length=int(starts[-1] + duration_ps + 1_000_000))
 
 
 class TestSynthesizeIngest:
     def test_recovers_270_well_separated_pulses(self):
         # one millisecond of 270 pulses per channel on the 400 ps scope grid
-        a = regular_train(270, CHANNEL_A)
-        b = regular_train(270, CHANNEL_B, start=1_850_000)
+        a = regular_train(270)
+        b = regular_train(270, start=1_850_000)
         trace = synthesize_trace(a, b, duration=1e-3)
         assert trace.n_samples == 2_500_000
         ev1, ev2 = ingest_trace(trace)
@@ -57,8 +53,8 @@ class TestSynthesizeIngest:
         assert ev1.size == 0 and ev2.size == 0
 
     def test_event_times_on_sampling_grid(self):
-        a = regular_train(5, CHANNEL_A)
-        b = regular_train(3, CHANNEL_B, start=777_000)
+        a = regular_train(5)
+        b = regular_train(3, start=777_000)
         trace = synthesize_trace(a, b)
         ev1, ev2 = ingest_trace(trace)
         dt = trace.sampling_period
@@ -69,7 +65,7 @@ class TestSynthesizeIngest:
     def test_exact_count_recovery_from_detection_chain(self):
         batch = sample_batch(0.012, 45_454, seed=55)  # one millisecond of slots
         optics = OpticalState(phase=math.pi / 2, intrinsic_visibility=0.882)
-        train_a, train_b = detect_bin(batch, optics, DetectorConfig(dark_rate=0.0), seed=56)
+        train_a, train_b = detect_both(batch, optics, DetectorConfig(dark_rate=0.0), seed=56)
         trace = synthesize_trace(train_a, train_b)
         ev1, ev2 = ingest_trace(trace)
         assert ev1.size == len(train_a)
@@ -83,7 +79,7 @@ class TestSynthesizeIngest:
         optics = OpticalState(phase=math.pi / 2, intrinsic_visibility=0.882)
         for k in range(n_runs):
             batch = sample_batch(0.012, 45_454, seed=7000 + k)
-            train_a, train_b = detect_bin(batch, optics, DetectorConfig(), seed=8000 + k)
+            train_a, train_b = detect_both(batch, optics, DetectorConfig(), seed=8000 + k)
             ev1, ev2 = ingest_trace(synthesize_trace(train_a, train_b, duration=1e-3))
             counts[k] = ev1.size, ev2.size
         mean_a, mean_b = counts.mean(axis=0)
@@ -93,8 +89,8 @@ class TestSynthesizeIngest:
 
 class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):
-        a = regular_train(4, CHANNEL_A, spacing_ps=40_000, duration_ps=10_000, start=10_000)
-        b = regular_train(2, CHANNEL_B, spacing_ps=40_000, duration_ps=10_000, start=30_000)
+        a = regular_train(4, spacing_ps=40_000, duration_ps=10_000, start=10_000)
+        b = regular_train(2, spacing_ps=40_000, duration_ps=10_000, start=30_000)
         trace = synthesize_trace(a, b, duration=2e-7)
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path)
@@ -271,7 +267,7 @@ class TestCsvDifferential:
     def test_reader_round_trips_written_capture(self, tmp_path):
         batch = sample_batch(0.012, 1_400, seed=3)  # 30.8 us: 77 000 samples
         optics = OpticalState(phase=1.0, intrinsic_visibility=0.882)
-        trace = synthesize_trace(*detect_bin(batch, optics, DetectorConfig(), seed=4))
+        trace = synthesize_trace(*detect_both(batch, optics, DetectorConfig(), seed=4))
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path)
         got, want = outcome(read_trace_csv, path), outcome(row_reader, path)
