@@ -10,9 +10,9 @@ counts are the sums over its steps.
 
 The matching is defined by a two-pointer walk over both trains.  It runs in
 vectorized numpy except inside the rare groups of three or more mutually
-overlapping pulses: equal-duration trains in which no pulse can overlap two
-others take a searchsorted lookup, and any other input is split into
-independent overlap clusters (see ``_coincide_clusters``).
+overlapping pulses: trains in which no pulse can overlap two others take a
+searchsorted lookup, and any other input is split into independent overlap
+clusters (see ``_coincide_clusters``).
 """
 
 from __future__ import annotations
@@ -50,20 +50,21 @@ class CcmConfig:
 
 
 def _coincide_two_pointer(
-    a_starts, a_durs, b_starts, b_durs, threshold: int
+    a_starts, a_dur: int, b_starts, b_dur: int, threshold: int
 ) -> list[tuple[int, int]]:
     """Greedy AND-gate matching: earliest qualifying overlap first, one match per pulse.
 
-    Walks both trains (Python sequences of int ps) with one pointer each and
-    advances the pulse that ends first.  This is the reference semantics;
-    ``coincide`` runs it only inside overlap clusters of three or more pulses.
+    Walks both trains (Python sequences of int ps starts, one int duration
+    each) with one pointer each and advances the pulse that ends first.
+    This is the reference semantics; ``coincide`` runs it only inside
+    overlap clusters of three or more pulses.
     """
     matches = []
     i = j = 0
     na, nb = len(a_starts), len(b_starts)
     while i < na and j < nb:
-        a0, a1 = a_starts[i], a_starts[i] + a_durs[i]
-        b0, b1 = b_starts[j], b_starts[j] + b_durs[j]
+        a0, a1 = a_starts[i], a_starts[i] + a_dur
+        b0, b1 = b_starts[j], b_starts[j] + b_dur
         if min(a1, b1) - max(a0, b0) >= threshold:
             matches.append((i, j))
             i += 1
@@ -78,8 +79,8 @@ def _coincide_two_pointer(
 def _coincide_vectorized(
     a_starts: np.ndarray, a_dur: int, b_starts: np.ndarray, b_dur: int, threshold: int
 ) -> list[tuple[int, int]]:
-    """Uniform-duration fast path, valid when neither train can double-overlap
-    and both durations are at least ``threshold``.
+    """Fast path, valid when neither train can double-overlap and both
+    pulse durations are at least ``threshold``.
 
     Each pulse then has at most one qualifying counterpart, so a searchsorted
     lookup of the overlap window reproduces the greedy matching exactly.
@@ -98,11 +99,7 @@ def _coincide_vectorized(
 
 
 def _coincide_clusters(
-    a_starts: np.ndarray,
-    a_durs: np.ndarray,
-    b_starts: np.ndarray,
-    b_durs: np.ndarray,
-    threshold: int,
+    a_starts: np.ndarray, a_dur: int, b_starts: np.ndarray, b_dur: int, threshold: int
 ) -> list[tuple[int, int]]:
     """The two-pointer matching, run on each overlap cluster on its own.
 
@@ -119,7 +116,7 @@ def _coincide_clusters(
     starts = np.concatenate([a_starts, b_starts])
     order = np.argsort(starts, kind="stable")  # merges the two sorted runs in linear time
     starts = starts[order]
-    ends = np.concatenate([a_starts + a_durs, b_starts + b_durs])[order]
+    ends = starts + np.where(order < na, a_dur, b_dur)
     first = np.flatnonzero(
         np.concatenate(([True], starts[1:] >= np.maximum.accumulate(ends)[:-1]))
     )
@@ -143,11 +140,7 @@ def _coincide_clusters(
     j_lo, j_hi = np.searchsorted(b_starts, (top[lo], top[hi])).tolist()
     for i0, i1, j0, j1 in zip(i_lo, i_hi, j_lo, j_hi):
         found = _coincide_two_pointer(
-            a_starts[i0:i1].tolist(),
-            a_durs[i0:i1].tolist(),
-            b_starts[j0:j1].tolist(),
-            b_durs[j0:j1].tolist(),
-            threshold,
+            a_starts[i0:i1].tolist(), a_dur, b_starts[j0:j1].tolist(), b_dur, threshold
         )
         if found:
             i, j = np.array(found, dtype=np.int64).T
@@ -168,31 +161,26 @@ def coincide(
     when the interval overlap is at least ``overlap_threshold``, and pulses
     match greedily in time order, one match per pulse (``_coincide_two_pointer``
     defines the semantics).  Returns the count and the matched
-    (index_a, index_b) pairs in ascending index_a.  Equal-duration trains
-    whose pulses cannot each overlap two others take a searchsorted fast
-    path; any other input goes through the overlap-cluster decomposition.
-    That choice reads each train's ``min_start_gap`` and ``common_duration``,
-    kept when the train was built and checked, so neither is checked again.
+    (index_a, index_b) pairs in ascending index_a.  Trains whose pulses
+    cannot each overlap two others take a searchsorted fast path; any other
+    input goes through the overlap-cluster decomposition.  That choice reads
+    each train's ``min_start_gap``, kept when the train was built and
+    checked, so it is not checked again.
     """
-    gap_a, d_a = train_a.min_start_gap, train_a.common_duration
-    gap_b, d_b = train_b.min_start_gap, train_b.common_duration
+    gap_a, d_a = train_a.min_start_gap, train_a.duration
+    gap_b, d_b = train_b.min_start_gap, train_b.duration
     threshold = cfg.overlap_threshold_ps
-    a_starts, a_durs = train_a.starts, train_a.durations
+    a_starts = train_a.starts
     b_starts = train_b.starts + cfg.delay_tau_ps
-    b_durs = train_b.durations
-    if a_starts.size == 0 or b_starts.size == 0:
+    if a_starts.size == 0 or b_starts.size == 0 or min(d_a, d_b) < threshold:
+        # an empty train has no overlaps, and none can outlast the shorter pulse
         return 0, []
 
-    if d_a is not None and d_b is not None:
-        if min(d_a, d_b) < threshold:
-            # no overlap can outlast the shorter pulse
-            return 0, []
-        conflict_span = d_a + d_b - 2 * threshold
-        if (gap_a is None or gap_a > conflict_span) and (gap_b is None or gap_b > conflict_span):
-            matches = _coincide_vectorized(a_starts, d_a, b_starts, d_b, threshold)
-            return len(matches), matches
-
-    matches = _coincide_clusters(a_starts, a_durs, b_starts, b_durs, threshold)
+    conflict_span = d_a + d_b - 2 * threshold
+    if (gap_a is None or gap_a > conflict_span) and (gap_b is None or gap_b > conflict_span):
+        matches = _coincide_vectorized(a_starts, d_a, b_starts, d_b, threshold)
+    else:
+        matches = _coincide_clusters(a_starts, d_a, b_starts, d_b, threshold)
     return len(matches), matches
 
 

@@ -75,43 +75,34 @@ class DetectorConfig:
 
 @dataclass(frozen=True)
 class PulseTrain:
-    """Ordered electrical pulses on one channel.
+    """Ordered electrical pulses on one channel, all ``duration`` long.
 
-    ``starts`` and ``durations`` are int64 picoseconds.  Invariants: starts
-    strictly increasing with consecutive gaps >= ``min_gap`` (the generating
-    detector's dead time), and every pulse contained in [0, bin_length).
-    Construction checks them once and keeps ``min_start_gap`` (None below two
-    pulses) and ``common_duration`` (None if the durations differ or there are
-    none), which ``coincide`` reads.
+    ``starts`` are int64 picoseconds and ``duration`` is int picoseconds.
+    Invariants: starts strictly increasing with consecutive gaps >= ``min_gap``
+    (the generating detector's dead time), and every pulse contained in
+    [0, bin_length).  Construction checks them once and keeps
+    ``min_start_gap`` (None below two pulses), which ``coincide`` reads.
     """
 
     starts: np.ndarray
-    durations: np.ndarray
+    duration: int
     bin_length: int
     min_gap: int = 0
 
     def __post_init__(self):
         starts = np.asarray(self.starts, dtype=np.int64)
-        durations = np.asarray(self.durations, dtype=np.int64)
         object.__setattr__(self, "starts", starts)
-        object.__setattr__(self, "durations", durations)
-        if starts.shape != durations.shape or starts.ndim != 1:
-            raise ContractError("starts and durations must be 1-d arrays of equal length")
-        gap, duration = self.validate()
-        object.__setattr__(self, "min_start_gap", gap)
-        object.__setattr__(self, "common_duration", duration)
+        if starts.ndim != 1:
+            raise ContractError("starts must be a 1-d array")
+        object.__setattr__(self, "min_start_gap", self.validate())
 
-    def validate(self) -> tuple[int | None, int | None]:
-        """Check the invariants; return (min_start_gap, common_duration).
-
-        One ``diff`` of the starts and min/max reductions.
-        """
-        starts, durations = self.starts, self.durations
+    def validate(self) -> int | None:
+        """Check the invariants; return min_start_gap.  One ``diff`` of the starts."""
+        if self.duration <= 0:
+            raise ContractError("pulse duration must be positive")
+        starts = self.starts
         if starts.size == 0:
-            return None, None
-        d_min, d_max = int(durations.min()), int(durations.max())
-        if d_min <= 0:
-            raise ContractError("pulse durations must be positive")
+            return None
         gap = None
         if starts.size > 1:
             gap = int(np.diff(starts).min())
@@ -121,28 +112,27 @@ class PulseTrain:
                 raise ContractError(
                     f"consecutive pulse starts closer than the dead time ({self.min_gap} ps)"
                 )
-        # with increasing starts and one duration the last pulse ends last
-        end = starts[-1] + d_max if d_min == d_max else (starts + durations).max()
-        if starts[0] < 0 or end > self.bin_length:
+        if starts[0] < 0 or starts[-1] + self.duration > self.bin_length:
             raise ContractError("pulses must lie within [0, bin_length)")
-        return gap, d_min if d_min == d_max else None
+        return gap
 
     def __len__(self) -> int:
         return int(self.starts.size)
 
 
-def generate_dark_events(rate: float, duration: float, seed: int) -> np.ndarray:
-    """Dark-count instants (seconds) from a homogeneous Poisson point process.
+def generate_dark_events(rate: float, duration_ps: int, seed: int) -> np.ndarray:
+    """Dark-count instants (int64 ps) from a homogeneous Poisson point process.
 
     Inter-arrival gaps are exponential with mean 1/rate; deterministic per
-    seed.
+    seed.  Arrivals are summed in float seconds and rounded once to ps.
     """
     if rate < 0:
         raise DomainError(f"rate must be >= 0, got {rate}")
-    if duration <= 0:
-        raise DomainError(f"duration must be > 0, got {duration}")
+    if duration_ps <= 0:
+        raise DomainError(f"duration must be > 0, got {duration_ps} ps")
     if rate == 0.0:
-        return np.empty(0, dtype=float)
+        return np.empty(0, dtype=np.int64)
+    duration = duration_ps / PS_PER_S
     rng = np.random.default_rng(seed)
     times: list[np.ndarray] = []
     t = 0.0
@@ -153,7 +143,7 @@ def generate_dark_events(rate: float, duration: float, seed: int) -> np.ndarray:
         times.append(arrivals)
         t = float(arrivals[-1])
     all_times = np.concatenate(times)
-    return all_times[all_times < duration]
+    return np.round(all_times[all_times < duration] * PS_PER_S).astype(np.int64)
 
 
 def dead_time_filter(events: np.ndarray, t_d) -> np.ndarray:
@@ -202,13 +192,7 @@ def shape_pulses(events: np.ndarray, cfg: DetectorConfig, bin_length: int) -> Pu
     raise a contract error via the train invariants; no pulse outlasts the
     dead time, so pulses of one train never overlap.
     """
-    events = np.asarray(events, dtype=np.int64)
-    return PulseTrain(
-        starts=events,
-        durations=np.full(events.shape, cfg.pulse_duration_ps, dtype=np.int64),
-        bin_length=bin_length,
-        min_gap=cfg.dead_time_ps,
-    )
+    return PulseTrain(events, cfg.pulse_duration_ps, bin_length, min_gap=cfg.dead_time_ps)
 
 
 @dataclass(frozen=True)
@@ -297,7 +281,6 @@ def detect_bin(
     """
     slot_ps = seconds_to_ps(slot_width, "slot_width")
     bin_length = batch.slots_per_bin * slot_ps
-    duration_s = bin_length / PS_PER_S
 
     rng = np.random.default_rng(derive_seed(seed, 0))
     p_d1 = optics.d1_probability()
@@ -330,10 +313,9 @@ def detect_bin(
             hit = (route >> lane & 1).view(bool)
             doubled = np.sort(pair[first_hit & second_hit])
         t = np.multiply(candidates.take(np.flatnonzero(hit)), slot_ps, dtype=np.int64)
-        dark = generate_dark_events(det.dark_rate, duration_s, derive_seed(seed, 1 + lane))
-        dark_ps = np.round(dark * PS_PER_S).astype(np.int64)
+        dark = generate_dark_events(det.dark_rate, bin_length, derive_seed(seed, 1 + lane))
         doubled_ps = np.multiply(candidates.take(doubled), slot_ps, dtype=np.int64)
-        extra = np.sort(np.concatenate([doubled_ps, dark_ps]))
+        extra = np.sort(np.concatenate([doubled_ps, dark]))
         t = np.insert(t, np.searchsorted(t, extra), extra)
         t = _quantize(t, det.resolving_time_ps)
         # rounding can push a boundary event past the bin; the pulse must fit

@@ -155,14 +155,21 @@ def poisson_pmf(n: int, mean: float) -> float:
 
 
 def poisson_tail(n: int, mean: float) -> float:
-    """P(N >= n), summed termwise to avoid cancellation at small means."""
+    """P(N >= n).
+
+    For ``n <= mean`` it is one minus the head sum, which does not cancel
+    there; beyond the mean the tail is summed termwise, which does not cancel
+    at small means, until a term stops adding to it (or underflows to 0).
+    """
     if mean < 0:
         raise DomainError(f"mean must be >= 0, got {mean}")
+    if n <= mean:
+        return 1.0 - math.fsum(poisson_pmf(k, mean) for k in range(n))
     total = 0.0
     for k in range(n, max(n + 60, int(3 * mean) + 60)):
         term = poisson_pmf(k, mean)
         total += term
-        if term < total * 1e-18:
+        if term <= total * 1e-18:
             break
     return total
 

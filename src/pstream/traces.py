@@ -91,7 +91,7 @@ def synthesize_trace(
     for train in (train_ch1, train_ch2):
         v = np.zeros(n, dtype=np.float32)
         first = np.ceil(train.starts / dt_ps).astype(np.int64)
-        last = np.ceil((train.starts + train.durations) / dt_ps).astype(np.int64)
+        last = np.ceil((train.starts + train.duration) / dt_ps).astype(np.int64)
         for a, b in zip(np.clip(first, 0, n).tolist(), np.clip(last, 0, n).tolist()):
             v[a:b] = amplitude
         channels.append(v)

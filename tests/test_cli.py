@@ -228,14 +228,19 @@ class TestStats:
         assert "pair/single ratio P(2)/P(1) = mean/2 = 0.006" in out
         assert "expected singles per second" in out
 
+    @pytest.mark.parametrize("mean", ["1e8", "1e308"])
+    def test_huge_mean(self, mean):
+        # P(>=3) at means whose tail terms all underflow, or whose triple overflows
+        assert run_cli("stats", "--mean", mean) == 0
+
 
 class TestIngest:
     @pytest.fixture()
     def trains(self):
         starts_a = (np.arange(6) * 50_000 + 7_000).astype(np.int64)
         starts_b = (np.arange(4) * 70_000 + 23_000).astype(np.int64)
-        a = PulseTrain(starts_a, np.full(6, 10_000, dtype=np.int64), bin_length=400_000)
-        b = PulseTrain(starts_b, np.full(4, 10_000, dtype=np.int64), bin_length=400_000)
+        a = PulseTrain(starts_a, 10_000, bin_length=400_000)
+        b = PulseTrain(starts_b, 10_000, bin_length=400_000)
         return a, b
 
     @staticmethod

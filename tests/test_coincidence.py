@@ -19,9 +19,8 @@ NS = 1000  # ps per ns
 
 def make_train(starts, duration=10 * NS, min_gap=0):
     starts = np.asarray(starts, dtype=np.int64)
-    durations = np.full(starts.shape, duration, dtype=np.int64)
     top = int(starts[-1] + duration + 1) if starts.size else 1
-    return PulseTrain(starts, durations, bin_length=top, min_gap=min_gap)
+    return PulseTrain(starts, duration, bin_length=top, min_gap=min_gap)
 
 
 def brute_force_coincide(train_a, train_b, cfg):
@@ -30,8 +29,9 @@ def brute_force_coincide(train_a, train_b, cfg):
     threshold = cfg.overlap_threshold_ps
     tau = cfg.delay_tau_ps
     candidates = []
-    for i, (a0, da) in enumerate(zip(train_a.starts.tolist(), train_a.durations.tolist())):
-        for j, (b0, db) in enumerate(zip(train_b.starts.tolist(), train_b.durations.tolist())):
+    da, db = train_a.duration, train_b.duration
+    for i, a0 in enumerate(train_a.starts.tolist()):
+        for j, b0 in enumerate(train_b.starts.tolist()):
             b0 = b0 + tau
             overlap = min(a0 + da, b0 + db) - max(a0, b0)
             if overlap >= threshold:
@@ -46,27 +46,23 @@ def brute_force_coincide(train_a, train_b, cfg):
     return len(matches), sorted(matches)
 
 
-def train_from_items(items, min_gap=22 * NS):
-    """Pulse train from (gap to previous start, duration) pairs."""
+def train_from_gaps(gaps, duration, min_gap=22 * NS):
+    """Pulse train from the gaps to each previous start and one duration."""
     return PulseTrain(
-        np.cumsum([g for g, _ in items]).astype(np.int64) if items else np.empty(0, np.int64),
-        np.array([d for _, d in items], dtype=np.int64),
-        bin_length=int(sum(g for g, _ in items) + 5 * min_gap + 1) if items else 1,
+        np.cumsum(gaps, dtype=np.int64),
+        duration,
+        bin_length=int(sum(gaps) + 5 * min_gap + 1),
         min_gap=min_gap,
     )
 
 
-# gap/duration generator guaranteeing the PulseTrain invariants: starts strictly
-# increasing, gaps at least the dead time, durations no longer than the gap floor
+# gaps/duration generator guaranteeing the PulseTrain invariants: starts strictly
+# increasing, gaps at least the dead time, a duration no longer than the gap floor
 def train_strategy(min_gap=22 * NS):
-    return st.lists(
-        st.tuples(
-            st.integers(min_value=min_gap, max_value=4 * min_gap),  # gap to previous
-            st.integers(min_value=1 * NS, max_value=min_gap),  # duration
-        ),
-        min_size=0,
-        max_size=25,
-    ).map(lambda items: train_from_items(items, min_gap))
+    return st.tuples(
+        st.lists(st.integers(min_value=min_gap, max_value=4 * min_gap), max_size=25),
+        st.integers(min_value=1 * NS, max_value=min_gap),
+    ).map(lambda gaps_duration: train_from_gaps(*gaps_duration, min_gap))
 
 
 class TestCoincideExamples:
@@ -104,8 +100,7 @@ class TestCoincideExamples:
         assert coincide(a, b, shifted)[0] == 1
 
     def test_nested_pulse_shorter_than_threshold_rejected(self):
-        # equal durations within each train take the uniform-duration fast path;
-        # the 2 ns pulse overlaps the 10 ns one for only 2 ns
+        # the 2 ns pulse overlaps the 10 ns one for only 2 ns, below the threshold
         a = make_train([4 * NS], duration=2 * NS)
         b = make_train([0], duration=10 * NS)
         assert coincide(a, b, CcmConfig()) == (0, [])
@@ -114,7 +109,7 @@ class TestCoincideExamples:
     def test_invariant_violating_train_rejected(self):
         # checked once, when the train is built; coincide reads what that check kept
         with pytest.raises(ContractError, match="strictly increasing"):
-            PulseTrain(np.array([10, 5]), np.array([3, 3]), bin_length=100)
+            PulseTrain(np.array([10, 5]), 3, bin_length=100)
 
 
 class TestCoincideOracle:
@@ -134,8 +129,8 @@ class TestCoincideOracle:
         st.integers(-60, 60),
     )
     @example(  # a 1 ns pulse nested in a 3 ns one: 1 ns overlap, below the 2 ns threshold
-        a=train_from_items([(22 * NS, 1 * NS)]),
-        b=train_from_items([(22 * NS, 3 * NS)]),
+        a=train_from_gaps([22 * NS], 1 * NS),
+        b=train_from_gaps([22 * NS], 3 * NS),
         threshold_ns=2,
         tau_ns=-1,
     )
@@ -204,27 +199,26 @@ class TestCoincideOracle:
         assert coincide(joined_a, joined_b, cfg)[0] == separate
 
 
-def pulses(items):
-    """Pulse train from (start, duration) pairs in ns."""
-    starts = np.array([s * NS for s, _ in items], dtype=np.int64)
-    durations = np.array([d * NS for _, d in items], dtype=np.int64)
-    return PulseTrain(starts, durations, bin_length=int((starts + durations).max()) + 1)
+def pulses(starts_ns, duration_ns):
+    """Pulse train from starts and one duration in ns."""
+    starts = np.array(starts_ns, dtype=np.int64) * NS
+    return PulseTrain(starts, duration_ns * NS, bin_length=int(starts[-1]) + duration_ns * NS + 1)
 
 
 def whole_train_two_pointer(train_a, train_b, cfg):
     """The greedy walk over both whole trains, the reference for the cluster split."""
     return coincidence._coincide_two_pointer(
         train_a.starts.tolist(),
-        train_a.durations.tolist(),
+        train_a.duration,
         (train_b.starts + cfg.delay_tau_ps).tolist(),
-        train_b.durations.tolist(),
+        train_b.duration,
         cfg.overlap_threshold_ps,
     )
 
 
 class TestCoincideClusters:
-    """Trains that take the overlap-cluster path: unequal durations, or
-    pulses long enough that one can overlap two others."""
+    """Trains that take the overlap-cluster path: pulses long enough, or
+    close enough, that one can overlap two others."""
 
     # the chain A1-B1-A2, in which B1 overlaps both A pulses by 5 ns or more,
     # between two lone matching pairs; the greedy walk gives B1 to whichever A
@@ -237,31 +231,32 @@ class TestCoincideClusters:
         ],
     )
     def test_chain_decided_by_greedy_order(self, b1_start, expected):
-        a = pulses([(0, 10), (100, 10), (112, 10), (200, 10)])
-        b = pulses([(2, 20), (b1_start, 20), (202, 20)])
+        a = pulses([0, 100, 112, 200], 10)
+        b = pulses([2, b1_start, 202], 20)
         cfg = CcmConfig()
         assert coincide(a, b, cfg) == (len(expected), expected)
         assert whole_train_two_pointer(a, b, cfg) == expected
 
     def test_long_pulse_spans_two_short_ones(self):
-        # B0 ends before B1 starts, yet both lie inside A0: one cluster, in
-        # which B0 overlaps A0 by 3 ns only and B1 takes the match
-        a = pulses([(0, 50)])
-        b = pulses([(5, 3), (20, 10)])
-        assert coincide(a, b, CcmConfig()) == (1, [(0, 1)])
+        # B0 ends before B1 starts, yet both lie inside A1: one cluster, kept
+        # together only by the running maximum of ends.  A0 takes B0 and A1
+        # takes B1; split at B1, A1 would lose its match
+        a = pulses([0, 22], 50)
+        b = pulses([25, 40], 10)
+        assert coincide(a, b, CcmConfig()) == (2, [(0, 0), (1, 1)])
 
     def test_random_trains_match_whole_train_walk(self):
-        # unequal durations up to twice the largest gap, so pulses of one train
-        # may overlap each other and clusters of many pulses form
+        # one duration per train, up to twice the largest gap, so pulses of one
+        # train may overlap each other and clusters of many pulses form
         rng = np.random.default_rng(20_241_018)
         for trial in range(400):
             trains = []
             for _ in range(2):
                 n = int(rng.integers(1, 40))
                 starts = np.cumsum(rng.integers(1, 30, size=n)) * NS // 4
-                durations = rng.integers(1, 60, size=n) * NS // 4
-                top = int((starts + durations).max()) + 1
-                trains.append(PulseTrain(starts, durations, bin_length=top))
+                duration = int(rng.integers(1, 60)) * NS // 4
+                top = int(starts[-1]) + duration + 1
+                trains.append(PulseTrain(starts, duration, bin_length=top, min_gap=0))
             cfg = CcmConfig(
                 overlap_threshold=int(rng.integers(1, 12)) * 0.25e-9,
                 delay_tau=int(rng.integers(-20, 21)) * 0.25e-9,
@@ -269,16 +264,21 @@ class TestCoincideClusters:
             expected = whole_train_two_pointer(*trains, cfg)
             assert coincide(*trains, cfg) == (len(expected), expected), f"trial {trial}"
 
-    # the lone 3 ns pulse makes train A non-uniform; a pair cluster needs no loop
+    # A's 5 ns gap, within the 12 ns conflict span, sends both trains down the
+    # cluster path; a pair cluster needs no loop
     @pytest.mark.parametrize("b_start_ps,count", [(5_000, 1), (5_001, 0)])
     def test_pair_cluster_at_threshold(self, b_start_ps, count, monkeypatch):
-        a = PulseTrain([0, 100 * NS], [10 * NS, 3 * NS], bin_length=200 * NS)
-        b = PulseTrain([b_start_ps], [12 * NS], bin_length=200 * NS)
+        a = PulseTrain([0, 100 * NS, 105 * NS], 10 * NS, bin_length=200 * NS)
+        b = PulseTrain([b_start_ps], 12 * NS, bin_length=200 * NS)
 
         def no_loop(*args):
             raise AssertionError("a one-A-one-B cluster reached the Python loop")
 
+        def no_fast_path(*args):
+            raise AssertionError("took the fast path")
+
         monkeypatch.setattr(coincidence, "_coincide_two_pointer", no_loop)
+        monkeypatch.setattr(coincidence, "_coincide_vectorized", no_fast_path)
         assert coincide(a, b, CcmConfig()) == (count, [(0, 0)] * count)
 
     def test_walkoff_step_with_20_ns_pulses(self, monkeypatch):
@@ -305,17 +305,15 @@ class TestCoincideClusters:
 def _random_train(rng, n, duration, min_gap=22_000):
     gaps = rng.integers(min_gap, 4 * min_gap, size=n)
     starts = np.cumsum(gaps).astype(np.int64)
-    durations = np.full(n, duration, dtype=np.int64)
     top = int(starts[-1] + duration + 1) if n else 1
-    return PulseTrain(starts, durations, bin_length=top, min_gap=min_gap)
+    return PulseTrain(starts, duration, bin_length=top, min_gap=min_gap)
 
 
 def _concat(first, second, offset):
     starts = np.concatenate([first.starts, second.starts + offset])
-    durations = np.concatenate([first.durations, second.durations])
     return PulseTrain(
         starts,
-        durations,
+        first.duration,
         bin_length=int(offset + second.bin_length),
         min_gap=min(first.min_gap, second.min_gap) if len(first) and len(second) else 0,
     )

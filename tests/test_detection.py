@@ -152,44 +152,45 @@ class TestDeadTimeFilter:
 
 class TestGenerateDarkEvents:
     def test_zero_rate(self):
-        assert generate_dark_events(0.0, 1.0, seed=1).size == 0
+        assert generate_dark_events(0.0, PS_PER_S, seed=1).size == 0
 
     def test_deterministic(self):
-        a = generate_dark_events(27.0, 1.0, seed=5)
-        b = generate_dark_events(27.0, 1.0, seed=5)
+        a = generate_dark_events(27.0, PS_PER_S, seed=5)
+        b = generate_dark_events(27.0, PS_PER_S, seed=5)
         assert np.array_equal(a, b)
 
     def test_events_inside_window_and_sorted(self):
-        events = generate_dark_events(1000.0, 0.1, seed=2)
-        assert np.all(events >= 0) and np.all(events < 0.1)
+        events = generate_dark_events(1000.0, PS_PER_S // 10, seed=2)
+        assert events.dtype == np.int64
+        assert np.all(events >= 0) and np.all(events <= PS_PER_S // 10)
         assert np.all(np.diff(events) >= 0)
 
     def test_ensemble_rate_statistics(self):
         counts = np.array(
-            [generate_dark_events(27.0, 1.0, seed=k).size for k in range(1000)]
+            [generate_dark_events(27.0, PS_PER_S, seed=k).size for k in range(1000)]
         )
         assert abs(counts.mean() - 27.0) < 3 * math.sqrt(27.0 / 1000)
         # Poisson variance equals the mean
         assert abs(counts.var() - 27.0) < 5.0
 
     def test_high_rate_mean(self):
-        counts = [generate_dark_events(1e6, 1e-3, seed=k).size for k in range(200)]
+        counts = [generate_dark_events(1e6, PS_PER_S // 1000, seed=k).size for k in range(200)]
         assert abs(np.mean(counts) - 1000.0) < 3 * math.sqrt(1000 / 200)
 
     def test_bad_duration(self):
         with pytest.raises(DomainError):
-            generate_dark_events(27.0, 0.0, seed=1)
+            generate_dark_events(27.0, 0, seed=1)
 
 
 class TestShapePulses:
     def test_single_event(self):
         train = shape_pulses(np.array([0]), DetectorConfig(), bin_length=100_000)
-        assert train.starts.tolist() == [0] and train.durations.tolist() == [10_000]
+        assert train.starts.tolist() == [0] and train.duration == 10_000
 
     def test_two_disjoint(self):
         train = shape_pulses(np.array([0, 30_000]), DetectorConfig(), bin_length=100_000)
         assert train.starts.tolist() == [0, 30_000]
-        assert train.durations.tolist() == [10_000, 10_000]
+        assert train.duration == 10_000
 
     def test_empty(self):
         train = shape_pulses(np.array([], dtype=np.int64), DetectorConfig(), bin_length=100_000)
@@ -201,12 +202,12 @@ class TestShapePulses:
 
 
 def reference_validate(train):
-    """PulseTrain.validate before it became one diff and min/max reductions."""
-    starts, durations = train.starts, train.durations
+    """PulseTrain.validate before it became one diff and a min reduction."""
+    starts = train.starts
+    if train.duration <= 0:
+        raise ContractError("pulse duration must be positive")
     if starts.size == 0:
         return
-    if np.any(durations <= 0):
-        raise ContractError("pulse durations must be positive")
     gaps = np.diff(starts)
     if np.any(gaps <= 0):
         raise ContractError("pulse starts must be strictly increasing")
@@ -214,24 +215,19 @@ def reference_validate(train):
         raise ContractError(
             f"consecutive pulse starts closer than the dead time ({train.min_gap} ps)"
         )
-    if starts[0] < 0 or np.any(starts + durations > train.bin_length):
+    if starts[0] < 0 or np.any(starts + train.duration > train.bin_length):
         raise ContractError("pulses must lie within [0, bin_length)")
 
 
 # trains that may break any invariant: unsorted, repeated or negative starts,
-# non-positive durations, pulses past the bin, gaps at and around min_gap
+# a non-positive duration, pulses past the bin, gaps at and around min_gap
 unchecked_trains = st.integers(min_value=0, max_value=12).flatmap(
     lambda n: st.builds(
         SimpleNamespace,
         starts=st.tuples(
             st.integers(-5, 40), st.lists(st.integers(-3, 40), min_size=n, max_size=n)
         ).map(lambda first_gaps: first_gaps[0] + np.cumsum(first_gaps[1], dtype=np.int64)),
-        durations=st.one_of(
-            st.integers(-2, 30).map(lambda d: np.full(n, d, dtype=np.int64)),
-            st.lists(st.integers(-2, 30), min_size=n, max_size=n).map(
-                lambda v: np.array(v, dtype=np.int64)
-            ),
-        ),
+        duration=st.integers(-2, 30),
         bin_length=st.integers(0, 450),
         min_gap=st.integers(-5, 40),
     )
@@ -249,21 +245,19 @@ class TestPulseTrain:
                 PulseTrain.validate(train)
             assert str(info.value) == str(exc)
             return
-        gap, duration = PulseTrain.validate(train)
+        gap = PulseTrain.validate(train)
         assert gap == (int(np.diff(train.starts).min()) if train.starts.size > 1 else None)
-        common = train.starts.size and np.all(train.durations == train.durations[0])
-        assert duration == (int(train.durations[0]) if common else None)
         # a train the reference accepts constructs, and keeps what validate returns
-        built = PulseTrain(train.starts, train.durations, train.bin_length, train.min_gap)
-        assert (built.min_start_gap, built.common_duration) == (gap, duration)
+        built = PulseTrain(train.starts, train.duration, train.bin_length, train.min_gap)
+        assert built.min_start_gap == gap
 
     def test_invariants_enforced(self):
         with pytest.raises(ContractError):
-            PulseTrain(np.array([10, 5]), np.array([2, 2]), bin_length=100)
+            PulseTrain(np.array([10, 5]), 2, bin_length=100)
         with pytest.raises(ContractError):
-            PulseTrain(np.array([0, 10]), np.array([2, 2]), bin_length=100, min_gap=22)
+            PulseTrain(np.array([0, 10]), 2, bin_length=100, min_gap=22)
         with pytest.raises(ContractError):
-            PulseTrain(np.array([95]), np.array([10]), bin_length=100)
+            PulseTrain(np.array([95]), 10, bin_length=100)
 
 
 class TestSampleDistinctSlots:
@@ -424,7 +418,6 @@ def reference_detect_bin(batch, optics, detectors, seed, slot_width):
     """
     slot_ps = seconds_to_ps(slot_width, "slot_width")
     bin_length = batch.slots_per_bin * slot_ps
-    duration_s = bin_length / PS_PER_S
 
     rng = np.random.default_rng(derive_seed(seed, 0))
     p_d1 = optics.d1_probability()
@@ -449,9 +442,8 @@ def reference_detect_bin(batch, optics, detectors, seed, slot_width):
         t = np.concatenate(times[lane])
         if det.efficiency < 1.0:
             t = t[rng.random(t.size) < det.efficiency]
-        dark = generate_dark_events(det.dark_rate, duration_s, derive_seed(seed, 1 + lane))
-        dark_ps = np.round(dark * PS_PER_S).astype(np.int64)
-        t = np.sort(np.concatenate([t, dark_ps]))
+        dark = generate_dark_events(det.dark_rate, bin_length, derive_seed(seed, 1 + lane))
+        t = np.sort(np.concatenate([t, dark]))
         grid = det.resolving_time_ps
         t = (t + grid // 2) // grid * grid
         t = t[t + det.pulse_duration_ps <= bin_length]
@@ -539,7 +531,7 @@ class TestDetectBinMatchesReference:
             np.testing.assert_array_equal(inputs[lane], ref_in)
             np.testing.assert_array_equal(train.starts, ref)
             assert train.starts.dtype == np.int64
-            assert np.all(train.durations == det.pulse_duration_ps)
+            assert train.duration == det.pulse_duration_ps
             assert train.bin_length == bin_length and train.min_gap == det.dead_time_ps
 
         # coincide on these trains, B delayed or not, agrees with the two-pointer walk
@@ -548,9 +540,9 @@ class TestDetectBinMatchesReference:
             shifted = trains[1].starts + cfg.delay_tau_ps
             expected = _coincide_two_pointer(
                 trains[0].starts.tolist(),
-                trains[0].durations.tolist(),
+                trains[0].duration,
                 shifted.tolist(),
-                trains[1].durations.tolist(),
+                trains[1].duration,
                 cfg.overlap_threshold_ps,
             )
             assert coincide(*trains, cfg) == (len(expected), expected)

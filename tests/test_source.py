@@ -124,6 +124,17 @@ class TestPoissonPmf:
     def test_tail_stays_nonnegative_at_tiny_means(self):
         assert poisson_tail(3, 1e-9) >= 0.0
 
+    @given(
+        st.integers(min_value=0, max_value=50),
+        st.floats(min_value=0.0, max_value=1e308, allow_nan=False, allow_infinity=False),
+    )
+    def test_tail_is_a_probability_falling_with_n(self, n, mean):
+        # far past n every term of the tail underflows to 0, and near 1e308
+        # three times the mean overflows
+        tail = poisson_tail(n, mean)
+        assert 0.0 <= tail <= 1.0
+        assert poisson_tail(n + 1, mean) <= tail
+
 
 class TestPairFraction:
     def test_experiment_mean_gives_exact_ratio(self):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 import tempfile
 import warnings
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pstream.config import load_config
 from pstream.detection import DetectorConfig, PulseTrain, detect_bin
 from pstream.errors import TraceParseError
 from pstream.interferometer import OpticalState
@@ -32,11 +34,30 @@ def detect_both(batch, optics, det, seed):
 
 def regular_train(n, spacing_ps=3_700_000, duration_ps=10_000, start=50_000):
     starts = (start + np.arange(n) * spacing_ps).astype(np.int64)
-    durations = np.full(n, duration_ps, dtype=np.int64)
-    return PulseTrain(starts, durations, bin_length=int(starts[-1] + duration_ps + 1_000_000))
+    return PulseTrain(starts, duration_ps, bin_length=int(starts[-1] + duration_ps + 1_000_000))
 
 
 class TestSynthesizeIngest:
+    def test_committed_capture_bytes_pinned(self):
+        # four 100 us captures (4545 slots) of the committed coincidence-scan
+        # config: the rising and falling edge of every pulse, on both channels
+        cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "coincidence_scan.json")
+        slots = round(100e-6 / cfg.source.dead_time)
+        digest = hashlib.sha256()
+        for k in range(4):
+            optics = OpticalState(
+                phase=k * math.pi / 2, intrinsic_visibility=cfg.optics.intrinsic_visibility
+            )
+            batch = sample_batch(cfg.source.mean_photon(), slots, seed=100 + k)
+            trains = detect_bin(
+                batch, optics, cfg.detectors, seed=200 + k, slot_width=cfg.source.dead_time
+            )
+            trace = synthesize_trace(*trains)
+            digest.update(trace.ch1.tobytes() + trace.ch2.tobytes())
+        assert digest.hexdigest() == (
+            "7ef4a80ab789215eaa1e71286318344328a0563bca15a6c4a5401c5cfb3fa136"
+        )
+
     def test_recovers_270_well_separated_pulses(self):
         # one millisecond of 270 pulses per channel on the 400 ps scope grid
         a = regular_train(270)
