@@ -116,7 +116,8 @@ def _coincide_clusters(
     starts = np.concatenate([a_starts, b_starts])
     order = np.argsort(starts, kind="stable")  # merges the two sorted runs in linear time
     starts = starts[order]
-    ends = starts + np.where(order < na, a_dur, b_dur)
+    # b_dur, raised to a_dur where the pulse is A's (faster than np.where on scalars)
+    ends = starts + (b_dur + (a_dur - b_dur) * (order < na))
     first = np.flatnonzero(
         np.concatenate(([True], starts[1:] >= np.maximum.accumulate(ends)[:-1]))
     )

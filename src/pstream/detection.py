@@ -98,6 +98,8 @@ class PulseTrain:
 
     def validate(self) -> int | None:
         """Check the invariants; return min_start_gap.  One ``diff`` of the starts."""
+        if not isinstance(self.duration, (int, np.integer)):
+            raise ContractError(f"pulse duration must be an int of ps, got {self.duration!r}")
         if self.duration <= 0:
             raise ContractError("pulse duration must be positive")
         starts = self.starts
@@ -124,10 +126,13 @@ def generate_dark_events(rate: float, duration_ps: int, seed: int) -> np.ndarray
     """Dark-count instants (int64 ps) from a homogeneous Poisson point process.
 
     Inter-arrival gaps are exponential with mean 1/rate; deterministic per
-    seed.  Arrivals are summed in float seconds and rounded once to ps.
+    seed.  Arrivals are summed in float seconds and rounded once to ps; the
+    window is half-open, so none lands on ``duration_ps`` itself.
     """
     if rate < 0:
         raise DomainError(f"rate must be >= 0, got {rate}")
+    if not isinstance(duration_ps, (int, np.integer)):
+        raise ContractError(f"duration must be an int of ps, got {duration_ps!r}")
     if duration_ps <= 0:
         raise DomainError(f"duration must be > 0, got {duration_ps} ps")
     if rate == 0.0:
@@ -142,8 +147,8 @@ def generate_dark_events(rate: float, duration_ps: int, seed: int) -> np.ndarray
         arrivals = t + np.cumsum(gaps)
         times.append(arrivals)
         t = float(arrivals[-1])
-    all_times = np.concatenate(times)
-    return np.round(all_times[all_times < duration] * PS_PER_S).astype(np.int64)
+    ps = np.round(np.concatenate(times) * PS_PER_S).astype(np.int64)
+    return ps[ps < duration_ps]
 
 
 def dead_time_filter(events: np.ndarray, t_d) -> np.ndarray:

@@ -162,7 +162,7 @@ class TestGenerateDarkEvents:
     def test_events_inside_window_and_sorted(self):
         events = generate_dark_events(1000.0, PS_PER_S // 10, seed=2)
         assert events.dtype == np.int64
-        assert np.all(events >= 0) and np.all(events <= PS_PER_S // 10)
+        assert np.all(events >= 0) and np.all(events < PS_PER_S // 10)
         assert np.all(np.diff(events) >= 0)
 
     def test_ensemble_rate_statistics(self):
@@ -180,6 +180,11 @@ class TestGenerateDarkEvents:
     def test_bad_duration(self):
         with pytest.raises(DomainError):
             generate_dark_events(27.0, 0, seed=1)
+
+    def test_duration_in_seconds_rejected(self):
+        # a float window (the old seconds form) is refused, not read as 1 ps
+        with pytest.raises(ContractError):
+            generate_dark_events(27.0, 1.0, seed=1)
 
 
 class TestShapePulses:
@@ -258,6 +263,10 @@ class TestPulseTrain:
             PulseTrain(np.array([0, 10]), 2, bin_length=100, min_gap=22)
         with pytest.raises(ContractError):
             PulseTrain(np.array([95]), 10, bin_length=100)
+        with pytest.raises(ContractError):
+            PulseTrain(np.array([0, 30]), 10.0, bin_length=100)
+        with pytest.raises(ContractError):
+            PulseTrain(np.array([0, 30]), np.array([10, 10]), bin_length=100)
 
 
 class TestSampleDistinctSlots:
