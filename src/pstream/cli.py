@@ -79,20 +79,21 @@ def _cmd_fig4(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     mean = args.mean
-    print(f"mean photons per slot: {mean}")
-    print("n  P(n)")
-    for n in range(6):
-        print(f"{n}  {poisson_pmf(n, mean):.6e}")
-    print(f">=3  {poisson_tail(3, mean):.6e}")
-    print(f"pair/single ratio P(2)/P(1) = mean/2 = {pair_fraction(mean):.6g}")
     slots = 1.0 / args.dead_time
-    print(f"slots per second at {args.dead_time*1e9:.0f} ns dead time: {slots:.6g}")
-    print(f"expected singles per second: {slots * poisson_pmf(1, mean):.6g}")
-    print(f"expected pairs per second:   {slots * poisson_pmf(2, mean):.6g}")
-    print(
+    # every value is computed, and so every bad input refused, before the first line prints
+    lines = [
+        f"mean photons per slot: {mean}",
+        "n  P(n)",
+        *(f"{n}  {poisson_pmf(n, mean):.6e}" for n in range(6)),
+        f">=3  {poisson_tail(3, mean):.6e}",
+        f"pair/single ratio P(2)/P(1) = mean/2 = {pair_fraction(mean):.6g}",
+        f"slots per second at {args.dead_time*1e9:.0f} ns dead time: {slots:.6g}",
+        f"expected singles per second: {slots * poisson_pmf(1, mean):.6g}",
+        f"expected pairs per second:   {slots * poisson_pmf(2, mean):.6g}",
         "mean recovered from those singles: "
-        f"{mean_photon_number(slots * poisson_pmf(1, mean), 1.0, args.dead_time):.6g}"
-    )
+        f"{mean_photon_number(slots * poisson_pmf(1, mean), 1.0, args.dead_time):.6g}",
+    ]
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -8,11 +8,12 @@ re-arms after each count cannot use the same pulse twice.  Singles and
 coincidence counts are tallied in 100 ms counter steps, and a scan point's
 counts are the sums over its steps.
 
-The matching is defined by a two-pointer walk over both trains.  It runs in
-vectorized numpy except inside the rare groups of three or more mutually
-overlapping pulses: trains in which no pulse can overlap two others take a
-searchsorted lookup, and any other input is split into independent overlap
-clusters (see ``_coincide_clusters``).
+The matching is defined by a two-pointer walk over both trains.  One
+searchsorted lookup finds, for each pulse of the shorter train, the window of
+pulses in the other that it overlaps by the threshold.  A pulse with one such
+partner, shared with no other pulse, is a match; only runs of pulses whose
+windows hold several partners, or share one, go through the walk itself
+(see ``_match_windows``).
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ def _coincide_two_pointer(
 
     Walks both trains (Python sequences of int ps starts, one int duration
     each) with one pointer each and advances the pulse that ends first.
-    This is the reference semantics; ``coincide`` runs it only inside
-    overlap clusters of three or more pulses.
+    This is the reference semantics; ``coincide`` runs it only on runs of
+    pulses that could match more than one partner.
     """
     matches = []
     i = j = 0
@@ -76,81 +77,56 @@ def _coincide_two_pointer(
     return matches
 
 
-def _coincide_vectorized(
+def _match_windows(
     a_starts: np.ndarray, a_dur: int, b_starts: np.ndarray, b_dur: int, threshold: int
 ) -> list[tuple[int, int]]:
-    """Fast path, valid when neither train can double-overlap and both
-    pulse durations are at least ``threshold``.
+    """The two-pointer matching, found from each A pulse's window of partners;
+    A should be the shorter train.  Returns (index_a, index_b) pairs in
+    ascending index_a.
 
-    Each pulse then has at most one qualifying counterpart, so a searchsorted
-    lookup of the overlap window reproduces the greedy matching exactly.
-    The shorter train's windows are looked up; matches cannot cross, so
-    they come out in ascending index_a either way.
+    The B pulses that overlap A pulse i by at least ``threshold`` (its
+    partners) start in [a_i + threshold - b_dur, a_i + a_dur - threshold],
+    the B indices [lo_i, hi_i).  One duration per train makes lo and hi
+    nondecreasing in i, so two A pulses that share a partner are consecutive
+    candidates (A pulses with a partner) k, k + 1 with lo[k+1] < hi[k].
+
+    A candidate with one partner that no other candidate shares is a match:
+    the walk cannot skip such a pair (i, j).  The first step that passes
+    either pulse stands on one of them, say i, and on a pulse p of the other
+    train that starts no later than j.  If the step matches, p is a partner
+    of i, so p = j.  If it passes i alone, i ends no later than p; then p,
+    starting no later than j, overlaps i at least as much as j does, so p
+    is a partner of i and the step would have matched.
+
+    The other candidates form runs linked by shared partners.  A run holds
+    contiguous A indices and B indices [lo of its first, hi of its last),
+    and no pulse inside it has a partner outside it, so the whole-train walk
+    reaches each run at its first pulses and makes the run's own matches:
+    ``_coincide_two_pointer`` runs on each run's two slices.
     """
-    if b_starts.size < a_starts.size:
-        found = _coincide_vectorized(b_starts, b_dur, a_starts, a_dur, threshold)
-        return [(i, j) for j, i in found]
-    lo = a_starts + (threshold - b_dur)
+    opens = a_starts + (threshold - b_dur)
     # windows that open after the last B pulse hold none
-    lo = lo[: np.searchsorted(lo, b_starts[-1], side="right")]
-    idx = np.searchsorted(b_starts, lo)
-    a_idx = np.flatnonzero(b_starts[idx] - lo <= a_dur + b_dur - 2 * threshold)
-    return list(zip(a_idx.tolist(), idx[a_idx].tolist()))
+    opens = opens[: np.searchsorted(opens, b_starts[-1], side="right")]
+    lo = np.searchsorted(b_starts, opens)
+    cand = np.flatnonzero(b_starts[lo] - opens <= a_dur + b_dur - 2 * threshold)
+    lo = lo[cand]
+    hi = np.searchsorted(b_starts, a_starts[cand] + (a_dur - threshold), side="right")
+    linked = lo[1:] < hi[:-1]
+    conflict = hi - lo > 1
+    conflict[1:] |= linked
+    conflict[:-1] |= linked
+    matches = list(zip(cand[~conflict].tolist(), lo[~conflict].tolist()))
+    if len(matches) == cand.size:
+        return matches
 
-
-def _coincide_clusters(
-    a_starts: np.ndarray, a_dur: int, b_starts: np.ndarray, b_dur: int, threshold: int
-) -> list[tuple[int, int]]:
-    """The two-pointer matching, run on each overlap cluster on its own.
-
-    Both trains' pulses, merged by start, split into clusters wherever a start
-    is at or after every earlier end.  While the two pointers sit in different
-    clusters, the earlier one's pulse ends at or before the later one's
-    starts, so only the earlier pointer moves and it never matches: the
-    whole-train walk is the concatenation of the per-cluster walks.  A
-    cluster of one A and one B pulse matches iff their overlap reaches
-    ``threshold``, decided for all such clusters at once; the Python loop
-    runs only inside clusters of three or more pulses.
-    """
-    na = a_starts.size
-    starts = np.concatenate([a_starts, b_starts])
-    order = np.argsort(starts, kind="stable")  # merges the two sorted runs in linear time
-    starts = starts[order]
-    # b_dur, raised to a_dur where the pulse is A's (faster than np.where on scalars)
-    ends = starts + (b_dur + (a_dur - b_dur) * (order < na))
-    first = np.flatnonzero(
-        np.concatenate(([True], starts[1:] >= np.maximum.accumulate(ends)[:-1]))
-    )
-    size = np.diff(first, append=order.size)
-
-    pair = first[size == 2]
-    pair_a, pair_b = order[pair], order[pair + 1]
-    hit = ((pair_a < na) != (pair_b < na)) & (
-        np.minimum(ends[pair], ends[pair + 1]) - starts[pair + 1] >= threshold
-    )
-    a_idx = [np.minimum(pair_a, pair_b)[hit]]
-    b_idx = [np.maximum(pair_a, pair_b)[hit] - na]
-
-    # pulses of earlier clusters end, so also start, before a cluster's first
-    # start; searching each train for that start and for the next cluster's
-    # first start gives the train's slice of the cluster
-    big = size >= 3
-    lo, hi = first[big], first[big] + size[big]
-    top = np.append(starts, np.iinfo(np.int64).max)
-    i_lo, i_hi = np.searchsorted(a_starts, (top[lo], top[hi])).tolist()
-    j_lo, j_hi = np.searchsorted(b_starts, (top[lo], top[hi])).tolist()
-    for i0, i1, j0, j1 in zip(i_lo, i_hi, j_lo, j_hi):
-        found = _coincide_two_pointer(
-            a_starts[i0:i1].tolist(), a_dur, b_starts[j0:j1].tolist(), b_dur, threshold
-        )
-        if found:
-            i, j = np.array(found, dtype=np.int64).T
-            a_idx.append(i + i0)
-            b_idx.append(j + j0)
-
-    a_idx, b_idx = np.concatenate(a_idx), np.concatenate(b_idx)
-    by_a = np.argsort(a_idx)
-    return list(zip(a_idx[by_a].tolist(), b_idx[by_a].tolist()))
+    first = np.flatnonzero(conflict & np.append(True, ~linked))
+    last = np.flatnonzero(conflict & np.append(~linked, True))
+    for s, e in zip(first.tolist(), last.tolist()):
+        i0, j0 = int(cand[s]), int(lo[s])
+        run_a, run_b = a_starts[i0 : cand[e] + 1].tolist(), b_starts[j0 : hi[e]].tolist()
+        found = _coincide_two_pointer(run_a, a_dur, run_b, b_dur, threshold)
+        matches += [(i + i0, j + j0) for i, j in found]
+    return sorted(matches)
 
 
 def coincide(
@@ -162,26 +138,23 @@ def coincide(
     when the interval overlap is at least ``overlap_threshold``, and pulses
     match greedily in time order, one match per pulse (``_coincide_two_pointer``
     defines the semantics).  Returns the count and the matched
-    (index_a, index_b) pairs in ascending index_a.  Trains whose pulses
-    cannot each overlap two others take a searchsorted fast path; any other
-    input goes through the overlap-cluster decomposition.  That choice reads
-    each train's ``min_start_gap``, kept when the train was built and
-    checked, so it is not checked again.
+    (index_a, index_b) pairs in ascending index_a.  ``_match_windows`` looks
+    up the shorter train's windows in the longer train; the walk is the same
+    with the trains swapped, and its matches do not cross, so they come out
+    in ascending index_a either way.
     """
-    gap_a, d_a = train_a.min_start_gap, train_a.duration
-    gap_b, d_b = train_b.min_start_gap, train_b.duration
+    d_a, d_b = train_a.duration, train_b.duration
     threshold = cfg.overlap_threshold_ps
     a_starts = train_a.starts
     b_starts = train_b.starts + cfg.delay_tau_ps
     if a_starts.size == 0 or b_starts.size == 0 or min(d_a, d_b) < threshold:
         # an empty train has no overlaps, and none can outlast the shorter pulse
         return 0, []
-
-    conflict_span = d_a + d_b - 2 * threshold
-    if (gap_a is None or gap_a > conflict_span) and (gap_b is None or gap_b > conflict_span):
-        matches = _coincide_vectorized(a_starts, d_a, b_starts, d_b, threshold)
+    if b_starts.size < a_starts.size:
+        found = _match_windows(b_starts, d_b, a_starts, d_a, threshold)
+        matches = [(i, j) for j, i in found]
     else:
-        matches = _coincide_clusters(a_starts, d_a, b_starts, d_b, threshold)
+        matches = _match_windows(a_starts, d_a, b_starts, d_b, threshold)
     return len(matches), matches
 
 

@@ -80,8 +80,7 @@ class PulseTrain:
     ``starts`` are int64 picoseconds and ``duration`` is int picoseconds.
     Invariants: starts strictly increasing with consecutive gaps >= ``min_gap``
     (the generating detector's dead time), and every pulse contained in
-    [0, bin_length).  Construction checks them once and keeps
-    ``min_start_gap`` (None below two pulses), which ``coincide`` reads.
+    [0, bin_length).  Construction checks them once.
     """
 
     starts: np.ndarray
@@ -94,18 +93,17 @@ class PulseTrain:
         object.__setattr__(self, "starts", starts)
         if starts.ndim != 1:
             raise ContractError("starts must be a 1-d array")
-        object.__setattr__(self, "min_start_gap", self.validate())
+        self.validate()
 
-    def validate(self) -> int | None:
-        """Check the invariants; return min_start_gap.  One ``diff`` of the starts."""
+    def validate(self) -> None:
+        """Check the invariants with one ``diff`` of the starts."""
         if not isinstance(self.duration, (int, np.integer)):
             raise ContractError(f"pulse duration must be an int of ps, got {self.duration!r}")
         if self.duration <= 0:
             raise ContractError("pulse duration must be positive")
         starts = self.starts
         if starts.size == 0:
-            return None
-        gap = None
+            return
         if starts.size > 1:
             gap = int(np.diff(starts).min())
             if gap <= 0:
@@ -116,7 +114,6 @@ class PulseTrain:
                 )
         if starts[0] < 0 or starts[-1] + self.duration > self.bin_length:
             raise ContractError("pulses must lie within [0, bin_length)")
-        return gap
 
     def __len__(self) -> int:
         return int(self.starts.size)

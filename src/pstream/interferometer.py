@@ -102,16 +102,18 @@ def envelope(x, l_eff: float):
     """Gaussian walk-off envelope with FWHM ``l_eff``: exp(-4 ln2 x^2 / l_eff^2).
 
     Accepts scalars or arrays; equals 1 at x = 0 and 1/2 at |x| = l_eff/2.
+    A width whose square underflows to 0 (below about 1e-162 m) is refused:
+    it would give 0/0 at x = 0.
     """
-    if l_eff <= 0:
-        raise DomainError(f"l_eff must be > 0, got {l_eff}")
+    if not (l_eff > 0 and l_eff * l_eff > 0):
+        raise DomainError(f"l_eff must be > 0 with a square that does not underflow, got {l_eff}")
     xs = np.asarray(x, dtype=float)
     return np.exp(-_FOUR_LN2 * xs * xs / (l_eff * l_eff))
 
 
 def _check_unit_interval(name: str, value) -> None:
     arr = np.asarray(value, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails both
         raise DomainError(f"{name} must lie in [0, 1]")
 
 

@@ -309,10 +309,42 @@ def test_bad_numeric_flag_exits_2(name, tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         run_cli(*argv)
     assert info.value.code == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     reason = "is not finite" if value in ("nan", "inf") else "is not > 0"
     assert f"argument {flag}: '{value}' {reason}" in err
     assert "Traceback" not in err
+
+
+# values that pass argparse but that pstream refuses: stats printed two lines
+# before it refused, and an envelope width whose square underflows wrote NaN
+# (g2 from fig4, the envelope column from simulate) and exited 0
+REFUSED_VALUES = {
+    "stats_mean_negative": (["stats", "--mean", "-1"], "mean must be >= 0, got -1.0"),
+    "fig4_leff_square_underflows": (
+        ["fig4", "--v", "1", "--leff", "1e-300", "--out", "{out}/curves.csv"],
+        "l_eff must be > 0 with a square that does not underflow, got 1e-300",
+    ),
+    "simulate_coherence_length_square_underflows": (
+        ["simulate", "--config", "{config}", "--out", "{out}"],
+        "scan point 0: l_eff must be > 0 with a square that does not underflow, got 1e-300",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_VALUES))
+def test_refused_value_exits_2_before_any_output(name, tmp_path, capsys):
+    argv, message = REFUSED_VALUES[name]
+    config = tmp_path / "cfg.json"
+    doc = dict(TINY_CONFIG, optics={"effective_coherence_length": 1e-300})
+    config.write_text(json.dumps(dict(doc, scan=dict(doc["scan"], asymmetric_walkoff=True))))
+    out = tmp_path / "out"
+    argv = [arg.format(config=config, out=out) for arg in argv]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: {message}\n"
+    assert not any(out.glob("*.csv"))
 
 
 # each value was taken as given: a ValueError traceback, exit 3 for a

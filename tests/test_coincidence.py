@@ -158,7 +158,7 @@ class TestCoincideOracle:
 
     @pytest.mark.parametrize("n_a,n_b", [(400, 60), (60, 400), (200, 200)])
     def test_fast_path_ascending_index_a_either_train_shorter(self, n_a, n_b):
-        # the fast path looks up the shorter train's windows in the longer one
+        # coincide looks up the shorter train's windows in the longer one
         rng = np.random.default_rng(n_a * 1000 + n_b)
         for trial in range(20):
             # about the same time span for both, gaps above the 10 ns overlap span
@@ -206,7 +206,7 @@ def pulses(starts_ns, duration_ns):
 
 
 def whole_train_two_pointer(train_a, train_b, cfg):
-    """The greedy walk over both whole trains, the reference for the cluster split."""
+    """The greedy walk over both whole trains, the reference for the split into runs."""
     return coincidence._coincide_two_pointer(
         train_a.starts.tolist(),
         train_a.duration,
@@ -217,17 +217,20 @@ def whole_train_two_pointer(train_a, train_b, cfg):
 
 
 class TestCoincideClusters:
-    """Trains that take the overlap-cluster path: pulses long enough, or
-    close enough, that one can overlap two others."""
+    """Trains with pulses long enough, or close enough, that one can overlap
+    two others: runs of shared or multiple partners go through the walk."""
 
+    # A is the longer train, so coincide looks up B's windows in it.  At 103
     # the chain A1-B1-A2, in which B1 overlaps both A pulses by 5 ns or more,
-    # between two lone matching pairs; the greedy walk gives B1 to whichever A
-    # pulse reaches the threshold first, not to the larger overlap
+    # is a run between two lone matching pairs; the greedy walk gives B1 to
+    # whichever A pulse reaches the threshold first, not to the larger overlap
     @pytest.mark.parametrize(
         "b1_start,expected",
         [
             (103, [(0, 0), (1, 1), (3, 2)]),  # A1 overlaps B1 by 7 ns, A2 by 10 ns
             (107, [(0, 0), (2, 1), (3, 2)]),  # A1 overlaps B1 by 3 ns only
+            (3, [(0, 0), (3, 2)]),  # B0 and B1 share A0, the first pulse
+            (190, [(0, 0), (3, 1)]),  # B1 and B2 share A3, the last pulse
         ],
     )
     def test_chain_decided_by_greedy_order(self, b1_start, expected):
@@ -238,16 +241,15 @@ class TestCoincideClusters:
         assert whole_train_two_pointer(a, b, cfg) == expected
 
     def test_long_pulse_spans_two_short_ones(self):
-        # B0 ends before B1 starts, yet both lie inside A1: one cluster, kept
-        # together only by the running maximum of ends.  A0 takes B0 and A1
-        # takes B1; split at B1, A1 would lose its match
+        # B0 ends before B1 starts, yet A0 and A1 each overlap both: one run.
+        # A0 takes B0 and A1 takes B1; split at B1, A1 would lose its match
         a = pulses([0, 22], 50)
         b = pulses([25, 40], 10)
         assert coincide(a, b, CcmConfig()) == (2, [(0, 0), (1, 1)])
 
     def test_random_trains_match_whole_train_walk(self):
         # one duration per train, up to twice the largest gap, so pulses of one
-        # train may overlap each other and clusters of many pulses form
+        # train may overlap each other and runs of many pulses form
         rng = np.random.default_rng(20_241_018)
         for trial in range(400):
             trains = []
@@ -264,26 +266,23 @@ class TestCoincideClusters:
             expected = whole_train_two_pointer(*trains, cfg)
             assert coincide(*trains, cfg) == (len(expected), expected), f"trial {trial}"
 
-    # A's 5 ns gap, within the 12 ns conflict span, sends both trains down the
-    # cluster path; a pair cluster needs no loop
+    # A's 5 ns gap lets one B pulse overlap both A1 and A2; B's one window,
+    # looked up in A, holds A0 alone, and a lone pair needs no loop
     @pytest.mark.parametrize("b_start_ps,count", [(5_000, 1), (5_001, 0)])
     def test_pair_cluster_at_threshold(self, b_start_ps, count, monkeypatch):
         a = PulseTrain([0, 100 * NS, 105 * NS], 10 * NS, bin_length=200 * NS)
         b = PulseTrain([b_start_ps], 12 * NS, bin_length=200 * NS)
 
         def no_loop(*args):
-            raise AssertionError("a one-A-one-B cluster reached the Python loop")
-
-        def no_fast_path(*args):
-            raise AssertionError("took the fast path")
+            raise AssertionError("a lone pair reached the Python loop")
 
         monkeypatch.setattr(coincidence, "_coincide_two_pointer", no_loop)
-        monkeypatch.setattr(coincidence, "_coincide_vectorized", no_fast_path)
         assert coincide(a, b, CcmConfig()) == (count, [(0, 0)] * count)
 
     def test_walkoff_step_with_20_ns_pulses(self, monkeypatch):
-        """One real 100 ms step: 20 ns pulses 22 ns apart can each overlap
-        two others, so the searchsorted fast path does not apply."""
+        """One real 100 ms step: 20 ns pulses 22 ns apart give 30 ns windows,
+        wider than the pulse spacing, yet only a run of shared or multiple
+        partners reaches the walk."""
         cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "walkoff_scan.json")
         detector = dataclasses.replace(cfg.detectors[0], pulse_duration=20e-9)
         slots = int(cfg.ccm.step / cfg.source.dead_time)
@@ -293,13 +292,19 @@ class TestCoincideClusters:
             batch, state, (detector, detector), seed=2025, slot_width=cfg.source.dead_time
         )
 
-        def no_fast_path(*args):
-            raise AssertionError("took the uniform fast path")
+        expected = whole_train_two_pointer(a, b, cfg.ccm)
+        walk = coincidence._coincide_two_pointer
+        run_sizes = []
 
-        monkeypatch.setattr(coincidence, "_coincide_vectorized", no_fast_path)
+        def spy(a_starts, a_dur, b_starts, b_dur, threshold):
+            run_sizes.append(len(a_starts) + len(b_starts))
+            return walk(a_starts, a_dur, b_starts, b_dur, threshold)
+
+        monkeypatch.setattr(coincidence, "_coincide_two_pointer", spy)
         count, matches = coincide(a, b, cfg.ccm)
         assert count > 50
-        assert matches == whole_train_two_pointer(a, b, cfg.ccm)
+        assert matches == expected
+        assert all(size >= 3 for size in run_sizes), run_sizes
 
 
 def _random_train(rng, n, duration, min_gap=22_000):

@@ -1,9 +1,11 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+private module-level function is called from somewhere else in the package.
 
 Deleting a field or a check can leave its import behind (``field``,
-``ConfigError``); this guard names the module and the import.  Built on the
-stdlib ``ast`` module: a name counts as used when it appears as an expression
-anywhere in the module, annotations included.
+``ConfigError``), and deleting a code path can leave its helper behind; these
+guards name the module and the name.  Built on the stdlib ``ast`` module: a
+name counts as used when it appears as an expression (a name or an
+attribute), annotations included.
 """
 
 import ast
@@ -38,3 +40,40 @@ def test_guard_finds_an_unused_import():
 def test_module_uses_every_import(module):
     unused = unused_imports((SRC / module).read_text())
     assert not unused, f"src/pstream/{module} imports {', '.join(unused)} and never uses it"
+
+
+def private_functions_unused(sources: dict[str, str]) -> list[str]:
+    """The module-level ``_private`` functions of ``sources`` (module name to
+    source) named nowhere in them outside their own bodies."""
+    defined, used = set(), set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            owner = None
+            if isinstance(stmt, ast.FunctionDef):
+                owner = (module, stmt.name)
+                if stmt.name.startswith("_") and not stmt.name.startswith("__"):
+                    defined.add(owner)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    used.add((node.id, owner))
+                elif isinstance(node, ast.Attribute):
+                    used.add((node.attr, owner))
+    return sorted(
+        f"{module}.{name}"
+        for module, name in defined
+        if not any(n == name and owner != (module, name) for n, owner in used)
+    )
+
+
+def test_guard_finds_a_dead_helper():
+    sources = {
+        "a.py": "def _live():\n    return 1\ndef _dead(n):\n    return _dead(n - 1)\n",
+        "b.py": "from . import a\ndef f():\n    return a._live()\n",
+    }
+    assert private_functions_unused(sources) == ["a.py._dead"]
+
+
+def test_every_private_function_is_called():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    unused = private_functions_unused(sources)
+    assert not unused, f"src/pstream/ defines {', '.join(unused)} and never names it"

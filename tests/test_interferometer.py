@@ -81,6 +81,9 @@ class TestEnvelope:
     def test_bad_width(self):
         with pytest.raises(DomainError):
             envelope(1e-6, 0.0)
+        # its square underflows to 0, which gave 0/0 = NaN at x = 0
+        with pytest.raises(DomainError, match="underflow"):
+            envelope(0.0, 1e-300)
 
     @given(st.floats(min_value=-1e-5, max_value=1e-5), st.floats(min_value=1e-7, max_value=1e-5))
     def test_even_and_bounded(self, x, l_eff):
@@ -109,6 +112,8 @@ class TestPortProbability:
             port_probability(0.0, 1.5, 1.0)
         with pytest.raises(DomainError):
             port_probability(0.0, 1.0, -0.1)
+        with pytest.raises(DomainError):
+            port_probability(0.0, np.array([1.0, math.nan]), 1.0)
 
     @given(PHASES, UNIT, UNIT)
     def test_probability_range(self, phase, g, v):
