@@ -65,6 +65,7 @@ from .runner import (
     analytic_fig4,
     build_report,
     export_fig4_csv,
+    export_g2_csv,
     export_report_csv,
     export_scan_csv,
     read_scan_csv,

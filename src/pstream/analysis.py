@@ -115,7 +115,13 @@ def g2_ratio(coinc: FringeSeries, window: tuple[float, float] | None = None) -> 
 
 
 def g2_rate(n_a: float, n_b: float, n_c: float, accumulation: float, delta_t: float) -> float:
-    """Rate-normalized intensity correlation (N_c / (N_A N_B)) * (T / delta_t)."""
+    """Rate-normalized intensity correlation (N_c / (N_A N_B)) * (T / delta_t).
+
+    ``delta_t`` is the coincidence window: the spread of start times over which
+    the counter pairs two pulses.  For the AND gate that is the matcher's own
+    window d_A + d_B - 2*overlap_threshold, 10 ns for 10 ns pulses and a 5 ns
+    threshold, 30 ns for 20 ns pulses (``build_report`` passes it).
+    """
     if accumulation <= 0 or delta_t <= 0:
         raise DomainError("accumulation and delta_t must be > 0")
     if n_c == 0:
@@ -182,10 +188,11 @@ def fringe_period(series: FringeSeries) -> float:
     if np.ptp(values) == 0.0:
         raise NumericalError("constant series has no fringe period")
 
-    span = float(positions[-1] - positions[0])
-    if span <= 0:
-        raise DataError("positions must span a nonzero range")
     n = values.size
+    span = float(positions[-1]) - float(positions[0])
+    spacing = span / (n - 1)
+    if not spacing > 0:
+        raise DataError("positions must span a nonzero range")
     detrended = (values - values.mean()) * np.hanning(n)
     padded = 8 * n
     power = np.abs(np.fft.rfft(detrended, n=padded)) ** 2
@@ -204,8 +211,9 @@ def fringe_period(series: FringeSeries) -> float:
         delta = float(np.clip(delta, -0.5, 0.5)) if np.isfinite(delta) else 0.0
     else:
         delta = 0.0
-    spacing = span / (n - 1)
     freq = (peak_k + delta) / (padded * spacing)
+    if not 0 < freq < math.inf:
+        raise DataError(f"positions spaced {spacing!r} apart give no finite fringe frequency")
     period = 1.0 / freq
 
     if span / period < 2.0:

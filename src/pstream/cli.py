@@ -2,7 +2,7 @@
 
 Subcommands:
     simulate  run a configured scan and write scan.csv + config.json
-    analyze   summarize a scan CSV into a key,value report CSV
+    analyze   read a simulate run back: write its report.csv and g2.csv
     fig4      write the analytic reference curves as CSV
     stats     print occupancy statistics for a mean photon number
     ingest    extract events from an oscilloscope trace file
@@ -22,16 +22,19 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .analysis import averaged_g2
 from .config import load_config, config_to_dict
 from .errors import ConfigError, DataError, DomainError, NumericalError
 from .runner import (
     analytic_fig4,
     build_report,
     export_fig4_csv,
+    export_g2_csv,
     export_report_csv,
     export_scan_csv,
     read_scan_csv,
     run_scan,
+    scan_series,
     ScanResult,
 )
 from .source import mean_photon_number, pair_fraction, poisson_pmf, poisson_tail
@@ -45,9 +48,9 @@ EXIT_NUMERICAL = 4
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, seed_override=args.seed)
+    result = run_scan(cfg, workers=args.workers)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = run_scan(cfg, workers=args.workers)
     export_scan_csv(result, out_dir / "scan.csv")
     (out_dir / "config.json").write_text(json.dumps(config_to_dict(cfg), indent=2) + "\n")
     print(f"wrote {out_dir / 'scan.csv'} ({len(result.points)} points, seed {cfg.scan.seed})")
@@ -55,17 +58,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    points = read_scan_csv(args.scan)
-    result = ScanResult(points=points, config={})
-    report = build_report(
-        result,
-        dead_time=args.dead_time,
-        accumulation=args.bin_seconds,
-        delta_t=args.delta_t,
-    )
-    export_report_csv(report, args.out)
+    run = Path(args.run)
+    cfg = load_config(run / "config.json")
+    result = ScanResult(points=read_scan_csv(run / "scan.csv"), config=cfg)
+    # both outputs are computed, and so every bad input refused, before either is written
+    report = build_report(result, dead_time=cfg.source.dead_time)
+    series_a, series_b, series_c, gains = scan_series(result)
+    g2 = averaged_g2((series_a, series_b), series_c, gains)
+    export_report_csv(report, run / "report.csv")
+    export_g2_csv(g2, gains, run / "g2.csv")
     for key, value in report.as_items():
         print(f"{key}: {value}")
+    print(f"wrote {run / 'report.csv'} and {run / 'g2.csv'}")
     return EXIT_OK
 
 
@@ -155,12 +159,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("analyze", help="summarize a scan CSV")
-    p.add_argument("--scan", required=True, help="scan CSV produced by simulate")
-    p.add_argument("--out", required=True, help="report CSV path")
-    p.add_argument("--dead-time", type=positive_float, default=22e-9, dest="dead_time")
-    p.add_argument("--delta-t", type=positive_float, default=10e-9, dest="delta_t")
-    p.add_argument("--bin-seconds", type=positive_float, default=1.0, dest="bin_seconds")
+    p = sub.add_parser("analyze", help="summarize a simulate run")
+    p.add_argument(
+        "--run", required=True, help="directory holding the scan.csv and config.json of simulate"
+    )
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("fig4", help="write analytic reference curves")

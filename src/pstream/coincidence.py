@@ -31,8 +31,8 @@ from .errors import ConfigError
 class CcmConfig:
     """Coincidence counter parameters (seconds).
 
-    ``overlap_threshold_ps`` and ``delay_tau_ps`` hold the same times as int
-    picoseconds, converted once when the config is built.
+    ``overlap_threshold_ps``, ``delay_tau_ps`` and ``step_ps`` hold the same
+    times as int picoseconds, converted once when the config is built.
     """
 
     overlap_threshold: float = 5e-9
@@ -48,6 +48,7 @@ class CcmConfig:
         )
         if self.step <= 0:
             raise ConfigError("step must be > 0")
+        object.__setattr__(self, "step_ps", seconds_to_ps(self.step, "step"))
 
 
 def _coincide_two_pointer(

@@ -15,10 +15,10 @@ Unknown keys are rejected with the offending dotted path.  Each value must
 match its field's annotation: a bool takes only true/false, an int an integer
 (not a bool or a float), a float any finite number; null only where optional.
 Times are in seconds, and those used as picoseconds must round to >= 1 ps.
-Cross-field rules (counter steps tile the dwell; the power chain gives an
-occupancy below 1) are checked when the config is built.  The PSTREAM_SEED
-environment variable overrides the config seed; an explicit CLI flag wins
-over both.
+Cross-field rules (counter steps tile the dwell and hold at least one
+slot; the power chain gives an occupancy below 1) are checked when the
+config is built.  The PSTREAM_SEED environment variable overrides the
+config seed; an explicit CLI flag wins over both.
 """
 
 from __future__ import annotations
@@ -58,8 +58,13 @@ class OpticsConfig:
     def __post_init__(self):
         if not 0.0 <= self.intrinsic_visibility <= 1.0:
             raise ConfigError("intrinsic_visibility must lie in [0, 1]")
-        if self.effective_coherence_length <= 0 or self.laser_coherence_length <= 0:
-            raise ConfigError("coherence lengths must be > 0")
+        for name in ("effective_coherence_length", "laser_coherence_length"):
+            length = getattr(self, name)
+            # the envelope divides by the square of its width
+            if not (length > 0 and length * length > 0):
+                raise ConfigError(
+                    f"{name} must be > 0 with a square that does not underflow, got {length}"
+                )
 
 
 @dataclass(frozen=True)
@@ -102,7 +107,11 @@ class ExperimentConfig:
         if len(self.detectors) != 2:
             raise ConfigError("exactly two detector configurations are required")
         # the slot width; checked here because detection imports source
-        seconds_to_ps(self.source.dead_time, "source.dead_time")
+        slot_ps = seconds_to_ps(self.source.dead_time, "source.dead_time")
+        if self.ccm.step_ps < slot_ps:
+            raise ConfigError(
+                f"ccm.step {self.ccm.step} s is shorter than one {self.source.dead_time} s slot"
+            )
         if not tiles(self.scan.seconds_per_point, self.ccm.step, 1e-9):
             raise ConfigError("seconds_per_point must be a whole number of ccm steps")
 

@@ -10,7 +10,8 @@ streams.
 
 The scan CSV schema is fixed:
     point,voltage_V,x_m,phase_rad,envelope,N_A,N_B,N_c
-Reports are flat key,value CSV files.
+Reports are flat key,value CSV files, and the phase-resolved g2 curve is
+written as x_m,envelope,g2 rows.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from .analysis import (
     robust_extrema,
 )
 from .coincidence import accumulate, coincide
-from .config import ExperimentConfig, config_to_dict
-from .detection import detect_bin
+from .config import ExperimentConfig
+from .detection import PS_PER_S, detect_bin, seconds_to_ps
 from .errors import DataError, PstreamError
 from .interferometer import OpticalState, envelope, pzt_phase, singles_fringe, voltage_to_displacement
 from .seeding import derive_seed
@@ -64,7 +65,7 @@ class ScanPoint:
 @dataclass(frozen=True)
 class ScanResult:
     points: list[ScanPoint]
-    config: dict
+    config: ExperimentConfig
 
 
 def _scan_voltages(cfg: ExperimentConfig) -> np.ndarray:
@@ -95,7 +96,7 @@ def _simulate_point(cfg: ExperimentConfig, index: int, volt: float) -> ScanPoint
     mean = cfg.source.mean_photon()
     point_seed = derive_seed(cfg.scan.seed, index)
     n_steps = round(cfg.scan.seconds_per_point / cfg.ccm.step)
-    slots_per_step = int(cfg.ccm.step / cfg.source.dead_time)
+    slots_per_step = cfg.ccm.step_ps // seconds_to_ps(cfg.source.dead_time, "source.dead_time")
     steps = []
     for j in range(n_steps):
         step_seed = derive_seed(point_seed, j)
@@ -125,7 +126,7 @@ def run_scan(cfg: ExperimentConfig, workers: int = 1) -> ScanResult:
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             points = list(pool.map(job, tasks))
-    return ScanResult(points=points, config=config_to_dict(cfg))
+    return ScanResult(points=points, config=cfg)
 
 
 def scan_series(result: ScanResult) -> tuple[FringeSeries, FringeSeries, FringeSeries, np.ndarray]:
@@ -138,22 +139,23 @@ def scan_series(result: ScanResult) -> tuple[FringeSeries, FringeSeries, FringeS
     return series_a, series_b, series_c, gains
 
 
-def build_report(
-    result: ScanResult,
-    dead_time: float = 22e-9,
-    accumulation: float | None = None,
-    delta_t: float = 10e-9,
-) -> CorrelationReport:
-    """Correlation summary for a scan.
+def build_report(result: ScanResult, dead_time: float) -> CorrelationReport:
+    """Correlation summary for a scan, read with the settings of the run in ``result.config``.
 
-    ``accumulation`` defaults to the per-point dwell recorded in the config
-    echo, falling back to 1 s.  The bunched-event count entering eta21 is the
-    robust maximum of the coincidence fringe, matching how a counter reads the
-    crossing-point rate.  Visibilities, the g2 ratio and that maximum are
-    taken over |x| <= ``CENTER_HALFWIDTH``.
+    ``dead_time`` is the slot width that turns singles into a mean photon
+    number.  The accumulation time is the run's dwell per point, and the
+    g2_rate window δt is the coincidence matcher's own: the B pulses that
+    overlap an A pulse by the threshold start in an interval
+    d_A + d_B - 2*threshold wide, computed in int ps.  The bunched-event count
+    entering eta21 is the robust maximum of the coincidence fringe, matching
+    how a counter reads the crossing-point rate.  Visibilities, the g2 ratio
+    and that maximum are taken over |x| <= ``CENTER_HALFWIDTH``.
     """
-    if accumulation is None:
-        accumulation = float(result.config.get("scan", {}).get("seconds_per_point", 1.0))
+    cfg = result.config
+    accumulation = cfg.scan.seconds_per_point
+    det_a, det_b = cfg.detectors
+    window_ps = det_a.pulse_duration_ps + det_b.pulse_duration_ps - 2 * cfg.ccm.overlap_threshold_ps
+    delta_t = window_ps / PS_PER_S
     series_a, series_b, series_c, _ = scan_series(result)
     window = (-CENTER_HALFWIDTH, CENTER_HALFWIDTH)
     vis_a = visibility(series_a, window)
@@ -273,6 +275,12 @@ def read_scan_csv(path: str | Path) -> list[ScanPoint]:
 
 def export_report_csv(report: CorrelationReport, path: str | Path) -> None:
     _write_table(path, ["key", "value"], report.as_items())
+
+
+def export_g2_csv(g2: FringeSeries, gains: np.ndarray, path: str | Path) -> None:
+    """Write the phase-resolved g2 curve of a scan as ``x_m,envelope,g2`` rows."""
+    rows = zip(g2.positions.tolist(), gains.tolist(), g2.values.tolist())
+    _write_table(path, ["x_m", "envelope", "g2"], rows)
 
 
 def export_fig4_csv(curves: Fig4Curves, path: str | Path) -> None:

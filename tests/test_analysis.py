@@ -218,6 +218,22 @@ class TestFringePeriod:
         with pytest.raises(NumericalError):
             fringe_period(FringeSeries(fringe_grid(100), np.full(100, 3.0)))
 
+    SPANS = {
+        "span_overflows": (-1e308, 1e308),
+        "padded_length_overflows": (0.0, 1e308),
+        "spacing_underflows": (0.0, 5e-324),
+        "frequency_overflows": (0.0, 1e-320),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPANS))
+    def test_span_beyond_float_rejected(self, name):
+        # each ended in a ZeroDivisionError traceback: a frequency of 0 or inf,
+        # or a spacing of 0
+        positions = np.zeros(40)
+        positions[0], positions[-1] = self.SPANS[name]
+        with pytest.raises(DataError, match="positions"):
+            fringe_period(FringeSeries(positions, np.cos(np.arange(40.0))))
+
     def test_pure_noise_has_no_period(self):
         rng = np.random.default_rng(11)
         with pytest.raises(NumericalError):

@@ -1,11 +1,19 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
+import re
+import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pstream.cli import build_parser, main
 from pstream.config import SEED_ENV_VAR
@@ -131,39 +139,62 @@ def test_committed_config_scan_bytes_pinned(name, workers, tmp_path, monkeypatch
     assert hashlib.sha256((out / "scan.csv").read_bytes()).hexdigest() == SCAN_DIGESTS[name]
 
 
+@pytest.fixture(scope="module")
+def analyze_run(tmp_path_factory):
+    """A simulated run directory (80 points x 0.5 s, seed 999) that analyze has not touched."""
+    tmp_path = tmp_path_factory.mktemp("scan")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "source": {"mean_photon_override": 0.012},
+                "scan": {"n_points": 80, "seconds_per_point": 0.5, "seed": 999},
+            }
+        )
+    )
+    out = tmp_path / "run"
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(out), "--workers", "2") == 0
+    return out
+
+
+def copy_run(run: Path, dest: Path, scan_text: str | None = None) -> Path:
+    """``dest`` holding the config.json of ``run`` and its scan.csv, or ``scan_text`` in its place."""
+    dest.mkdir()
+    (dest / "config.json").write_bytes((run / "config.json").read_bytes())
+    scan = (run / "scan.csv").read_text() if scan_text is None else scan_text
+    with open(dest / "scan.csv", "w", newline="") as fh:
+        fh.write(scan)
+    return dest
+
+
 class TestAnalyze:
-    @pytest.fixture(scope="class")
-    def scan_csv(self, tmp_path_factory):
-        tmp_path = tmp_path_factory.mktemp("scan")
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(
-            json.dumps(
-                {
-                    "source": {"mean_photon_override": 0.012},
-                    "scan": {"n_points": 80, "seconds_per_point": 0.5, "seed": 999},
-                }
-            )
-        )
-        out = tmp_path / "run"
-        assert run_cli("simulate", "--config", str(cfg), "--out", str(out), "--workers", "2") == 0
-        return out / "scan.csv"
-
-    def test_report_written(self, scan_csv, tmp_path, capsys):
-        report = tmp_path / "report.csv"
-        code = run_cli(
-            "analyze", "--scan", str(scan_csv), "--out", str(report), "--bin-seconds", "0.5"
-        )
-        assert code == 0
-        text = report.read_text().splitlines()
+    def test_report_written(self, analyze_run, tmp_path, capsys):
+        run = copy_run(analyze_run, tmp_path / "run")
+        assert run_cli("analyze", "--run", str(run)) == 0
+        text = (run / "report.csv").read_text().splitlines()
         assert text[0] == "key,value"
-        keys = [line.split(",")[0] for line in text[1:]]
-        assert "visibility_A" in keys and "g2_ratio_min_over_max" in keys
+        report = dict(line.split(",") for line in text[1:])
+        assert "visibility_A" in report and "g2_ratio_min_over_max" in report
+        # read with the run's 0.5 s dwell; the former 1 s default of --bin-seconds
+        # gave mean_photon 0.005967674625 and g2_rate 2.708867043847409
+        assert float(report["mean_photon"]) == 0.01193534925
+        assert float(report["g2_rate"]) == 1.3544335219237045
         assert "visibility_A" in capsys.readouterr().out
+        g2 = (run / "g2.csv").read_text().splitlines()
+        assert g2[0] == "x_m,envelope,g2"
+        assert len(g2) == 81
 
-    def test_bad_scan_header_exits_3(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("x,y\n1,2\n")
-        assert run_cli("analyze", "--scan", str(bad), "--out", str(tmp_path / "r.csv")) == 3
+    @pytest.mark.parametrize("flag", ["--scan", "--out", "--dead-time", "--delta-t", "--bin-seconds"])
+    def test_takes_no_parameter_of_the_run(self, flag, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["analyze", "--run", "run", flag, "1"])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    def test_bad_scan_header_exits_3(self, analyze_run, tmp_path):
+        run = copy_run(analyze_run, tmp_path / "run", "x,y\n1,2\n")
+        assert run_cli("analyze", "--run", str(run)) == 3
+        assert not (run / "report.csv").exists() and not (run / "g2.csv").exists()
 
     # (column, value) written into line 7 of a simulated scan; each was read
     # as given and analyze exited 0
@@ -178,26 +209,117 @@ class TestAnalyze:
     }
 
     @pytest.mark.parametrize("name", sorted(BAD_VALUES))
-    def test_bad_scan_value_exits_3(self, name, scan_csv, tmp_path, capsys):
-        lines = scan_csv.read_text().splitlines()
+    def test_bad_scan_value_exits_3(self, name, analyze_run, tmp_path, capsys):
+        lines = (analyze_run / "scan.csv").read_text().splitlines()
         fields = lines[6].split(",")
         column, value = self.BAD_VALUES[name]
         fields[column] = value or str(min(int(fields[5]), int(fields[6])) + 1)
         lines[6] = ",".join(fields)
-        bad = tmp_path / "bad.csv"
-        bad.write_text("\n".join(lines) + "\n")
-        report = tmp_path / "r.csv"
-        code = run_cli("analyze", "--scan", str(bad), "--out", str(report), "--bin-seconds", "0.5")
-        assert code == 3
-        assert f"data error: {bad}: line 7: " in capsys.readouterr().err
-        assert not report.exists()
+        run = copy_run(analyze_run, tmp_path / "run", "\n".join(lines) + "\n")
+        assert run_cli("analyze", "--run", str(run)) == 3
+        assert f"data error: {run / 'scan.csv'}: line 7: " in capsys.readouterr().err
+        assert not (run / "report.csv").exists() and not (run / "g2.csv").exists()
 
-    def test_flat_scan_exits_4(self, tmp_path):
+    def test_flat_scan_exits_4(self, analyze_run, tmp_path):
         rows = ["point,voltage_V,x_m,phase_rad,envelope,N_A,N_B,N_c"]
         rows += [f"{k},{k},{k*1e-8},0.0,1.0,100,100,1" for k in range(40)]
-        flat = tmp_path / "flat.csv"
-        flat.write_text("\n".join(rows) + "\n")
-        assert run_cli("analyze", "--scan", str(flat), "--out", str(tmp_path / "r.csv")) == 4
+        run = copy_run(analyze_run, tmp_path / "run", "\n".join(rows) + "\n")
+        assert run_cli("analyze", "--run", str(run)) == 4
+
+    # config.json documents that load_config refuses; None leaves the file out
+    BAD_CONFIGS = {
+        "missing": None,
+        "not_json": "{",
+        "unknown_key": '{"scan": {"bin_seconds": 0.5}}',
+    }
+
+    @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+    def test_bad_config_exits_2(self, name, analyze_run, tmp_path, capsys):
+        run = copy_run(analyze_run, tmp_path / "run")
+        text = self.BAD_CONFIGS[name]
+        if text is None:
+            (run / "config.json").unlink()
+        else:
+            (run / "config.json").write_text(text)
+        assert run_cli("analyze", "--run", str(run)) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("configuration error: ") and err.count("\n") == 1
+        assert not (run / "report.csv").exists() and not (run / "g2.csv").exists()
+
+
+# the ways a fuzzed scan.csv row is changed: read_scan_csv refuses each of
+# the first group wherever it lands; a cut line may still parse, and extreme
+# finite values, extreme x in both the first and last rows (which set the
+# span of the positions) and dropped trailing rows are data that analyze
+# reads or refuses
+REFUSED_ROWS = [
+    "drop_field",
+    "extra_field",
+    "non_finite",
+    "negative_count",
+    "n_c_above_min",
+    "blank_line",
+]
+DATA_CHANGES = ["truncate_line", "extreme_value", "position_range", "drop_rows"]
+
+
+def break_fields(data, kind: str, fields: list[str]) -> list[str]:
+    """The eight ``fields`` of a scan row, changed in the ``kind`` way."""
+    if kind == "drop_field":
+        del fields[data.draw(st.integers(0, 7))]
+    elif kind == "extra_field":
+        fields.insert(data.draw(st.integers(0, 8)), "0")
+    elif kind == "non_finite":
+        fields[data.draw(st.integers(1, 4))] = data.draw(
+            st.sampled_from(["nan", "inf", "-inf", "NaN", "1e999"])
+        )
+    elif kind == "negative_count":
+        fields[data.draw(st.integers(5, 7))] = str(-data.draw(st.integers(1, 10**6)))
+    elif kind == "n_c_above_min":
+        n_min = min(int(fields[5]), int(fields[6]))
+        fields[7] = str(n_min + data.draw(st.integers(1, 1000)))
+    elif kind == "extreme_value":
+        column = data.draw(st.integers(1, 7))
+        values = ["0", "1", str(2**63)] if column > 4 else ["0.0", "1e308", "-1e308", "5e-324"]
+        fields[column] = data.draw(st.sampled_from(values))
+    elif kind == "position_range":
+        fields[2] = data.draw(st.sampled_from(["-1e308", "0.0", "5e-324", "1e308"]))
+    return fields
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_analyze_fuzz_exits_cleanly(analyze_run, data):
+    header, *rows = (analyze_run / "scan.csv").read_text().splitlines()
+    for _ in range(data.draw(st.integers(1, 4))):
+        if not rows:
+            break
+        kind = data.draw(st.sampled_from(REFUSED_ROWS) | st.sampled_from(DATA_CHANGES))
+        k = data.draw(st.integers(0, len(rows) - 1))
+        if kind == "blank_line":
+            rows.insert(k, "")
+        elif kind == "truncate_line":
+            rows[k] = rows[k][: data.draw(st.integers(0, max(len(rows[k]) - 1, 0)))]
+        elif kind == "drop_rows":
+            del rows[k:]
+        else:
+            for j in (0, -1) if kind == "position_range" else (k,):
+                fields = rows[j].split(",")
+                if len(fields) == 8:  # a row already broken keeps its first break
+                    rows[j] = ",".join(break_fields(data, kind, fields))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        run = copy_run(analyze_run, Path(tmp) / "run", "\n".join([header] + rows) + "\n")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["analyze", "--run", str(run)])
+        assert code in (0, 3, 4), err.getvalue()
+        report, g2 = run / "report.csv", run / "g2.csv"
+        assert report.exists() == g2.exists() == (code == 0)
+        if code == 0:
+            values = [line.split(",")[1] for line in report.read_text().splitlines()[1:]]
+            assert all(math.isfinite(float(v)) for v in values if v not in ("True", "False"))
+            assert np.isfinite(np.loadtxt(g2, delimiter=",", skiprows=1)).all()
 
 
 class TestFig4:
@@ -297,6 +419,9 @@ BAD_NUMERIC_FLAGS = {
     "ingest_threshold_nan": ["ingest", "--threshold", "nan"],
     "stats_mean_nan": ["stats", "--mean", "nan"],
     "stats_dead_time_zero": ["stats", "--mean", "0.012", "--dead-time", "0"],
+    "fig4_v_nan": ["fig4", "--v", "nan"],
+    "fig4_leff_zero": ["fig4", "--leff", "0"],
+    "fig4_span_zero": ["fig4", "--span", "0"],
 }
 
 
@@ -306,6 +431,8 @@ def test_bad_numeric_flag_exits_2(name, tmp_path, capsys):
     flag, value = argv[-2:]
     if argv[0] == "ingest":
         argv = argv + ["--trace", str(tmp_path / "trace.bin"), "--out", str(tmp_path / "e.csv")]
+    if argv[0] == "fig4":
+        argv = argv[:1] + ["--v", "1", "--leff", "2e-6", "--out", str(tmp_path / "c.csv")] + argv[1:]
     with pytest.raises(SystemExit) as info:
         run_cli(*argv)
     assert info.value.code == 2
@@ -317,34 +444,60 @@ def test_bad_numeric_flag_exits_2(name, tmp_path, capsys):
 
 
 # values that pass argparse but that pstream refuses: stats printed two lines
-# before it refused, and an envelope width whose square underflows wrote NaN
-# (g2 from fig4, the envelope column from simulate) and exited 0
+# before it refused, an envelope width whose square underflows wrote NaN
+# (g2 from fig4, the envelope column from simulate) and exited 0, and a
+# config whose values only scan point 0 refused left an empty --out behind
 REFUSED_VALUES = {
     "stats_mean_negative": (["stats", "--mean", "-1"], "mean must be >= 0, got -1.0"),
     "fig4_leff_square_underflows": (
         ["fig4", "--v", "1", "--leff", "1e-300", "--out", "{out}/curves.csv"],
         "l_eff must be > 0 with a square that does not underflow, got 1e-300",
     ),
+    "fig4_visibility_above_one": (
+        ["fig4", "--v", "2", "--leff", "2e-6", "--out", "{out}/curves.csv"],
+        "visibility must lie in [0, 1]",
+    ),
     "simulate_coherence_length_square_underflows": (
         ["simulate", "--config", "{config}", "--out", "{out}"],
-        "scan point 0: l_eff must be > 0 with a square that does not underflow, got 1e-300",
+        "optics: effective_coherence_length must be > 0 with a square that does not underflow,"
+        " got 1e-300",
     ),
+    "simulate_step_shorter_than_slot": (
+        ["simulate", "--config", "{config}", "--out", "{out}"],
+        "<root>: ccm.step 1e-08 s is shorter than one 2.2e-08 s slot",
+    ),
+    "simulate_seed_negative": (
+        ["simulate", "--config", "{config}", "--out", "{out}", "--seed", "-1"],
+        "seed must lie in [0, 2**64), got -1",
+    ),
+    "simulate_seed_too_large": (
+        ["simulate", "--config", "{config}", "--out", "{out}", "--seed", str(2**64)],
+        f"seed must lie in [0, 2**64), got {2**64}",
+    ),
+}
+# the sections that the simulate cases above replace in TINY_CONFIG
+REFUSED_CONFIGS = {
+    "simulate_coherence_length_square_underflows": {
+        "optics": {"effective_coherence_length": 1e-300},
+        "scan": dict(TINY_CONFIG["scan"], asymmetric_walkoff=True),
+    },
+    "simulate_step_shorter_than_slot": {"ccm": {"step": 1e-8}},
 }
 
 
 @pytest.mark.parametrize("name", sorted(REFUSED_VALUES))
-def test_refused_value_exits_2_before_any_output(name, tmp_path, capsys):
+def test_refused_value_exits_2_before_any_output(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     argv, message = REFUSED_VALUES[name]
     config = tmp_path / "cfg.json"
-    doc = dict(TINY_CONFIG, optics={"effective_coherence_length": 1e-300})
-    config.write_text(json.dumps(dict(doc, scan=dict(doc["scan"], asymmetric_walkoff=True))))
-    out = tmp_path / "out"
+    config.write_text(json.dumps(dict(TINY_CONFIG, **REFUSED_CONFIGS.get(name, {}))))
+    out = tmp_path / "out" / "deep"
     argv = [arg.format(config=config, out=out) for arg in argv]
     assert run_cli(*argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"configuration error: {message}\n"
-    assert not any(out.glob("*.csv"))
+    assert not (tmp_path / "out").exists()
 
 
 # each value was taken as given: a ValueError traceback, exit 3 for a
@@ -388,72 +541,6 @@ def test_integer_flags_accept_their_lower_bounds():
     assert args.workers == 1
 
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-# flags of the scripts in scripts/ that used to end in a traceback, or, for
-# --v nan, write NaN curves and exit 0; argparse now stops each before any work
-BAD_SCRIPT_FLAGS = {
-    "reference_v_nan": ("make_reference_curves.py", "--v", "nan"),
-    "reference_leff_zero": ("make_reference_curves.py", "--leff", "0"),
-    "reference_span_zero": ("make_reference_curves.py", "--span", "0"),
-    "reference_points_one": ("make_reference_curves.py", "--points", "1"),
-    "reference_points_negative": ("make_reference_curves.py", "--points", "-3"),
-    "coincidence_workers_zero": ("run_coincidence_scan.py", "--workers", "0"),
-    "walkoff_workers_zero": ("run_walkoff_scan.py", "--workers", "0"),
-}
-
-
-@pytest.mark.parametrize("name", sorted(BAD_SCRIPT_FLAGS))
-def test_script_rejects_bad_flag(name, tmp_path):
-    script, flag, value = BAD_SCRIPT_FLAGS[name]
-    out = tmp_path / "out"
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / script), flag, value, "--out", str(out)],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 2
-    assert f"argument {flag}: '{value}'" in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert not out.exists()
-
-
-# values that pass argparse but that pstream refuses: each script used to end
-# in a traceback with exit 1 where the CLI exits 2 with one line
-SCRIPT_ERRORS = {
-    "reference_visibility_above_one": (
-        ["make_reference_curves.py", "--v", "2"],
-        "visibility must lie in [0, 1]",
-    ),
-    "coincidence_seed_negative": (
-        ["run_coincidence_scan.py", "--seed", "-1"],
-        "seed must lie in [0, 2**64), got -1",
-    ),
-    "walkoff_seed_too_large": (
-        ["run_walkoff_scan.py", "--seed", str(2**64)],
-        f"seed must lie in [0, 2**64), got {2**64}",
-    ),
-}
-
-
-@pytest.mark.parametrize("name", sorted(SCRIPT_ERRORS))
-def test_script_maps_error_to_exit_code(name, tmp_path):
-    (script, *argv), message = SCRIPT_ERRORS[name]
-    out = tmp_path / "out"
-    target = out / "curves.csv" if script == "make_reference_curves.py" else out
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / script), *argv, "--out", str(target)],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("configuration error: ") and message in proc.stderr
-    assert proc.stderr.count("\n") == 1
-    assert "Traceback" not in proc.stderr
-    assert not out.exists()
-
-
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
@@ -463,3 +550,27 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "pstream" in proc.stdout
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> list[str]:
+    """Every line of a README code block that runs ``pstream``."""
+    blocks = re.findall(r"^```[a-z]*\n(.*?)^```", README.read_text(), re.M | re.S)
+    lines = (line.strip() for block in blocks for line in block.splitlines())
+    return [line for line in lines if line.startswith("pstream ")]
+
+
+def test_readme_commands_parse():
+    """README's commands name only subcommands and flags that pstream takes
+    (each line is parsed, not run), cover every subcommand, and no script."""
+    commands = set()
+    for line in readme_commands():
+        try:
+            args = build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"pstream does not take this README command: {line}")
+        commands.add(args.command)
+    assert commands == {"simulate", "analyze", "fig4", "stats", "ingest"}
+    assert "scripts/" not in README.read_text()

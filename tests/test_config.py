@@ -145,9 +145,17 @@ PROBES = {
     "accumulation_bin_removed": {"ccm": {"accumulation_bin": 1.0}},
     # 30 ns pulses 22 ns apart overlap; this used to exit 3 at scan point 0
     "pulse_longer_than_dead_time": {"detectors": {"pulse_duration": 30e-9}},
+    # the envelope divides by the width squared; scan point 0 used to refuse 0/0
+    "coherence_length_square_underflows": {"optics": {"laser_coherence_length": 1e-300}},
+    # a 10 ns step holds no 22 ns slot; scan point 0 used to refuse it
+    "step_shorter_than_slot": {"ccm": {"step": 1e-8}},
 }
 # what the message must name, beyond "configuration error"
-PROBE_MESSAGES = {"accumulation_bin_removed": "unknown key at ccm.accumulation_bin"}
+PROBE_MESSAGES = {
+    "accumulation_bin_removed": "unknown key at ccm.accumulation_bin",
+    "coherence_length_square_underflows": "laser_coherence_length must be > 0 with a square",
+    "step_shorter_than_slot": "ccm.step 1e-08 s is shorter than one 2.2e-08 s slot",
+}
 
 
 def probe_document(probe: dict) -> dict:

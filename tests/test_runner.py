@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from pstream import runner
-from pstream.coincidence import coincide
+from pstream.coincidence import CcmConfig, coincide
 from pstream.config import ExperimentConfig, ScanConfig
 from pstream.detection import detect_bin
 from pstream.errors import ConfigError, DataError
 from pstream.interferometer import OpticalState, envelope
 from pstream.seeding import derive_seed
-from pstream.source import sample_batch
+from pstream.source import SourceConfig, sample_batch
 from pstream.runner import (
     Fig4Curves,
     ScanPoint,
@@ -129,6 +129,26 @@ class TestRunScanPhysics:
         with pytest.raises(DataError, match="scan point 0: detector fault"):
             run_scan(small_config(n_points=4))
 
+    @pytest.mark.parametrize("slot,step", [(125 * 1e-9, 0.1), (128e-9, 1.0)])
+    def test_slots_fill_the_step(self, slot, step, monkeypatch):
+        # step / slot in float is 799999.99... for a 125 ns slot computed as
+        # 125 * 1e-9 and 7812499.99... for 128e-9 in 1 s, which int() cut one slot short
+        lengths = set()
+
+        def recording_detect_bin(*args, **kwargs):
+            trains = detect_bin(*args, **kwargs)
+            lengths.update(train.bin_length for train in trains)
+            return trains
+
+        monkeypatch.setattr(runner, "detect_bin", recording_detect_bin)
+        cfg = dataclasses.replace(
+            small_config(n_points=2, seconds=step),
+            source=SourceConfig(dead_time=slot, mean_photon_override=0.012),
+            ccm=CcmConfig(step=step),
+        )
+        run_scan(cfg)
+        assert lengths == {round(step * 10**12)}
+
     def test_jitter_perturbs_ramp_deterministically(self):
         plain = run_scan(small_config(n_points=8, seconds=0.2))
         wobbly1 = run_scan(small_config(n_points=8, seconds=0.2, jitter_volts=0.5))
@@ -146,7 +166,7 @@ class TestScanCsv:
 
     def test_empty_result_writes_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        export_scan_csv(ScanResult(points=[], config={}), path)
+        export_scan_csv(ScanResult(points=[], config=ExperimentConfig()), path)
         assert path.read_text() == "point,voltage_V,x_m,phase_rad,envelope,N_A,N_B,N_c\n"
         assert read_scan_csv(path) == []
 
@@ -156,7 +176,7 @@ class TestScanCsv:
             ScanPoint(1, 100.0, 4e-6, 39.7, 1.0, 12, 13, 2),
         ]
         path = tmp_path / "two.csv"
-        export_scan_csv(ScanResult(points=points, config={}), path)
+        export_scan_csv(ScanResult(points=points, config=ExperimentConfig()), path)
         assert len(path.read_text().splitlines()) == 3
 
     def test_wrong_header_rejected(self, tmp_path):
@@ -225,19 +245,19 @@ def synthetic_scan(contrast, counts_scale=3e5):
         )
         for i in range(316)
     ]
-    return ScanResult(points=points, config={})
+    return ScanResult(points=points, config=ExperimentConfig())
 
 
 class TestClassicalityFlags:
     def test_high_contrast_sets_both_flags(self):
-        report = build_report(synthetic_scan(0.9))
+        report = build_report(synthetic_scan(0.9), dead_time=22e-9)
         assert report.visibility_above_classical is True
         assert report.g2_below_classical is True
 
     def test_low_contrast_clears_both_flags(self):
         # visibility 0.6 sits under the 0.7071 bound and leaves the
         # coincidence min/max ratio 1 - 0.36 = 0.64 above the 0.5 bound
-        report = build_report(synthetic_scan(0.6))
+        report = build_report(synthetic_scan(0.6), dead_time=22e-9)
         assert report.visibility_a == pytest.approx(0.6, abs=0.01)
         assert report.visibility_above_classical is False
         assert report.g2_ratio_min_over_max == pytest.approx(0.64, abs=0.02)
@@ -248,7 +268,7 @@ class TestBuildReport:
     def test_report_fields_and_flags(self):
         cfg = small_config(n_points=120, seconds=0.5, seed=10)
         result = run_scan(cfg, workers=2)
-        report = build_report(result, accumulation=0.5)
+        report = build_report(result, dead_time=cfg.source.dead_time)
         assert 0.80 < max(report.visibility_a, report.visibility_b) < 0.95
         assert report.visibility_above_classical is True
         assert report.g2_below_classical is True
