@@ -541,6 +541,42 @@ def test_integer_flags_accept_their_lower_bounds():
     assert args.workers == 1
 
 
+# the README workflows run as the pstream console script: the reference curves
+# (fig4), the coincidence scan and the walk-off scan (simulate); each bad
+# integer flag must stop the whole process with a usage error before any output
+WORKFLOW_ARGV = {
+    "reference": ["fig4", "--v", "1.0", "--leff", "2e-6", "--out", "{out}/curves.csv"],
+    "coincidence": ["simulate", "--config", "{config}", "--out", "{out}"],
+    "walkoff": ["simulate", "--config", "{config}", "--out", "{out}"],
+}
+BAD_SCRIPT_FLAGS = {
+    "reference_points_one": ("reference", "--points", "1"),
+    "reference_points_negative": ("reference", "--points", "-3"),
+    "coincidence_workers_zero": ("coincidence", "--workers", "0"),
+    "walkoff_workers_zero": ("walkoff", "--workers", "0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SCRIPT_FLAGS))
+def test_script_rejects_bad_flag(name, tmp_path):
+    workflow, flag, value = BAD_SCRIPT_FLAGS[name]
+    config = tmp_path / "cfg.json"
+    scan = dict(TINY_CONFIG["scan"], asymmetric_walkoff=workflow == "walkoff")
+    config.write_text(json.dumps(dict(TINY_CONFIG, scan=scan)))
+    out = tmp_path / "out"
+    argv = [arg.format(config=config, out=out) for arg in WORKFLOW_ARGV[workflow]]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pstream.cli", *argv, flag, value],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert f"argument {flag}: '{value}'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
