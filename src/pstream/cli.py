@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import averaged_g2
-from .config import load_config, config_to_dict
+from .config import config_to_dict, load_config, seed_override
 from .errors import ConfigError, DataError, DomainError, NumericalError
 from .runner import (
     analytic_fig4,
@@ -47,7 +47,7 @@ EXIT_NUMERICAL = 4
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config, seed_override=args.seed)
+    cfg = load_config(args.config, seed_override=seed_override(args.seed))
     result = run_scan(cfg, workers=args.workers)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -17,8 +17,9 @@ match its field's annotation: a bool takes only true/false, an int an integer
 Times are in seconds, and those used as picoseconds must round to >= 1 ps.
 Cross-field rules (counter steps tile the dwell and hold at least one
 slot; the power chain gives an occupancy below 1) are checked when the
-config is built.  The PSTREAM_SEED environment variable overrides the
-config seed; an explicit CLI flag wins over both.
+config is built.  For a new run, the PSTREAM_SEED environment variable
+overrides the config seed and an explicit CLI flag wins over both
+(``seed_override``); reading a run back keeps the seed it recorded.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def load_config(path: str | Path, seed_override: int | None = None) -> ExperimentConfig:
-    """Load a JSON config file, applying seed precedence: flag > env > file."""
+    """Load a JSON config file; ``seed_override``, when given, replaces its seed."""
     path = Path(path)
     try:
         data = json.loads(path.read_text())
@@ -173,13 +174,19 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     cfg = config_from_dict(data)
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if seed_override is None and env_seed is not None:
-        try:
-            seed_override = int(env_seed)
-        except ValueError as exc:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from exc
     return cfg if seed_override is None else cfg.with_seed(seed_override)
+
+
+def seed_override(flag: int | None) -> int | None:
+    """The seed a new run puts in place of its config's: ``flag`` if given,
+    else PSTREAM_SEED if set, else None (flag > env > file)."""
+    env_seed = os.environ.get(SEED_ENV_VAR)
+    if flag is not None or env_seed is None:
+        return flag
+    try:
+        return int(env_seed)
+    except ValueError as exc:
+        raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from exc
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

@@ -2,18 +2,17 @@
 
 Optical detection slots become timestamped electrical pulses, one train per
 detector, given as a (D1, D2) pair.  All pulse times are integer
-picoseconds: arrival times are quantized to the module's resolving-time grid,
-a non-paralyzable dead-time filter drops events that follow a kept event too
-closely, and each surviving event becomes one fixed-shape pulse.  Dark counts
+picoseconds: a non-paralyzable dead-time filter drops events that follow a
+kept event too closely, the survivors are quantized to the module's
+resolving-time grid, and each becomes one fixed-shape pulse.  Dark counts
 are merged with photon events before filtering since they trigger the same
 avalanche electronics.  Configured times in seconds become picoseconds in one
 function, ``seconds_to_ps``.
 
-The occupied slots of a step are drawn as an ascending array of candidate
-slots plus, for each draw, its rank in that array (``DistinctSlots``).  The
-routing draws are scattered onto the candidates by rank, so each channel's
-photon times come out of the ascending array already sorted: a channel needs
-no sort, only the insertion of its few doubled photons and dark counts.
+The occupied slots of a step are drawn as one ascending array, and every
+per-photon draw runs over that array in slot order, so each channel's photon
+times come out already sorted: a channel needs no sort, only the insertion of
+its few doubled photons and dark counts.
 """
 
 from __future__ import annotations
@@ -51,7 +50,8 @@ class DetectorConfig:
 
     ``dead_time_ps``, ``pulse_duration_ps`` and ``resolving_time_ps`` hold the
     same times as int picoseconds, converted once when the config is built.
-    A pulse may not outlast the dead time, so one channel's pulses never overlap.
+    A pulse may not outlast the dead time, and the resolving-time grid may not
+    be coarser than it, so quantizing never merges two kept events.
     """
 
     dead_time: float = 22e-9
@@ -67,6 +67,10 @@ class DetectorConfig:
             raise ConfigError(
                 f"pulse_duration {self.pulse_duration} s exceeds dead_time {self.dead_time} s"
             )
+        if self.resolving_time_ps > self.dead_time_ps:
+            raise ConfigError(
+                f"resolving_time {self.resolving_time} s exceeds dead_time {self.dead_time} s"
+            )
         if self.dark_rate < 0:
             raise ConfigError("dark_rate must be >= 0")
         if not 0.0 <= self.efficiency <= 1.0:
@@ -79,8 +83,8 @@ class PulseTrain:
 
     ``starts`` are int64 picoseconds and ``duration`` is int picoseconds.
     Invariants: starts strictly increasing with consecutive gaps >= ``min_gap``
-    (the generating detector's dead time), and every pulse contained in
-    [0, bin_length).  Construction checks them once.
+    (for a detector's train, its dead time less one resolving-time step), and
+    every pulse contained in [0, bin_length).  Construction checks them once.
     """
 
     starts: np.ndarray
@@ -110,7 +114,7 @@ class PulseTrain:
                 raise ContractError("pulse starts must be strictly increasing")
             if gap < self.min_gap:
                 raise ContractError(
-                    f"consecutive pulse starts closer than the dead time ({self.min_gap} ps)"
+                    f"consecutive pulse starts closer than the minimum gap ({self.min_gap} ps)"
                 )
         if starts[0] < 0 or starts[-1] + self.duration > self.bin_length:
             raise ContractError("pulses must lie within [0, bin_length)")
@@ -188,58 +192,64 @@ def dead_time_filter(events: np.ndarray, t_d) -> np.ndarray:
 
 
 def shape_pulses(events: np.ndarray, cfg: DetectorConfig, bin_length: int) -> PulseTrain:
-    """One fixed-duration pulse per dead-time-filtered event time (int ps).
+    """One fixed-duration pulse per dead-time-filtered, quantized event time (int ps).
 
-    Events closer than the dead time, or pulses outside [0, ``bin_length``),
-    raise a contract error via the train invariants; no pulse outlasts the
-    dead time, so pulses of one train never overlap.
+    Two events kept one dead time apart can round to the resolving-time grid
+    up to one grid step closer, so the train's ``min_gap`` is the dead time
+    less one step.  Closer events, or pulses outside [0, ``bin_length``),
+    raise a contract error via the train invariants.
     """
-    return PulseTrain(events, cfg.pulse_duration_ps, bin_length, min_gap=cfg.dead_time_ps)
+    min_gap = cfg.dead_time_ps - cfg.resolving_time_ps
+    return PulseTrain(events, cfg.pulse_duration_ps, bin_length, min_gap=min_gap)
 
 
-@dataclass(frozen=True)
-class DistinctSlots:
-    """Distinct slots in draw order, held as ascending candidates and ranks.
+def sample_distinct_slots(rng: np.random.Generator, n_slots: int, k: int) -> np.ndarray:
+    """``k`` distinct slot indices drawn uniformly from range(n_slots), ascending.
 
-    Draw ``i`` took slot ``candidates[rank[i]]``.  ``candidates`` may hold
-    more slots than were drawn, and is int32 when every slot index fits;
-    ``len`` is the number drawn.
+    Each round draws the slots still missing, scaled by ``n/(n - k)`` so that
+    draws landing on taken slots are made up, plus a margin; the draws are
+    sorted and deduplicated, those already held dropped, and a uniform subset
+    of any surplus discarded.  Every value is equally likely in every draw, so
+    the result is a uniform k-subset (Vitter, ACM TOMS 13(1), 1987).  When
+    ``k > n/2`` the ``n - k`` empty slots are drawn instead, so no fill walks
+    a coupon-collector tail.  O(k) memory below half occupancy.  Slot indices
+    below 2**31 are int32, which sorts in half the time.
     """
-
-    candidates: np.ndarray
-    rank: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.rank.size)
-
-
-def sample_distinct_slots(rng: np.random.Generator, n_slots: int, k: int) -> DistinctSlots:
-    """``k`` distinct slot indices drawn uniformly from range(n_slots), in random order.
-
-    Rejection fill: oversample with replacement, deduplicate, top up, then
-    permute so that slicing the draws does not correlate with slot position.
-    O(k) memory regardless of n_slots.  Deduplication sorts and drops each
-    value equal to its predecessor, which gives the same sorted array as
-    ``np.unique``; numpy 2's ``np.unique`` hashes integers and runs over 20 times
-    slower than the sort on the ~58k draws of a 100 ms step.  The permutation
-    is of the ranks, which consumes the generator exactly as permuting the
-    sorted array would and leaves that array sorted for the caller.
-    """
+    n_slots, k = int(n_slots), int(k)
     if k > n_slots:
         raise DomainError(f"cannot place {k} events in {n_slots} slots")
-    dtype = np.int32 if n_slots <= 2**31 else np.int64  # int32 sorts in half the time
-    if k == 0:
-        return DistinctSlots(np.empty(0, dtype=dtype), np.empty(0, dtype=np.int64))
-    draws = rng.integers(0, n_slots, size=k + k // 16 + 16, dtype=np.int64)
-    chosen = _sorted_distinct(draws.astype(dtype))
-    while chosen.size < k:
-        extra = rng.integers(0, n_slots, size=(k - chosen.size) * 2 + 16, dtype=np.int64)
-        chosen = _sorted_distinct(np.concatenate([chosen, extra.astype(dtype)]))
-    return DistinctSlots(chosen, rng.permutation(chosen.size)[:k])
+    dtype = np.int32 if n_slots <= 2**31 else np.int64
+    if 2 * k > n_slots:
+        free = np.ones(n_slots, dtype=bool)
+        free[_sorted_subset(rng, n_slots, n_slots - k, dtype)] = False
+        return np.flatnonzero(free).astype(dtype)
+    return _sorted_subset(rng, n_slots, k, dtype)
+
+
+def _sorted_subset(rng: np.random.Generator, n: int, k: int, dtype) -> np.ndarray:
+    """The rounds of ``sample_distinct_slots`` for ``k <= n/2``."""
+    held = np.empty(0, dtype=dtype)
+    while held.size < k:
+        missing = k - held.size
+        size = -(-missing * n // (n - k)) + 16
+        new = _sorted_distinct(rng.integers(0, n, size=size, dtype=dtype))
+        if held.size:
+            new = new[held.take(np.searchsorted(held, new), mode="clip") != new]
+        surplus = held.size + new.size - k
+        if surplus > 0:
+            keep = np.ones(new.size, dtype=bool)
+            keep[rng.choice(new.size, surplus, replace=False, shuffle=False)] = False
+            new = new[keep]
+        held = np.sort(np.concatenate([held, new])) if held.size else new
+    return held
 
 
 def _sorted_distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values of a non-empty 1-d array, ascending; sorts ``values`` in place."""
+    """The distinct values of a non-empty 1-d array, ascending; sorts ``values`` in place.
+
+    Gives the same array as ``np.unique``, which in numpy 2 hashes integers
+    and runs many times slower than the sort on a step's ~54k draws.
+    """
     values.sort()
     keep = np.empty(values.size, dtype=bool)
     keep[0] = True
@@ -266,20 +276,21 @@ def detect_bin(
 
     ``detectors`` is the (D1, D2) pair; ``batch`` fills slots ``slot_width`` s wide.
 
-    Occupied slots are placed collision-free at uniformly random slot
-    positions; each single photon is routed to D1 with the state's port
-    probability, each pair (and each higher-order slot, treated as a pair) as
-    two independently routed photons sharing one arrival time.  Survivors of
-    the per-channel efficiency draw are merged with dark events, quantized to
-    the resolving-time grid, dead-time filtered and shaped into pulses.
+    The batch's occupied slots are placed collision-free at uniformly random
+    slot positions, and a uniform subset of them holds pairs (each
+    higher-order slot is treated as a pair).  Every slot's first photon is
+    routed to D1 with the state's port probability, and each pair's second
+    photon independently, sharing its slot's arrival time.  Each photon on a
+    channel survives that channel's efficiency draw independently.  The
+    survivors are merged with dark events, dead-time filtered on their true
+    times, quantized to the resolving-time grid and shaped into pulses.
     Deterministic per seed.
 
-    Routing is by sorted rank: the draws mark, on the ascending candidate
-    slots, which ones send a photon to each channel, so a channel's times are
-    taken in ascending order.  A pair with both photons on one channel adds a
-    second, equal time; it and the dark counts are inserted by
-    ``searchsorted``.  The efficiency draw runs over a channel's photons in
-    the order singles, pair-first, pair-second, as drawn.
+    Every draw runs over the ascending slots in slot order: first-photon
+    routing and thinning over all k slots, second-photon routing and thinning
+    over the pair slots.  So a channel's photon times are taken in ascending
+    order; a pair with both photons on one channel adds a second, equal time,
+    which is inserted with the dark counts by ``searchsorted``.
     """
     slot_ps = seconds_to_ps(slot_width, "slot_width")
     bin_length = batch.slots_per_bin * slot_ps
@@ -287,41 +298,29 @@ def detect_bin(
     rng = np.random.default_rng(derive_seed(seed, 0))
     p_d1 = optics.d1_probability()
 
-    n_s = batch.n_single_slots
     n_p = batch.n_pair_slots + batch.n_higher_slots
-    drawn = sample_distinct_slots(rng, batch.slots_per_bin, n_s + n_p)
-    candidates = drawn.candidates
-    single, pair = drawn.rank[:n_s], drawn.rank[n_s:]
-
-    to_d1 = rng.random(n_s) < p_d1
-    pair_first = rng.random(n_p) < p_d1
-    pair_second = rng.random(n_p) < p_d1
-    routes = [(to_d1, pair_first, pair_second), (~to_d1, ~pair_first, ~pair_second)]
-    # per candidate: bit 0 set when a photon goes to D1, bit 1 when one goes to D2
-    route = np.zeros(candidates.size, dtype=np.uint8)
-    route[single] = 2 - to_d1.view(np.uint8)
-    route[pair] = (pair_first | pair_second) + 2 * ~(pair_first & pair_second)
+    slots = sample_distinct_slots(rng, batch.slots_per_bin, batch.n_occupied)
+    pair = np.sort(rng.choice(slots.size, n_p, replace=False, shuffle=False))
+    first = rng.random(slots.size) < p_d1
+    second = rng.random(n_p) < p_d1
 
     trains = []
     for lane, det in enumerate(detectors):
-        single_hit, first_hit, second_hit = routes[lane]
+        first_hit, second_hit = (first, second) if lane == 0 else (~first, ~second)
         if det.efficiency < 1.0:
-            ranks = np.concatenate([single[single_hit], pair[first_hit], pair[second_hit]])
-            ranks = ranks[rng.random(ranks.size) < det.efficiency]
-            photons = np.bincount(ranks, minlength=candidates.size)
-            hit = photons > 0
-            doubled = np.flatnonzero(photons > 1)
-        else:
-            hit = (route >> lane & 1).view(bool)
-            doubled = np.sort(pair[first_hit & second_hit])
-        t = np.multiply(candidates.take(np.flatnonzero(hit)), slot_ps, dtype=np.int64)
+            first_hit = first_hit & (rng.random(slots.size) < det.efficiency)
+            second_hit = second_hit & (rng.random(n_p) < det.efficiency)
+        hit = first_hit.copy()
+        hit[pair[second_hit]] = True
+        doubled = pair[second_hit & first_hit[pair]]
+        # take by index: a boolean index over a random mask runs 5x slower
+        t = np.multiply(slots.take(np.flatnonzero(hit)), slot_ps, dtype=np.int64)
         dark = generate_dark_events(det.dark_rate, bin_length, derive_seed(seed, 1 + lane))
-        doubled_ps = np.multiply(candidates.take(doubled), slot_ps, dtype=np.int64)
+        doubled_ps = np.multiply(slots.take(doubled), slot_ps, dtype=np.int64)
         extra = np.sort(np.concatenate([doubled_ps, dark]))
         t = np.insert(t, np.searchsorted(t, extra), extra)
-        t = _quantize(t, det.resolving_time_ps)
+        t = _quantize(dead_time_filter(t, det.dead_time_ps), det.resolving_time_ps)
         # rounding can push a boundary event past the bin; the pulse must fit
         t = t[: np.searchsorted(t, bin_length - det.pulse_duration_ps, side="right")]
-        t = dead_time_filter(t, det.dead_time_ps)
         trains.append(shape_pulses(t, det, bin_length))
     return trains[0], trains[1]

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pstream import cli
 from pstream.cli import build_parser, main
 from pstream.config import SEED_ENV_VAR
 from pstream.detection import PulseTrain
@@ -66,6 +67,11 @@ class TestSimulate:
         assert outs[0] == outs[1] == outs[2]
 
     def test_seed_flag_beats_env(self, config_path, tmp_path, monkeypatch):
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        out_file = tmp_path / "file"
+        run_cli("simulate", "--config", str(config_path), "--out", str(out_file))
+        assert json.loads((out_file / "config.json").read_text())["scan"]["seed"] == 31415
+
         monkeypatch.setenv(SEED_ENV_VAR, "1111")
         out_env = tmp_path / "env"
         run_cli("simulate", "--config", str(config_path), "--out", str(out_env))
@@ -76,6 +82,15 @@ class TestSimulate:
             "simulate", "--config", str(config_path), "--out", str(out_flag), "--seed", "2222"
         )
         assert json.loads((out_flag / "config.json").read_text())["scan"]["seed"] == 2222
+
+    def test_bad_env_seed_exits_2(self, config_path, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(SEED_ENV_VAR, "abc")
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", str(config_path), "--out", str(out)) == 2
+        assert "PSTREAM_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+        assert not out.exists()
+        # an explicit flag makes the environment irrelevant
+        assert run_cli("simulate", "--config", str(config_path), "--out", str(out), "--seed", "3") == 0
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -107,9 +122,9 @@ STRESSED = {
 # SHA-256 of scan.csv for each committed config cut to 16 points x 0.1 s,
 # and for the coherent one with the STRESSED overrides
 SCAN_DIGESTS = {
-    "coincidence_scan.json": "edceb3108b48f7c5fd3c90e3d8cd73b2193361e6dc10f0893d1d3efbab8ecacc",
-    "walkoff_scan.json": "6184283667b6346558ca8077abcf68fb15bbe730bbe1ae754826b6d9499e78dc",
-    "coincidence_scan.json, stressed": "f408f092ed1c13a01a6d4d74058344e85570351fd72c3beda0d8229aa603a4f6",
+    "coincidence_scan.json": "0e055df501c22625da40f8097a796e9fb77c4bf16c7eea20914b2638131fd34e",
+    "walkoff_scan.json": "1fefbd70f12138c548ea719f11a48f91bc3256371b27b4ff50351bea30df2896",
+    "coincidence_scan.json, stressed": "dda981a4ab3ae97a768d9991ae64ba5e177fe2d6a548774f92662b20cb47e9f2",
 }
 
 
@@ -120,8 +135,9 @@ def test_committed_config_scan_bytes_pinned(name, workers, tmp_path, monkeypatch
 
     A change that only speeds the program up leaves every random draw and
     every count as it was, so these digests hold.  A change of the random
-    streams, such as the planned fused slot-occupancy sampler, is expected to
-    change them once; such a change records the new digests with its reason.
+    streams changes them once and records the new digests with its reason;
+    the last was the occupied slots drawn already sorted, with the dead time
+    applied before quantizing.
     """
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     config_file, _, variant = name.partition(", ")
@@ -176,13 +192,34 @@ class TestAnalyze:
         report = dict(line.split(",") for line in text[1:])
         assert "visibility_A" in report and "g2_ratio_min_over_max" in report
         # read with the run's 0.5 s dwell; the former 1 s default of --bin-seconds
-        # gave mean_photon 0.005967674625 and g2_rate 2.708867043847409
-        assert float(report["mean_photon"]) == 0.01193534925
-        assert float(report["g2_rate"]) == 1.3544335219237045
+        # halved mean_photon and doubled g2_rate
+        assert float(report["mean_photon"]) == 0.011949551899999999
+        assert float(report["g2_rate"]) == 1.3623739025967743
         assert "visibility_A" in capsys.readouterr().out
         g2 = (run / "g2.csv").read_text().splitlines()
         assert g2[0] == "x_m,envelope,g2"
         assert len(g2) == 81
+
+    @pytest.mark.parametrize("env_seed", ["abc", "2222"])
+    def test_env_seed_ignored(self, env_seed, analyze_run, tmp_path, monkeypatch):
+        # the report reads the run as simulate recorded it, seed included
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        clean = copy_run(analyze_run, tmp_path / "clean")
+        assert run_cli("analyze", "--run", str(clean)) == 0
+        seeds = []
+        build_report = cli.build_report
+
+        def recording_build_report(result, dead_time):
+            seeds.append(result.config.scan.seed)
+            return build_report(result, dead_time)
+
+        monkeypatch.setattr(cli, "build_report", recording_build_report)
+        monkeypatch.setenv(SEED_ENV_VAR, env_seed)
+        run = copy_run(analyze_run, tmp_path / "run")
+        assert run_cli("analyze", "--run", str(run)) == 0
+        assert seeds == [999]
+        for name in ("report.csv", "g2.csv"):
+            assert (run / name).read_bytes() == (clean / name).read_bytes()
 
     @pytest.mark.parametrize("flag", ["--scan", "--out", "--dead-time", "--delta-t", "--bin-seconds"])
     def test_takes_no_parameter_of_the_run(self, flag, capsys):

@@ -14,6 +14,7 @@ from pstream.config import (
     config_from_dict,
     config_to_dict,
     load_config,
+    seed_override,
 )
 from pstream.errors import ConfigError
 
@@ -76,23 +77,31 @@ class TestConfigFromDict:
 
 class TestLoadConfig:
     def test_load_and_seed_precedence(self, tmp_path, monkeypatch):
+        # loading keeps the file's seed whatever PSTREAM_SEED says, so a run
+        # read back keeps the seed it recorded; only an explicit override wins
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(GOOD))
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
         assert load_config(path).scan.seed == 99
+        assert seed_override(None) is None
 
         monkeypatch.setenv(SEED_ENV_VAR, "1234")
-        assert load_config(path).scan.seed == 1234
+        assert load_config(path).scan.seed == 99
+        assert load_config(path, seed_override=seed_override(None)).scan.seed == 1234
 
         # an explicit flag wins over the environment
+        assert seed_override(777) == 777
         assert load_config(path, seed_override=777).scan.seed == 777
 
     def test_bad_env_seed(self, tmp_path, monkeypatch):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(GOOD))
         monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
-        with pytest.raises(ConfigError):
-            load_config(path)
+        assert load_config(path).scan.seed == 99
+        with pytest.raises(ConfigError, match="PSTREAM_SEED must be an integer"):
+            seed_override(None)
+        # a flag makes the environment irrelevant
+        assert seed_override(5) == 5
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -145,6 +154,9 @@ PROBES = {
     "accumulation_bin_removed": {"ccm": {"accumulation_bin": 1.0}},
     # 30 ns pulses 22 ns apart overlap; this used to exit 3 at scan point 0
     "pulse_longer_than_dead_time": {"detectors": {"pulse_duration": 30e-9}},
+    # timestamps are quantized after the dead-time filter, so a grid coarser
+    # than the dead time could round two kept events onto one time
+    "resolving_time_over_dead_time": {"detectors": [{}, {"resolving_time": 30e-9}]},
     # the envelope divides by the width squared; scan point 0 used to refuse 0/0
     "coherence_length_square_underflows": {"optics": {"laser_coherence_length": 1e-300}},
     # a 10 ns step holds no 22 ns slot; scan point 0 used to refuse it
@@ -155,6 +167,7 @@ PROBE_MESSAGES = {
     "accumulation_bin_removed": "unknown key at ccm.accumulation_bin",
     "coherence_length_square_underflows": "laser_coherence_length must be > 0 with a square",
     "step_shorter_than_slot": "ccm.step 1e-08 s is shorter than one 2.2e-08 s slot",
+    "resolving_time_over_dead_time": "resolving_time 3e-08 s exceeds dead_time 2.2e-08 s",
 }
 
 
@@ -226,7 +239,7 @@ def test_seed_outside_64_bits_exits_2(route, seed, tmp_path, monkeypatch, capsys
 @pytest.mark.parametrize("route", SEED_ROUTES)
 def test_seed_range_ends_accepted(route, seed, tmp_path, monkeypatch):
     path, flag = seed_route(route, seed, tmp_path, monkeypatch)
-    assert load_config(path, seed_override=flag).scan.seed == seed
+    assert load_config(path, seed_override=seed_override(flag)).scan.seed == seed
 
 
 # ---------------------------------------------------------------- fuzzing

@@ -1,4 +1,5 @@
 import math
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -218,7 +219,7 @@ def reference_validate(train):
         raise ContractError("pulse starts must be strictly increasing")
     if train.min_gap and np.any(gaps < train.min_gap):
         raise ContractError(
-            f"consecutive pulse starts closer than the dead time ({train.min_gap} ps)"
+            f"consecutive pulse starts closer than the minimum gap ({train.min_gap} ps)"
         )
     if starts[0] < 0 or np.any(starts + train.duration > train.bin_length):
         raise ContractError("pulses must lie within [0, bin_length)")
@@ -268,29 +269,32 @@ class TestPulseTrain:
 
 
 class TestSampleDistinctSlots:
-    @given(st.integers(min_value=0, max_value=400), st.integers(min_value=0, max_value=2**32))
+    @given(
+        st.integers(min_value=1, max_value=500).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=n))
+        ),
+        st.integers(min_value=0, max_value=2**32),
+    )
     @settings(max_examples=100)
-    def test_distinct_and_in_range(self, k, seed):
-        rng = np.random.default_rng(seed)
-        drawn = sample_distinct_slots(rng, 500, k)
-        assert len(drawn) == k
-        assert np.all(np.diff(drawn.candidates) > 0)
-        slots = drawn.candidates[drawn.rank]
-        assert slots.size == k
-        assert np.unique(slots).size == k
+    def test_distinct_and_in_range(self, n_k, seed):
+        n_slots, k = n_k
+        slots = sample_distinct_slots(np.random.default_rng(seed), n_slots, k)
+        assert len(slots) == slots.size == k
+        assert slots.dtype == np.int32
+        assert np.all(np.diff(slots) > 0)
         if k:
-            assert slots.min() >= 0 and slots.max() < 500
+            assert slots[0] >= 0 and slots[-1] < n_slots
 
     def test_overfull_rejected(self):
         with pytest.raises(DomainError):
             sample_distinct_slots(np.random.default_rng(0), 10, 11)
 
     def test_full_occupancy_allowed(self):
-        drawn = sample_distinct_slots(np.random.default_rng(0), 64, 64)
-        assert sorted(drawn.candidates[drawn.rank].tolist()) == list(range(64))
+        slots = sample_distinct_slots(np.random.default_rng(0), 64, 64)
+        assert slots.tolist() == list(range(64))
 
-    # a typical 100 ms step, then k near and at n_slots, where the first fill
-    # comes up short and the top-up loop runs
+    # a typical 100 ms step, then k above n_slots/2, where the empty slots
+    # are drawn instead, up to every slot
     @pytest.mark.parametrize(
         "n_slots,k", [(500, 0), (4_545_454, 54_000), (520, 500), (64, 64)]
     )
@@ -299,36 +303,117 @@ class TestSampleDistinctSlots:
         got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = sample_distinct_slots(got_rng, n_slots, k)
         ref = unique_reference_slots(ref_rng, n_slots, k)
-        assert ref.dtype == np.int64 and got.rank.dtype == np.int64
         # slot indices below 2**31 are held as int32
-        assert got.candidates.dtype == np.int32
-        assert len(got) == got.rank.size == k
-        # draw i took the same slot
-        np.testing.assert_array_equal(got.candidates[got.rank], ref)
+        assert got.dtype == ref.dtype == np.int32
+        assert got.size == k
+        np.testing.assert_array_equal(got, ref)
         # the generator is left in the same state, so every later draw agrees
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
         assert got_rng.integers(2**62) == ref_rng.integers(2**62)
 
     @pytest.mark.parametrize("k", [0, 1, 300])
     def test_wide_slot_range_same_draws(self, k):
-        # past 2**31 slots the candidates stay int64
+        # past 2**31 slots the indices are int64
         got_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
         got = sample_distinct_slots(got_rng, 2**40, k)
         ref = unique_reference_slots(ref_rng, 2**40, k)
-        assert got.candidates.dtype == np.int64
-        np.testing.assert_array_equal(got.candidates[got.rank], ref)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, ref)
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n_slots,k", [(1_000, 300), (1_000, 700)])
+    def test_short_round_tops_up_like_reference(self, n_slots, k):
+        # the first round's margin almost never comes up short; a generator
+        # whose first draw repeats one slot forces the later rounds
+        got_rng, ref_rng = ShortFirstDraw(9), ShortFirstDraw(9)
+        got = sample_distinct_slots(got_rng, n_slots, k)
+        ref = unique_reference_slots(ref_rng, n_slots, k)
+        assert got_rng.rounds == ref_rng.rounds >= 2
+        np.testing.assert_array_equal(got, ref)
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_int32_up_to_2_pow_31_slots(self):
+        slots = sample_distinct_slots(np.random.default_rng(3), 2**31, 1_000)
+        assert slots.dtype == np.int32 and slots[-1] < 2**31
+        assert np.all(np.diff(slots) > 0)
+
+    @pytest.mark.parametrize("k", [3, 5, 8])
+    def test_positions_uniform(self, k):
+        # each of 10 slots is drawn in a share q = k/10 of the trials.  A slot's
+        # count has variance trials*q*(1-q), and the counts sum to trials*k,
+        # so the statistic below is chi-square with 9 degrees of freedom;
+        # the bound is its 0.9999 quantile
+        n_slots, trials = 10, 4_000
+        rng = np.random.default_rng(k)
+        hits = np.zeros(n_slots)
+        for _ in range(trials):
+            hits[sample_distinct_slots(rng, n_slots, k)] += 1
+        q = k / n_slots
+        spread = np.sum((hits - trials * q) ** 2) / (trials * q * (1 - q))
+        assert spread * (n_slots - 1) / n_slots < 33.7
+
+    def test_subsets_uniform(self):
+        # every one of the C(6, 3) = 20 subsets equally likely; chi-square with
+        # 19 degrees of freedom, bound at its 0.9999 quantile (49.5)
+        rng = np.random.default_rng(17)
+        trials = 6_000
+        counts = {}
+        for _ in range(trials):
+            key = tuple(sample_distinct_slots(rng, 6, 3).tolist())
+            counts[key] = counts.get(key, 0) + 1
+        assert len(counts) == 20
+        expected = trials / 20
+        chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+        assert chi2 < 49.5
+
+    @pytest.mark.parametrize(
+        "n_slots,k", [(10**6, 10**6), (4_545_454, int(0.63 * 4_545_454))]
+    )
+    def test_fill_time_bounded(self, n_slots, k):
+        # a full step, and a mean occupancy near 1 (1 - e^-1 = 0.63 of the
+        # slots occupied); a fill without the empty-slot draw took seconds
+        start = time.perf_counter()
+        slots = sample_distinct_slots(np.random.default_rng(4), n_slots, k)
+        elapsed = time.perf_counter() - start
+        assert slots.size == k and np.all(np.diff(slots) > 0)
+        assert elapsed < 1.0
+
+
+class ShortFirstDraw:
+    """A generator whose first ``integers`` call returns one slot repeated;
+    counts the ``integers`` calls (the sampler's rounds)."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.bit_generator = self._rng.bit_generator
+        self.rounds = 0
+
+    def integers(self, low, high, size, dtype):
+        self.rounds += 1
+        draws = self._rng.integers(low, high, size=size, dtype=dtype)
+        return np.full_like(draws, draws[0]) if self.rounds == 1 else draws
+
+    def choice(self, *args, **kwargs):
+        return self._rng.choice(*args, **kwargs)
 
 
 def unique_reference_slots(rng, n_slots, k):
-    """sample_distinct_slots as first written, deduplicating with np.unique."""
-    if k == 0:
-        return np.empty(0, dtype=np.int64)
-    chosen = np.unique(rng.integers(0, n_slots, size=k + k // 16 + 16, dtype=np.int64))
-    while chosen.size < k:
-        extra = rng.integers(0, n_slots, size=(k - chosen.size) * 2 + 16, dtype=np.int64)
-        chosen = np.unique(np.concatenate([chosen, extra]))
-    return rng.permutation(chosen)[:k]
+    """sample_distinct_slots written plainly: np.unique for the sorted distinct
+    draws, np.setdiff1d against the slots held and for the complement."""
+    dtype = np.int32 if n_slots <= 2**31 else np.int64
+    if 2 * k > n_slots:
+        empty = unique_reference_slots(rng, n_slots, n_slots - k)
+        return np.setdiff1d(np.arange(n_slots, dtype=dtype), empty)
+    held = np.empty(0, dtype=dtype)
+    while held.size < k:
+        missing = k - held.size
+        size = -(-missing * n_slots // (n_slots - k)) + 16
+        new = np.setdiff1d(rng.integers(0, n_slots, size=size, dtype=dtype), held)
+        surplus = held.size + new.size - k
+        if surplus > 0:
+            new = np.delete(new, rng.choice(new.size, surplus, replace=False, shuffle=False))
+        held = np.union1d(held, new)
+    return held
 
 
 def quiet_detector(**kwargs) -> DetectorConfig:
@@ -412,16 +497,61 @@ class TestDetectBin:
         batch = sample_batch(0.04, 454_545, seed=31)  # denser stream than usual
         train_a, train_b = detect_both(batch, OpticalState(phase=0.2), DetectorConfig(), seed=32)
         for train in (train_a, train_b):
+            assert train.min_gap == 22_000 - 350
             if len(train) > 1:
                 assert np.diff(train.starts).min() >= train.min_gap
 
+    def test_adjacent_slots_rounding_closer_than_dead_time_both_kept(self):
+        # the 22 ns slots 3 and 4 start at 66.000 and 88.000 ns, which round
+        # to 66.150 and 87.850 ns on the 350 ps grid: 21.70 ns apart, under
+        # the 22 ns dead time.  The dead time acts on the true times, so
+        # every photon of a full run of same-port slots gives a pulse.
+        batch = PhotonBatch(8, 0, 0, 8)
+        optics = OpticalState(phase=0.0, intrinsic_visibility=1.0)  # every photon to D2
+        train_a, train_b = detect_both(batch, optics, quiet_detector(), seed=4)
+        assert len(train_a) == 0
+        starts = np.arange(8) * 22_000
+        assert train_b.starts.tolist() == ((starts + 175) // 350 * 350).tolist()
+        assert train_b.starts[3:5].tolist() == [66_150, 87_850]
+        assert np.diff(train_b.starts).min() == 21_700
+
+    def test_pair_subset_uniform(self, monkeypatch):
+        # 6 of 8 slots occupied, 3 of them by pairs.  With every photon sent to
+        # D2, a pair's slot time enters D2's dead-time filter twice, which
+        # shows which of the 6 occupied slots hold the pairs.  Each of the
+        # C(6, 3) = 20 choices is equally likely: chi-square with 19 degrees
+        # of freedom, bound at its 0.9999 quantile (49.5)
+        inputs = []
+        dead_time = detection.dead_time_filter
+
+        def recording_filter(events, t_d):
+            inputs.append(np.array(events))
+            return dead_time(events, t_d)
+
+        monkeypatch.setattr(detection, "dead_time_filter", recording_filter)
+        batch = PhotonBatch(3, 3, 0, 8)
+        optics = OpticalState(phase=0.0, intrinsic_visibility=1.0)
+        trials = 4_000
+        counts = {}
+        for k in range(trials):
+            detect_both(batch, optics, quiet_detector(), seed=5000 + k)
+            _, to_d2 = inputs[-2:]
+            times, repeats = np.unique(to_d2, return_counts=True)
+            key = tuple(np.flatnonzero(repeats == 2).tolist())
+            counts[key] = counts.get(key, 0) + 1
+        assert len(counts) == 20
+        expected = trials / 20
+        assert sum((c - expected) ** 2 / expected for c in counts.values()) < 49.5
+
 
 def reference_detect_bin(batch, optics, detectors, seed, slot_width):
-    """detect_bin before routing by sorted rank: random masks over the photons
-    in draw order, then a concatenation and a sort per channel.
+    """detect_bin written plainly: a mask over the occupied slots for the
+    pairs, per-photon masks for routing and thinning, then a concatenation
+    and a sort per channel.
 
-    Returns each channel's (dead-time filter input, filtered event times) and
-    the state the generator is left in.
+    Returns each channel's (dead-time filter input, event times after the
+    filter, quantizing and the bin-edge cut) and the state the generator is
+    left in.
     """
     slot_ps = seconds_to_ps(slot_width, "slot_width")
     bin_length = batch.slots_per_bin * slot_ps
@@ -429,32 +559,27 @@ def reference_detect_bin(batch, optics, detectors, seed, slot_width):
     rng = np.random.default_rng(derive_seed(seed, 0))
     p_d1 = optics.d1_probability()
 
-    n_s = batch.n_single_slots
+    k = batch.n_occupied
     n_p = batch.n_pair_slots + batch.n_higher_slots
-    slots = unique_reference_slots(rng, batch.slots_per_bin, n_s + n_p)
-    single_t = slots[:n_s] * slot_ps
-    pair_t = slots[n_s:] * slot_ps
-
-    to_d1 = rng.random(n_s) < p_d1
-    pair_first = rng.random(n_p) < p_d1
-    pair_second = rng.random(n_p) < p_d1
-
-    times = (
-        [single_t[to_d1], pair_t[pair_first], pair_t[pair_second]],
-        [single_t[~to_d1], pair_t[~pair_first], pair_t[~pair_second]],
-    )
+    slot_t = unique_reference_slots(rng, batch.slots_per_bin, k).astype(np.int64) * slot_ps
+    is_pair = np.zeros(k, dtype=bool)
+    is_pair[rng.choice(k, n_p, replace=False, shuffle=False)] = True
+    pair_t = slot_t[is_pair]
+    first_to_d1 = rng.random(k) < p_d1
+    second_to_d1 = rng.random(n_p) < p_d1
 
     events = []
     for lane, det in enumerate(detectors):
-        t = np.concatenate(times[lane])
+        first = first_to_d1 if lane == 0 else ~first_to_d1
+        second = second_to_d1 if lane == 0 else ~second_to_d1
         if det.efficiency < 1.0:
-            t = t[rng.random(t.size) < det.efficiency]
+            first = first & (rng.random(k) < det.efficiency)
+            second = second & (rng.random(n_p) < det.efficiency)
         dark = generate_dark_events(det.dark_rate, bin_length, derive_seed(seed, 1 + lane))
-        t = np.sort(np.concatenate([t, dark]))
+        t = np.sort(np.concatenate([slot_t[first], pair_t[second], dark]))
         grid = det.resolving_time_ps
-        t = (t + grid // 2) // grid * grid
-        t = t[t + det.pulse_duration_ps <= bin_length]
-        events.append((t, reference_dead_time_filter(t, det.dead_time_ps)))
+        kept = (reference_dead_time_filter(t, det.dead_time_ps) + grid // 2) // grid * grid
+        events.append((t, kept[kept + det.pulse_duration_ps <= bin_length]))
     return events[0], events[1], rng.bit_generator.state
 
 
@@ -489,12 +614,12 @@ REFERENCE_CASES = {
     "committed_phase_1": (0.012, 1.0, {}),
     "committed_quadrature": (0.012, math.pi / 2, {}),
     "committed_phase_pi": (0.012, math.pi, {}),
-    # thinning runs over singles, pair-first, pair-second photons in that order
+    # thinning runs over first photons, then second photons, per detector
     "efficiency_half": (0.012, 1.0, {"efficiency": 0.5}),
     "efficiency_half_dense": (0.3, 2.0, {"efficiency": 0.5}),
     "efficiency_unequal": (0.05, 0.4, ({"efficiency": 0.9}, {"efficiency": 0.35})),
     "no_darks": (0.012, 1.0, {"dark_rate": 0.0}),
-    # every slot occupied, so the sampler's top-up loop runs
+    # every slot occupied, so the sampler takes its empty-slot branch
     "full_occupancy": (PhotonBatch(3_000, 1_500, 500, 5_000), 0.7, {}),
     "full_occupancy_thinned": (PhotonBatch(3_000, 1_500, 500, 5_000), 0.7, {"efficiency": 0.6}),
     "pulses_20ns": (0.012, 1.0, {"pulse_duration": 20e-9}),
@@ -539,7 +664,8 @@ class TestDetectBinMatchesReference:
             np.testing.assert_array_equal(train.starts, ref)
             assert train.starts.dtype == np.int64
             assert train.duration == det.pulse_duration_ps
-            assert train.bin_length == bin_length and train.min_gap == det.dead_time_ps
+            assert train.bin_length == bin_length
+            assert train.min_gap == det.dead_time_ps - det.resolving_time_ps
 
         # coincide on these trains, B delayed or not, agrees with the two-pointer walk
         for tau in (0.0, 3e-9, -7e-9):
@@ -569,6 +695,14 @@ class TestDetectorConfig:
             DetectorConfig(pulse_duration=22.001e-9)
         cfg = DetectorConfig(pulse_duration=22e-9)
         assert cfg.pulse_duration_ps == cfg.dead_time_ps
+
+    def test_grid_no_coarser_than_dead_time(self):
+        with pytest.raises(ConfigError, match="resolving_time 3e-08 s exceeds dead_time"):
+            DetectorConfig(resolving_time=30e-9)
+        # a grid of one dead time still keeps kept events apart: min_gap 0
+        cfg = DetectorConfig(resolving_time=22e-9)
+        train = shape_pulses(np.array([0, 22_000]), cfg, bin_length=100_000)
+        assert train.min_gap == 0
 
     def test_ps_conversions(self):
         cfg = DetectorConfig()

@@ -55,7 +55,7 @@ class TestSynthesizeIngest:
             trace = synthesize_trace(*trains)
             digest.update(trace.ch1.tobytes() + trace.ch2.tobytes())
         assert digest.hexdigest() == (
-            "7ef4a80ab789215eaa1e71286318344328a0563bca15a6c4a5401c5cfb3fa136"
+            "e8eec4b9fe0a9963344c02845859c6b435772f2bc3fdad5b4cf8b454390d56bf"
         )
 
     def test_recovers_270_well_separated_pulses(self):
