@@ -50,8 +50,10 @@ class DetectorConfig:
 
     ``dead_time_ps``, ``pulse_duration_ps`` and ``resolving_time_ps`` hold the
     same times as int picoseconds, converted once when the config is built.
-    A pulse may not outlast the dead time, and the resolving-time grid may not
-    be coarser than it, so quantizing never merges two kept events.
+    Timestamps are quantized after the dead-time filter, so two kept events
+    can land up to one resolving-time step closer than the dead time.  A
+    pulse plus one step may therefore not outlast the dead time: then pulses
+    of one channel never overlap, and quantizing never merges two kept events.
     """
 
     dead_time: float = 22e-9
@@ -63,13 +65,10 @@ class DetectorConfig:
     def __post_init__(self):
         for name in ("dead_time", "pulse_duration", "resolving_time"):
             object.__setattr__(self, f"{name}_ps", seconds_to_ps(getattr(self, name), name))
-        if self.pulse_duration_ps > self.dead_time_ps:
+        if self.pulse_duration_ps + self.resolving_time_ps > self.dead_time_ps:
             raise ConfigError(
-                f"pulse_duration {self.pulse_duration} s exceeds dead_time {self.dead_time} s"
-            )
-        if self.resolving_time_ps > self.dead_time_ps:
-            raise ConfigError(
-                f"resolving_time {self.resolving_time} s exceeds dead_time {self.dead_time} s"
+                f"pulse_duration {self.pulse_duration} s + resolving_time "
+                f"{self.resolving_time} s exceeds dead_time {self.dead_time} s"
             )
         if self.dark_rate < 0:
             raise ConfigError("dark_rate must be >= 0")

@@ -10,18 +10,24 @@ Two file forms are supported:
 * CSV with header ``time_s,ch1_V,ch2_V`` and one row per sample.  The writer
   gives each value as the shortest ``repr`` of a Python float: the time is
   ``k * sampling_period`` and the voltages are the float32 samples widened
-  to float64, so every value reads back exactly.  The reader takes the
-  sampling period as ``times[1] - times[0]`` and rejects, naming the first
-  bad line, a row without exactly three fields (a blank line included), a
-  field that ``float()`` cannot parse, a time that is not finite, a first
-  step that is not > 0, a later step more than half a period away from the
-  first, and a voltage that is not finite or does not fit a float32.  A file
-  with fewer than two samples, or with bytes that do not decode as text,
-  is rejected too;
+  to float64, so every value reads back exactly.  It writes 16k-row chunks
+  and formats the ``,ch1,ch2`` tail of each distinct pair of sample bit
+  patterns in a chunk once, since a capture holds few voltage levels.  The
+  reader decodes UTF-8.  It takes the sampling period as
+  ``times[1] - times[0]`` and rejects, naming the first bad line, a row
+  without exactly three fields (a blank line included), a field that
+  ``float()`` cannot parse, a time that is not finite, a first step that is
+  not > 0, a later step more than half a period away from the first, and a
+  voltage that is not finite or does not fit a float32.  A file with fewer
+  than two samples, or with bytes that are not UTF-8, is rejected too.  The
+  body is parsed by one ``np.loadtxt`` call on the file; a row loop with the
+  same verdicts takes over where that call cannot decide, and names the line;
 * raw packed little-endian float32 with a 16-byte header: the magic
   ``PSTRACE1`` followed by two little-endian uint32 words (sample count,
   channel count), then count*channels floats interleaved per sample
-  (ch1, ch2, ch1, ch2, ...).
+  (ch1, ch2, ch1, ch2, ...).  The reader rejects a header that is short, a
+  magic or channel count (2) that differs, a payload of another length, and
+  a sample that is not finite, naming its byte offset.
 
 Every rejection raises ``TraceParseError``, which ``pstream ingest`` turns
 into exit code 3.
@@ -30,8 +36,7 @@ into exit code 3.
 from __future__ import annotations
 
 import csv
-import itertools
-import operator
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -118,8 +123,8 @@ def ingest_trace(trace: TraceFile) -> tuple[np.ndarray, np.ndarray]:
 
 _CSV_HEADER = ["time_s", "ch1_V", "ch2_V"]
 # rows formatted and written per chunk, so memory stays bounded for any capture
-_CSV_CHUNK_ROWS = 65_536
-_CSV_ROW = "{!r},{!r},{!r}\n".format
+_CSV_CHUNK_ROWS = 16_384
+_CSV_TAIL = ",{!r},{!r}\n".format
 
 
 def write_trace_csv(trace: TraceFile, path: str | Path) -> None:
@@ -128,51 +133,77 @@ def write_trace_csv(trace: TraceFile, path: str | Path) -> None:
         fh.write(",".join(_CSV_HEADER) + "\n")
         for start in range(0, trace.n_samples, _CSV_CHUNK_ROWS):
             stop = min(start + _CSV_CHUNK_ROWS, trace.n_samples)
+            ch1, ch2 = trace.ch1[start:stop], trace.ch2[start:stop]
+            # each row's (ch1, ch2) bit pattern as one key: keyed by bits, not
+            # value, -0.0 keeps its own tail and a NaN has a key
+            pairs = np.stack((ch1, ch2), axis=1).view(np.uint64)[:, 0]
+            _, first, which = np.unique(pairs, return_index=True, return_inverse=True)
+            tails = list(map(_CSV_TAIL, ch1[first].tolist(), ch2[first].tolist()))
+            rows = [""] * (2 * (stop - start))
             times = (np.arange(start, stop) * trace.sampling_period).tolist()
-            ch1 = trace.ch1[start:stop].tolist()
-            ch2 = trace.ch2[start:stop].tolist()
-            fh.write("".join(map(_CSV_ROW, times, ch1, ch2)))
+            rows[0::2] = map(float.__repr__, times)
+            rows[1::2] = map(tails.__getitem__, which.tolist())
+            fh.write("".join(rows))
 
 
 def read_trace_csv(path: str | Path, threshold: float = DEFAULT_THRESHOLD) -> TraceFile:
     """Read a CSV trace written by ``write_trace_csv`` (rules in the module docstring)."""
     try:
-        with open(path, newline="") as fh:
-            _check_csv_header(path, fh)
-            data = _parse_csv_bulk(fh)
+        with open(path, encoding="utf-8", newline="") as fh:
+            if next(csv.reader(fh), None) != _CSV_HEADER:
+                raise TraceParseError(f"{path}: line 1: expected header time_s,ch1_V,ch2_V")
+            data = _parse_csv_bulk(path)
             if data is None:
-                fh.seek(0)
-                _check_csv_header(path, fh)
                 data = _parse_csv_rows(path, csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise TraceParseError(f"{path}: not {exc.encoding} text ({exc.reason})") from exc
     return _trace_from_csv_columns(path, data, threshold)
 
 
-def _check_csv_header(path, fh) -> None:
-    if next(csv.reader(fh), None) != _CSV_HEADER:
-        raise TraceParseError(f"{path}: line 1: expected header time_s,ch1_V,ch2_V")
+# suffixes of the files that np.loadtxt decompresses when given their path
+_COMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
+_COUNT_CHUNK_BYTES = 1 << 20
 
 
-def _parse_csv_bulk(fh) -> np.ndarray | None:
+def _parse_csv_bulk(path) -> np.ndarray | None:
     """The body as an (n, 3) float64 array, or None where only the row loop can decide.
 
-    ``np.loadtxt`` skips blank lines, which the row loop rejects, and warns on
-    an empty body.  So it starts only from a non-blank first line, and its
-    rows must number the lines it was given.  It then accepts no file that the
-    row loop rejects, and gives each field it parses the value ``float()`` gives.
+    ``np.loadtxt`` reads the file itself.  It skips blank lines, which the row
+    loop rejects, and warns on an empty body.  So it starts only from a
+    non-blank first line, and its rows must number the body's lines, counted
+    from the bytes.  A file with a ``\\r`` in it goes to the row loop, because
+    ``loadtxt`` and the ``csv`` module split such lines differently.  Then
+    ``loadtxt`` accepts no file that the row loop rejects, and gives each field
+    it parses the value ``float()`` gives.
     """
-    first = fh.readline()
-    if not first.rstrip("\r\n"):
+    if Path(path).suffix in _COMPRESSED_SUFFIXES:
         return None
-    counter = itertools.count()
-    # zip draws one count per line, and one more when the lines run out
-    lines = map(operator.itemgetter(1), zip(counter, itertools.chain([first], fh)))
+    with open(path, "rb") as fh:
+        if b"\r" in fh.readline():  # the header, checked already
+            return None
+        chunk = fh.read(_COUNT_CHUNK_BYTES)
+        if chunk[:1] in (b"", b"\n"):
+            return None
+        lines = 0
+        while chunk:
+            if b"\r" in chunk:
+                return None
+            lines += chunk.count(b"\n")
+            last = chunk[-1:]
+            chunk = fh.read(_COUNT_CHUNK_BYTES)
+    lines += last != b"\n"
     try:
-        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        data = np.loadtxt(
+            os.path.abspath(path),  # absolute, so never taken for a URL
+            delimiter=",",
+            comments=None,
+            skiprows=1,
+            ndmin=2,
+            encoding="utf-8",
+        )
     except ValueError:
         return None
-    if data.shape != (next(counter) - 1, 3):
+    if data.shape != (lines, 3):
         return None
     return data
 
@@ -201,7 +232,11 @@ def _trace_from_csv_columns(path, data: np.ndarray, threshold: float) -> TraceFi
     # non-finite values are reported below, so their arithmetic must not warn
     with np.errstate(over="ignore", invalid="ignore"):
         channels = [data[:, 1].astype(np.float32), data[:, 2].astype(np.float32)]
-        bad_step[1:] = ~(np.abs(np.diff(times) - period) <= period / 2)
+        # one temporary for the steps' distance from the period, worked in place
+        off = np.diff(times)
+        off -= period
+        np.abs(off, out=off)
+        bad_step[1:] = ~(off <= period / 2)
     bad_step[1] |= not period > 0
     bad_sample = ~(np.isfinite(channels[0]) & np.isfinite(channels[1]))
     bad = bad_time | bad_step | bad_sample
@@ -255,6 +290,13 @@ def read_trace_raw(
             f"({count} samples x {channels} channels)"
         )
     data = np.frombuffer(raw, dtype="<f4", offset=HEADER.size)
+    finite = np.isfinite(data)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise TraceParseError(
+            f"{path}: byte {HEADER.size + 4 * k}: ch{k % 2 + 1} sample {float(data[k])!r} "
+            "is not finite"
+        )
     return TraceFile(
         ch1=data[0::2].copy(),
         ch2=data[1::2].copy(),

@@ -157,6 +157,9 @@ PROBES = {
     # timestamps are quantized after the dead-time filter, so a grid coarser
     # than the dead time could round two kept events onto one time
     "resolving_time_over_dead_time": {"detectors": [{}, {"resolving_time": 30e-9}]},
+    # kept events can be quantized one 350 ps step closer than the 22 ns dead
+    # time, so a 21.9 ns pulse could overlap its successor; this used to load
+    "pulse_plus_grid_step_over_dead_time": {"detectors": {"pulse_duration": 21.9e-9}},
     # the envelope divides by the width squared; scan point 0 used to refuse 0/0
     "coherence_length_square_underflows": {"optics": {"laser_coherence_length": 1e-300}},
     # a 10 ns step holds no 22 ns slot; scan point 0 used to refuse it
@@ -168,6 +171,9 @@ PROBE_MESSAGES = {
     "coherence_length_square_underflows": "laser_coherence_length must be > 0 with a square",
     "step_shorter_than_slot": "ccm.step 1e-08 s is shorter than one 2.2e-08 s slot",
     "resolving_time_over_dead_time": "resolving_time 3e-08 s exceeds dead_time 2.2e-08 s",
+    "pulse_plus_grid_step_over_dead_time": (
+        "pulse_duration 2.19e-08 s + resolving_time 3.5e-10 s exceeds dead_time 2.2e-08 s"
+    ),
 }
 
 

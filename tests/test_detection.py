@@ -1,4 +1,5 @@
 import math
+import re
 import time
 from types import SimpleNamespace
 
@@ -630,7 +631,7 @@ REFERENCE_CASES = {
         2.5,
         (
             {"dead_time": 50e-9, "dark_rate": 2e6},
-            {"pulse_duration": 21.9e-9, "resolving_time": 1e-9},
+            {"pulse_duration": 21e-9, "resolving_time": 1e-9},
         ),
     ),
     "empty": (PhotonBatch(0, 0, 0, 1_000), 0.3, {}),
@@ -691,18 +692,26 @@ class TestDetectorConfig:
             DetectorConfig(dark_rate=-1.0)
 
     def test_pulse_no_longer_than_dead_time(self):
+        # a pulse plus one 350 ps grid step may fill the 22 ns dead time, 1 ps more may not
+        cfg = DetectorConfig(pulse_duration=21.65e-9)
+        assert cfg.pulse_duration_ps + cfg.resolving_time_ps == cfg.dead_time_ps
+        message = "pulse_duration 2.1651e-08 s + resolving_time 3.5e-10 s exceeds dead_time 2.2e-08"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            DetectorConfig(pulse_duration=21.651e-9)
+        # a pulse as long as the dead time would overlap a successor one grid step early
         with pytest.raises(ConfigError, match="exceeds dead_time"):
-            DetectorConfig(pulse_duration=22.001e-9)
-        cfg = DetectorConfig(pulse_duration=22e-9)
-        assert cfg.pulse_duration_ps == cfg.dead_time_ps
+            DetectorConfig(pulse_duration=22e-9)
 
     def test_grid_no_coarser_than_dead_time(self):
         with pytest.raises(ConfigError, match="resolving_time 3e-08 s exceeds dead_time"):
             DetectorConfig(resolving_time=30e-9)
-        # a grid of one dead time still keeps kept events apart: min_gap 0
-        cfg = DetectorConfig(resolving_time=22e-9)
-        train = shape_pulses(np.array([0, 22_000]), cfg, bin_length=100_000)
-        assert train.min_gap == 0
+        # a 12 ns grid under 10 ns pulses fills the dead time: events kept one
+        # dead time apart may round one pulse length apart, and still not overlap
+        cfg = DetectorConfig(resolving_time=12e-9)
+        train = shape_pulses(np.array([0, 10_000]), cfg, bin_length=100_000)
+        assert train.min_gap == cfg.pulse_duration_ps == 10_000
+        with pytest.raises(ConfigError, match="resolving_time 1.2001e-08 s exceeds dead_time"):
+            DetectorConfig(resolving_time=12.001e-9)
 
     def test_ps_conversions(self):
         cfg = DetectorConfig()

@@ -1,7 +1,11 @@
+import contextlib
 import csv
 import hashlib
+import io
 import math
+import struct
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -9,12 +13,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pstream import traces
+from pstream.cli import main
 from pstream.config import load_config
 from pstream.detection import DetectorConfig, PulseTrain, detect_bin
 from pstream.errors import TraceParseError
 from pstream.interferometer import OpticalState
 from pstream.source import sample_batch
 from pstream.traces import (
+    HEADER as RAW_HEADER,
+    MAGIC,
     TraceFile,
     ingest_trace,
     read_trace_csv,
@@ -35,6 +43,17 @@ def detect_both(batch, optics, det, seed):
 def regular_train(n, spacing_ps=3_700_000, duration_ps=10_000, start=50_000):
     starts = (start + np.arange(n) * spacing_ps).astype(np.int64)
     return PulseTrain(starts, duration_ps, bin_length=int(starts[-1] + duration_ps + 1_000_000))
+
+
+def committed_capture(capture_s, seed):
+    """A capture of ``capture_s`` seconds of the committed coincidence-scan config
+    at phase 1, as the benchmark's trace round trip builds it."""
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "coincidence_scan.json")
+    slots = round(capture_s / cfg.source.dead_time)
+    optics = OpticalState(phase=1.0, intrinsic_visibility=cfg.optics.intrinsic_visibility)
+    batch = sample_batch(cfg.source.mean_photon(), slots, seed=seed)
+    trains = detect_bin(batch, optics, cfg.detectors, seed + 1, slot_width=cfg.source.dead_time)
+    return synthesize_trace(*trains)
 
 
 class TestSynthesizeIngest:
@@ -295,6 +314,58 @@ class TestCsvDifferential:
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert got[2] == want[2] == trace.sampling_period
 
+    def test_writer_bytes_match_row_writer_on_capture(self, tmp_path):
+        # a synthesized capture, 2 voltage levels per channel, over several write chunks
+        trace = committed_capture(30e-6, seed=21)
+        assert trace.n_samples > 2 * traces._CSV_CHUNK_ROWS
+        write_trace_csv(trace, tmp_path / "new.csv")
+        row_writer(trace, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_reader_reads_written_capture_in_bulk(self, tmp_path, monkeypatch):
+        trace = committed_capture(30e-6, seed=23)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+
+        def no_row_loop(*args):
+            raise AssertionError("read_trace_csv fell back to its row loop")
+
+        monkeypatch.setattr(traces, "_parse_csv_rows", no_row_loop)
+        back = read_trace_csv(path)
+        assert np.array_equal(back.ch1, trace.ch1) and np.array_equal(back.ch2, trace.ch2)
+        assert back.sampling_period == trace.sampling_period
+
+    def test_compression_suffix_read_as_plain_text(self, tmp_path):
+        # np.loadtxt would decompress a file by its suffix, given its path
+        path = tmp_path / "trace.csv.gz"
+        path.write_text(HEADER + GOOD)
+        back = read_trace_csv(path)
+        assert back.n_samples == 3 and back.sampling_period == 4e-10
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the most bytes it held at once, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_round_trip_memory_bounded(tmp_path):
+    # 100 us, 249 975 samples.  The row-by-row writer and the line-generator
+    # reader peaked at 13.01 MB and 12.50 MB here (numpy 2.4.6, Python 3.11.7),
+    # and the bounds stay at those figures.  The chunked writer and the
+    # file-fed reader peak at 2.85 MB and 11.33 MB.
+    trace = committed_capture(100e-6, seed=25)
+    path = tmp_path / "trace.csv"
+    _, write_peak = traced_peak(write_trace_csv, trace, path)
+    back, read_peak = traced_peak(read_trace_csv, path)
+    assert np.array_equal(back.ch1, trace.ch1) and np.array_equal(back.ch2, trace.ch2)
+    assert write_peak <= 13.0e6
+    assert read_peak <= 12.5e6
+
 
 NUMBER = st.one_of(
     st.sampled_from(["0.0", "4.0", "-0.0", "1e-45", "3.4028235e+38"]),
@@ -475,6 +546,72 @@ class TestRawRoundTrip:
         path.write_bytes(struct.pack("<8sII", b"PSTRACE1", 1, 3) + b"\x00" * 12)
         with pytest.raises(TraceParseError, match="channels"):
             read_trace_raw(path)
+
+    @pytest.mark.parametrize(
+        "ch1,ch2,message",
+        [
+            ([0.0, np.nan, 0.0, np.inf], [0.0] * 4, "byte 24: ch1 sample nan is not finite"),
+            ([0.0, 4.0, 0.0, 4.0], [0, 0, -np.inf, 0], "byte 36: ch2 sample -inf is not finite"),
+        ],
+    )
+    def test_non_finite_sample_names_channel_and_byte(self, ch1, ch2, message, tmp_path):
+        path = tmp_path / "bad.bin"
+        write_trace_raw(TraceFile(ch1=ch1, ch2=ch2), path)
+        with pytest.raises(TraceParseError) as info:
+            read_trace_raw(path)
+        assert str(info.value) == f"{path}: {message}"
+
+
+# 32-bit patterns of float32 samples: the synthesized levels, the edges of the
+# range, the non-finite values, and any bits
+SAMPLE_BITS = st.one_of(
+    st.sampled_from([0.0, 4.0, -0.0, np.inf, -np.inf, np.nan, 1e-45, 3.4028235e38]).map(
+        lambda v: int(np.array(v, dtype="<f4").view("<u4"))
+    ),
+    st.integers(0, 2**32 - 1),
+)
+HEADER_WORD = st.one_of(
+    st.integers(0, 6), st.sampled_from([2**31, 2**32 - 1]), st.integers(0, 2**32 - 1)
+)
+
+
+@st.composite
+def raw_files(draw):
+    """Raw trace files near the accepted form: any magic, any header words,
+    a payload of the size the header asks for or of any size, cut anywhere."""
+    magic = draw(st.sampled_from([MAGIC] * 6 + [b"PSTRACE2"]) | st.binary(min_size=8, max_size=8))
+    count = draw(HEADER_WORD)
+    channels = draw(st.sampled_from([2] * 6 + [0, 1, 3]) | HEADER_WORD)
+    words = 4 * count * channels
+    if words <= 4 * 6 * 3 and draw(st.integers(0, 3)):
+        bits = draw(st.lists(SAMPLE_BITS, min_size=words // 4, max_size=words // 4))
+        payload = struct.pack(f"<{len(bits)}I", *bits)
+    else:
+        payload = draw(st.binary(max_size=80))
+    blob = RAW_HEADER.pack(magic, count, channels) + payload
+    if draw(st.integers(0, 7)) == 0:
+        blob = blob[: draw(st.integers(0, len(blob)))]
+    return blob
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_files())
+def test_any_raw_file_reads_or_raises_trace_parse_error(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "trace.bin", Path(tmp) / "events.csv"
+        path.write_bytes(blob)
+        try:
+            trace = read_trace_raw(path)
+        except TraceParseError:
+            trace = None
+        else:
+            assert trace.n_samples == RAW_HEADER.unpack_from(blob)[1]
+            assert np.isfinite(trace.ch1).all() and np.isfinite(trace.ch2).all()
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["ingest", "--format", "raw", "--trace", str(path), "--out", str(out)])
+        assert code == (3 if trace is None else 0), err.getvalue()
+        assert out.exists() == (code == 0)
 
 
 class TestTraceFile:
