@@ -8,20 +8,25 @@ contributes one event at its first sample.
 Two file forms are supported:
 
 * CSV with header ``time_s,ch1_V,ch2_V`` and one row per sample.  The writer
-  gives each value as the shortest ``repr`` of a Python float: the time is
-  ``k * sampling_period`` and the voltages are the float32 samples widened
-  to float64, so every value reads back exactly.  It writes 16k-row chunks
-  and formats the ``,ch1,ch2`` tail of each distinct pair of sample bit
-  patterns in a chunk once, since a capture holds few voltage levels.  The
-  reader decodes UTF-8.  It takes the sampling period as
-  ``times[1] - times[0]`` and rejects, naming the first bad line, a row
-  without exactly three fields (a blank line included), a field that
-  ``float()`` cannot parse, a time that is not finite, a first step that is
-  not > 0, a later step more than half a period away from the first, and a
-  voltage that is not finite or does not fit a float32.  A file with fewer
-  than two samples, or with bytes that are not UTF-8, is rejected too.  The
-  body is parsed by one ``np.loadtxt`` call on the file; a row loop with the
-  same verdicts takes over where that call cannot decide, and names the line;
+  gives sample k's time as the exact decimal k times ``repr(sampling_period)``:
+  with that repr's digits m and exponent x, the integer k*m followed by
+  ``e{x}`` (``0e-10``, ``4e-10``, ``8e-10``, ``12e-10``, ... at 400 ps).  A
+  time reads back as the double nearest that decimal instant, so the first
+  step is the period itself.  The voltages are the shortest ``repr`` of the
+  float32 samples widened to float64, so they read back exactly.  The writer
+  works in 16k-row chunks and formats the ``e{x},ch1,ch2`` tail of each
+  distinct pair of sample bit patterns in a chunk once, since a capture holds
+  few voltage levels.  Files written before the times became exact decimals
+  hold ``repr(k * sampling_period)`` and read the same.  The reader decodes
+  UTF-8.  It takes the sampling period as ``times[1] - times[0]`` and
+  rejects, naming the first bad line, a row without exactly three fields (a
+  blank line included), a field that ``float()`` cannot parse, a time that
+  is not finite, a first step that is not > 0, a later step more than half a
+  period away from the first, and a voltage that is not finite or does not
+  fit a float32.  A file with fewer than two samples, or with bytes that are
+  not UTF-8, is rejected too.  The body is parsed by one ``np.loadtxt`` call
+  on the file; a row loop with the same verdicts takes over where that call
+  cannot decide, and names the line;
 * raw packed little-endian float32 with a 16-byte header: the magic
   ``PSTRACE1`` followed by two little-endian uint32 words (sample count,
   channel count), then count*channels floats interleaved per sample
@@ -29,6 +34,8 @@ Two file forms are supported:
   magic or channel count (2) that differs, a payload of another length, and
   a sample that is not finite, naming its byte offset.
 
+A ``TraceFile`` refuses a sampling period that is not a finite normal double
+above 0: the decimal ``repr`` of a subnormal one can be 1.2 % off its value.
 Every rejection raises ``TraceParseError``, which ``pstream ingest`` turns
 into exit code 3.
 """
@@ -38,7 +45,9 @@ from __future__ import annotations
 import csv
 import os
 import struct
+import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -68,8 +77,13 @@ class TraceFile:
         object.__setattr__(self, "ch2", ch2)
         if ch1.shape != ch2.shape or ch1.ndim != 1:
             raise TraceParseError("channels must be 1-d arrays of equal length")
-        if self.sampling_period <= 0:
-            raise TraceParseError("sampling period must be > 0")
+        # the CSV times are decimal multiples of repr(period), which only a
+        # finite normal double carries exactly
+        if not sys.float_info.min <= self.sampling_period <= sys.float_info.max:
+            raise TraceParseError(
+                "sampling period must be > 0 and a finite normal double, "
+                f"got {self.sampling_period!r}"
+            )
 
     @property
     def n_samples(self) -> int:
@@ -124,11 +138,15 @@ def ingest_trace(trace: TraceFile) -> tuple[np.ndarray, np.ndarray]:
 _CSV_HEADER = ["time_s", "ch1_V", "ch2_V"]
 # rows formatted and written per chunk, so memory stays bounded for any capture
 _CSV_CHUNK_ROWS = 16_384
-_CSV_TAIL = ",{!r},{!r}\n".format
 
 
 def write_trace_csv(trace: TraceFile, path: str | Path) -> None:
     """Write ``trace`` as CSV, one row per sample (format in the module docstring)."""
+    # the period's shortest repr as digits m and exponent x: row k's time is
+    # the exact decimal k*m e x, formatted from integers
+    _, digits, exponent = Decimal(repr(float(trace.sampling_period))).normalize().as_tuple()
+    step = int("".join(map(str, digits)))
+    tail = f"e{exponent},{{!r}},{{!r}}\n".format
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_CSV_HEADER) + "\n")
         for start in range(0, trace.n_samples, _CSV_CHUNK_ROWS):
@@ -138,10 +156,9 @@ def write_trace_csv(trace: TraceFile, path: str | Path) -> None:
             # value, -0.0 keeps its own tail and a NaN has a key
             pairs = np.stack((ch1, ch2), axis=1).view(np.uint64)[:, 0]
             _, first, which = np.unique(pairs, return_index=True, return_inverse=True)
-            tails = list(map(_CSV_TAIL, ch1[first].tolist(), ch2[first].tolist()))
+            tails = list(map(tail, ch1[first].tolist(), ch2[first].tolist()))
             rows = [""] * (2 * (stop - start))
-            times = (np.arange(start, stop) * trace.sampling_period).tolist()
-            rows[0::2] = map(float.__repr__, times)
+            rows[0::2] = map(int.__repr__, range(start * step, stop * step, step))
             rows[1::2] = map(tails.__getitem__, which.tolist())
             fh.write("".join(rows))
 

@@ -8,6 +8,7 @@ is simulated once and shared by the fringe-level checks.
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from scipy import optimize, stats
 
 from pstream.analysis import fringe_period, g2_ratio, visibility
 from pstream.coincidence import CcmConfig, coincide
-from pstream.config import ExperimentConfig, ScanConfig
+from pstream.config import ExperimentConfig, ScanConfig, load_config
 from pstream.detection import (
     DetectorConfig,
     PulseTrain,
@@ -307,6 +308,51 @@ def test_accidental_rate_of_independent_streams():
         bool(np.all(np.abs(z) < z_bound)),
         f"N_A, N_B, N_c = {counts.astype(int).tolist()} vs {np.round(expected, 1).tolist()} "
         f"(z = {np.round(z, 2).tolist()}, bound {z_bound})",
+    )
+
+
+def test_delayed_coincidence_baseline():
+    """Delayed coincidences on the slot grid measure the accidental baseline N_A·N_B/S.
+
+    A lab normalizes g2(0) by the coincidences it counts with one input of the
+    AND gate delayed (Grangier, Roger & Aspect, EPL 1, 173, 1986).  Here photon
+    pulses start on the 22 ns slot grid, so a delay of whole slots pairs each
+    pulse with an independent slot of the other channel: N_c(τ) = N_A·N_B/S,
+    with S the number of slots.  Half a slot off the grid no two photon pulses
+    overlap, and only a dark pulse, which falls anywhere, can meet a pulse of
+    the other channel: (D_A·N_B + N_A·D_B)·W/T, with W = 10 ns the span of
+    start differences at which two pulses overlap by the threshold.  30 steps
+    of the committed config at G = 1 and φ = π/2; the same trains at every delay.
+    """
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "coincidence_scan.json")
+    steps, z_bound = 30, 4.0
+    optics = OpticalState(math.pi / 2, cfg.optics.intrinsic_visibility, envelope_gain=1.0)
+    slots_per_step = round(cfg.ccm.step / cfg.source.dead_time)
+    delays_ns = [-44, -22, 22, 44, 66, 11]
+    n_a = n_b = 0
+    counts = np.zeros(len(delays_ns))
+    for k in range(steps):
+        batch = sample_batch(cfg.source.mean_photon(), slots_per_step, seed=11_000 + k)
+        trains = detect_bin(
+            batch, optics, cfg.detectors, 12_000 + k, slot_width=cfg.source.dead_time
+        )
+        n_a, n_b = n_a + len(trains[0]), n_b + len(trains[1])
+        for i, delay in enumerate(delays_ns):
+            ccm = dataclasses.replace(cfg.ccm, delay_tau=delay * 1e-9)
+            counts[i] += coincide(*trains, ccm)[0]
+    seconds, slots = steps * cfg.ccm.step, steps * slots_per_step
+    dark_a, dark_b = (det.dark_rate * seconds for det in cfg.detectors)
+    window = sum(det.pulse_duration for det in cfg.detectors) - 2 * cfg.ccm.overlap_threshold
+    expected = np.array(
+        [n_a * n_b / slots] * 5 + [(dark_a * n_b + n_a * dark_b) * window / seconds]
+    )
+    z = (counts - expected) / np.sqrt(expected)
+    check(
+        "delayed-coincidence baseline",
+        bool(np.all(np.abs(z) < z_bound)),
+        f"N_c at {delays_ns} ns = {counts.astype(int).tolist()} vs "
+        f"{np.round(expected, 2).tolist()} (ratios {np.round(counts / expected, 3).tolist()}; "
+        f"z = {np.round(z, 2).tolist()}, bound {z_bound})",
     )
 
 

@@ -4,14 +4,16 @@ import hashlib
 import io
 import math
 import struct
+import sys
 import tempfile
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pstream import traces
 from pstream.cli import main
@@ -139,6 +141,14 @@ class TestCsvRoundTrip:
         assert np.array_equal(back.ch2, trace.ch2)
         assert back.sampling_period == trace.sampling_period
 
+    def test_times_are_whole_multiples_of_the_period_digits(self, tmp_path):
+        trace = TraceFile(ch1=[0, 4, 0, 4], ch2=[4, 0, 0, 0], sampling_period=400e-12)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        assert path.read_text() == (
+            "time_s,ch1_V,ch2_V\n0e-10,0.0,4.0\n4e-10,4.0,0.0\n8e-10,0.0,0.0\n12e-10,4.0,0.0\n"
+        )
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,v1,v2\n0,0,0\n")
@@ -158,14 +168,40 @@ class TestCsvRoundTrip:
             read_trace_csv(path)
 
 
-def row_writer(trace, path):
-    """Reference: the one-row-at-a-time CSV writer that write_trace_csv replaced."""
+def legacy_row_writer(trace, path):
+    """Reference for files written before the times became exact decimals:
+    one row at a time, each time the shortest repr of the float k * dt."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["time_s", "ch1_V", "ch2_V"])
         dt = trace.sampling_period
         for k in range(trace.n_samples):
             writer.writerow([repr(k * dt), repr(float(trace.ch1[k])), repr(float(trace.ch2[k]))])
+
+
+def decimal_exponent(q):
+    """The largest x for which the decimal fraction ``q`` > 0 is a whole multiple of 10**x."""
+    x = 0
+    while (q / Fraction(10) ** x).denominator != 1:
+        x -= 1
+    while (q / Fraction(10) ** (x + 1)).denominator == 1:
+        x += 1
+    return x
+
+
+def row_writer(trace, path):
+    """Reference: one row at a time, each time the exact rational k * repr(dt)
+    written as the integer k * repr(dt) / 10**x followed by ``e{x}``."""
+    dt = Fraction(repr(trace.sampling_period))
+    x = decimal_exponent(dt)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["time_s", "ch1_V", "ch2_V"])
+        for k in range(trace.n_samples):
+            mantissa = k * dt / Fraction(10) ** x
+            writer.writerow(
+                [f"{mantissa.numerator}e{x}", repr(float(trace.ch1[k])), repr(float(trace.ch2[k]))]
+            )
 
 
 def row_reader(path, threshold=2.0):
@@ -249,27 +285,40 @@ READER_CORPUS = {
 }
 
 
+def writer_corpus():
+    """Traces of float32 edge values and random bit patterns, over more rows than
+    one write chunk, at 400 ps and at a period whose repr has 16 digits; and an
+    empty trace."""
+    f32 = np.finfo(np.float32)
+    edge = np.array(
+        [-0.0, np.nan, np.inf, -np.inf, f32.smallest_subnormal, f32.max, -f32.max,
+         np.float32(0.1), 4.0, 0.0],
+        dtype=np.float32,
+    )
+    n = 65_536 + 1_000
+    rng = np.random.default_rng(12)
+    ch1 = rng.choice(edge, size=n)
+    ch2 = rng.integers(0, 2**32, size=n, dtype=np.uint32).view(np.float32)  # any bits
+    ch1[:edge.size] = edge
+    ch2[-edge.size:] = edge
+    return [
+        TraceFile(ch1=ch1, ch2=ch2, sampling_period=400e-12),
+        TraceFile(ch1=ch1, ch2=ch2, sampling_period=1e-9 / 3),
+        TraceFile(ch1=np.zeros(0), ch2=np.zeros(0)),
+    ]
+
+
+def verdict(path):
+    """read_trace_csv's outcome for ``path``, with the path cut out of a message."""
+    got = outcome(read_trace_csv, path)
+    return got.replace(str(path), "<path>") if isinstance(got, str) else got
+
+
 class TestCsvDifferential:
     """write_trace_csv and read_trace_csv against the row-at-a-time references."""
 
     def test_writer_bytes_match_row_writer(self, tmp_path):
-        f32 = np.finfo(np.float32)
-        edge = np.array(
-            [-0.0, np.nan, np.inf, -np.inf, f32.smallest_subnormal, f32.max, -f32.max,
-             np.float32(0.1), 4.0, 0.0],
-            dtype=np.float32,
-        )
-        n = 65_536 + 1_000  # more rows than one write chunk
-        rng = np.random.default_rng(12)
-        ch1 = rng.choice(edge, size=n)
-        ch2 = rng.integers(0, 2**32, size=n, dtype=np.uint32).view(np.float32)  # any bits
-        ch1[:edge.size] = edge
-        ch2[-edge.size:] = edge
-        for trace in (
-            TraceFile(ch1=ch1, ch2=ch2, sampling_period=400e-12),
-            TraceFile(ch1=ch1, ch2=ch2, sampling_period=1e-9 / 3),
-            TraceFile(ch1=np.zeros(0), ch2=np.zeros(0)),
-        ):
+        for trace in writer_corpus():
             write_trace_csv(trace, tmp_path / "new.csv")
             row_writer(trace, tmp_path / "old.csv")
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -343,6 +392,83 @@ class TestCsvDifferential:
         assert back.n_samples == 3 and back.sampling_period == 4e-10
 
 
+@pytest.mark.parametrize("case", ["400ps", "third_of_ns", "empty", "capture"])
+def test_legacy_file_reads_as_new_file(case, tmp_path):
+    # files written before the times became exact decimals read as before:
+    # the same samples and period, or the same refusal
+    corpus = writer_corpus()
+    trace = {
+        "400ps": corpus[0],
+        "third_of_ns": corpus[1],
+        "empty": corpus[2],
+        "capture": committed_capture(30e-6, seed=21),
+    }[case]
+    legacy, new = tmp_path / "legacy.csv", tmp_path / "new.csv"
+    legacy_row_writer(trace, legacy)
+    write_trace_csv(trace, new)
+    want, got = verdict(legacy), verdict(new)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[2] == want[2] == trace.sampling_period
+
+
+def nearest_double(q):
+    """The double nearest the rational ``q`` >= 0, or inf where it overflows."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf
+
+
+F32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+TWO_LEVELS = [(0.0, 4.0), (4.0, 0.0)] * 25
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(min_value=sys.float_info.min, max_value=sys.float_info.max),
+    st.lists(st.tuples(F32, F32), max_size=50),
+)
+@example(4e-10, TWO_LEVELS)
+@example(1e-9 / 3, TWO_LEVELS)
+@example(2.5e-11, TWO_LEVELS)
+@example(0.1, TWO_LEVELS)
+@example(1000.0, TWO_LEVELS)
+@example(1e300, TWO_LEVELS)
+# the two rules round to either side of the overflow threshold: the legacy
+# time 6 * dt overflows and the decimal one does not, then the other way round
+@example(2.9961552247705263e307, TWO_LEVELS[:8])
+@example(3.668761499719012e306, TWO_LEVELS)
+def test_written_times_are_exact_decimal_multiples(dt, samples):
+    ch1, ch2 = np.array(samples, dtype=np.float32).reshape(-1, 2).T
+    trace = TraceFile(ch1=ch1, ch2=ch2, sampling_period=dt)
+    with tempfile.TemporaryDirectory() as tmp:
+        new, legacy = Path(tmp) / "new.csv", Path(tmp) / "legacy.csv"
+        write_trace_csv(trace, new)
+        legacy_row_writer(trace, legacy)
+        with open(new, newline="") as fh:
+            times = [float(row[0]) for row in list(csv.reader(fh))[1:]]
+        assert times == [nearest_double(Fraction(repr(dt)) * k) for k in range(len(samples))]
+        legacy_times = [k * dt for k in range(len(samples))]
+        # a file whose times overflow is refused at its first infinite time
+        for path, file_times in ((new, times), (legacy, legacy_times)):
+            if math.inf in file_times:
+                line = file_times.index(math.inf) + 2
+                assert verdict(path) == f"<path>: line {line}: time inf is not finite"
+        if math.inf in times:
+            return
+        got = verdict(new)
+        if len(samples) < 2:
+            assert got == verdict(legacy)
+        else:
+            assert not isinstance(got, str), got
+            assert np.array_equal(got[0], ch1) and np.array_equal(got[1], ch2)
+            assert got[2] == dt
+
+
 def traced_peak(fn, *args):
     """``fn(*args)`` and the most bytes it held at once, as tracemalloc counts them."""
     tracemalloc.start()
@@ -356,8 +482,8 @@ def traced_peak(fn, *args):
 def test_csv_round_trip_memory_bounded(tmp_path):
     # 100 us, 249 975 samples.  The row-by-row writer and the line-generator
     # reader peaked at 13.01 MB and 12.50 MB here (numpy 2.4.6, Python 3.11.7),
-    # and the bounds stay at those figures.  The chunked writer and the
-    # file-fed reader peak at 2.85 MB and 11.33 MB.
+    # and the bounds stay at those figures.  The chunked writer with decimal
+    # times and the file-fed reader peak at 2.11 MB and 11.26 MB.
     trace = committed_capture(100e-6, seed=25)
     path = tmp_path / "trace.csv"
     _, write_peak = traced_peak(write_trace_csv, trace, path)
@@ -618,3 +744,15 @@ class TestTraceFile:
     def test_channel_shape_mismatch(self):
         with pytest.raises(TraceParseError):
             TraceFile(ch1=np.zeros(3), ch2=np.zeros(4))
+
+    @pytest.mark.parametrize("period", [math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324])
+    def test_period_not_a_finite_normal_double_rejected(self, period):
+        # the CSV writer could not carry it: nan and inf have no decimal, and
+        # the decimal repr of a subnormal is up to 1.2 % off the stored double
+        with pytest.raises(TraceParseError) as info:
+            TraceFile(ch1=np.zeros(3), ch2=np.zeros(3), sampling_period=period)
+        assert str(info.value).endswith(f"got {period!r}")
+
+    def test_smallest_normal_period_accepted(self):
+        trace = TraceFile(ch1=np.zeros(3), ch2=np.zeros(3), sampling_period=sys.float_info.min)
+        assert trace.sampling_period == sys.float_info.min
