@@ -133,6 +133,14 @@ def positive_float(text: str) -> float:
     return value
 
 
+def normal_positive_float(text: str) -> float:
+    """argparse type: a finite normal double > 0, as ``TraceFile`` takes for its period."""
+    value = positive_float(text)
+    if value < sys.float_info.min:
+        raise argparse.ArgumentTypeError(f"{text!r} is subnormal, below {sys.float_info.min!r}")
+    return value
+
+
 def int_at_least(low: int):
     """argparse type: an integer >= ``low``."""
 
@@ -186,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="events CSV path")
     p.add_argument("--format", choices=["csv", "raw"], default=None)
     p.add_argument(
-        "--sampling-period", type=positive_float, default=400e-12, dest="sampling_period"
+        "--sampling-period", type=normal_positive_float, default=400e-12, dest="sampling_period"
     )
     p.add_argument("--threshold", type=finite_float, default=2.0)
     p.set_defaults(func=_cmd_ingest)

@@ -147,7 +147,7 @@ def coincide(
     d_a, d_b = train_a.duration, train_b.duration
     threshold = cfg.overlap_threshold_ps
     a_starts = train_a.starts
-    b_starts = train_b.starts + cfg.delay_tau_ps
+    b_starts = train_b.starts + cfg.delay_tau_ps if cfg.delay_tau_ps else train_b.starts
     if a_starts.size == 0 or b_starts.size == 0 or min(d_a, d_b) < threshold:
         # an empty train has no overlaps, and none can outlast the shorter pulse
         return 0, []

@@ -15,17 +15,16 @@ Unknown keys are rejected with the offending dotted path.  Each value must
 match its field's annotation: a bool takes only true/false, an int an integer
 (not a bool or a float), a float any finite number; null only where optional.
 Times are in seconds, and those used as picoseconds must round to >= 1 ps.
-Cross-field rules (counter steps tile the dwell and hold at least one
-slot; the power chain gives an occupancy below 1) are checked when the
-config is built.  For a new run, the PSTREAM_SEED environment variable
-overrides the config seed and an explicit CLI flag wins over both
-(``seed_override``); reading a run back keeps the seed it recorded.
+Cross-field rules (counter steps tile the dwell exactly in int picoseconds
+and hold at least one slot; the power chain gives an occupancy below 1) are
+checked when the config is built.  For a new run, the PSTREAM_SEED
+environment variable overrides the config seed and an explicit CLI flag wins
+over both (``seed_override``); reading a run back keeps the seed it recorded.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
@@ -39,12 +38,6 @@ from .interferometer import PztConfig
 from .source import SourceConfig
 
 SEED_ENV_VAR = "PSTREAM_SEED"
-
-
-def tiles(total: float, step: float, tol: float) -> bool:
-    """Whether ``0 < step <= total`` and whole steps make up ``total`` to within ``tol``."""
-    ratio = total / step
-    return 1.0 <= ratio < math.inf and abs(round(ratio) * step - total) <= tol
 
 
 @dataclass(frozen=True)
@@ -75,6 +68,8 @@ class ScanConfig:
     ``jitter_volts``, when nonzero, adds a slow seeded sinusoidal wobble to
     the voltage ramp as a loose stand-in for manual-scan nonuniformity.
     ``seed`` lies in [0, 2**64), which ``derive_seed`` mixes without aliasing.
+    ``seconds_per_point_ps`` holds the dwell as int picoseconds, converted
+    once when the config is built.
     """
 
     n_points: int = 316
@@ -88,6 +83,9 @@ class ScanConfig:
             raise ConfigError("n_points must be >= 2")
         if self.seconds_per_point <= 0:
             raise ConfigError("seconds_per_point must be > 0")
+        object.__setattr__(
+            self, "seconds_per_point_ps", seconds_to_ps(self.seconds_per_point, "seconds_per_point")
+        )
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.jitter_volts < 0:
@@ -113,8 +111,12 @@ class ExperimentConfig:
             raise ConfigError(
                 f"ccm.step {self.ccm.step} s is shorter than one {self.source.dead_time} s slot"
             )
-        if not tiles(self.scan.seconds_per_point, self.ccm.step, 1e-9):
-            raise ConfigError("seconds_per_point must be a whole number of ccm steps")
+        dwell_ps, step_ps = self.scan.seconds_per_point_ps, self.ccm.step_ps
+        if dwell_ps < step_ps or dwell_ps % step_ps:
+            raise ConfigError(
+                f"seconds_per_point must be a whole number of ccm steps: {dwell_ps} ps "
+                f"is not a multiple of {step_ps} ps"
+            )
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
         return replace(self, scan=replace(self.scan, seed=seed))

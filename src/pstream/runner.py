@@ -95,7 +95,7 @@ def _simulate_point(cfg: ExperimentConfig, index: int, volt: float) -> ScanPoint
     state = OpticalState(phase, cfg.optics.intrinsic_visibility, gain)
     mean = cfg.source.mean_photon()
     point_seed = derive_seed(cfg.scan.seed, index)
-    n_steps = round(cfg.scan.seconds_per_point / cfg.ccm.step)
+    n_steps = cfg.scan.seconds_per_point_ps // cfg.ccm.step_ps
     slots_per_step = cfg.ccm.step_ps // seconds_to_ps(cfg.source.dead_time, "source.dead_time")
     steps = []
     for j in range(n_steps):

@@ -36,6 +36,8 @@ Two file forms are supported:
 
 A ``TraceFile`` refuses a sampling period that is not a finite normal double
 above 0: the decimal ``repr`` of a subnormal one can be 1.2 % off its value.
+The CSV writer refuses, before it opens the file, a trace whose last time
+would read back as infinite.
 Every rejection raises ``TraceParseError``, which ``pstream ingest`` turns
 into exit code 3.
 """
@@ -147,6 +149,12 @@ def write_trace_csv(trace: TraceFile, path: str | Path) -> None:
     _, digits, exponent = Decimal(repr(float(trace.sampling_period))).normalize().as_tuple()
     step = int("".join(map(str, digits)))
     tail = f"e{exponent},{{!r}},{{!r}}\n".format
+    # the reader refuses an infinite time, so refuse to write one
+    if not float(f"{(trace.n_samples - 1) * step}e{exponent}") <= sys.float_info.max:
+        raise TraceParseError(
+            f"{path}: {trace.n_samples} samples at sampling period "
+            f"{trace.sampling_period!r} s end past the largest double"
+        )
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_CSV_HEADER) + "\n")
         for start in range(0, trace.n_samples, _CSV_CHUNK_ROWS):

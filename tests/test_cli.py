@@ -429,6 +429,15 @@ class TestIngest:
         assert run_cli("ingest", "--trace", str(path), "--out", str(out)) == 0
         self.assert_events_file(out, trace)
 
+    def test_smallest_normal_sampling_period_accepted(self, trains, tmp_path, capsys):
+        path = tmp_path / "trace.bin"
+        write_trace_raw(synthesize_trace(*trains, duration=4e-7), path)
+        out = tmp_path / "events.csv"
+        period = repr(sys.float_info.min)
+        argv = ["ingest", "--trace", str(path), "--out", str(out), "--sampling-period", period]
+        assert run_cli(*argv) == 0
+        assert "channel 1: 6 events; channel 2: 4 events" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "row", ["nan,0.0,0.0", "8e-10,inf,0.0", "8e-10,0.0,1e300", "1e-3,0.0,0.0"]
     )
@@ -453,6 +462,9 @@ BAD_NUMERIC_FLAGS = {
     "ingest_sampling_period_inf": ["ingest", "--sampling-period", "inf"],
     "ingest_sampling_period_zero": ["ingest", "--sampling-period", "0"],
     "ingest_sampling_period_negative": ["ingest", "--sampling-period", "-1"],
+    # refused by TraceFile only after the trace was read; the trace path the
+    # test passes does not exist, so the flag must be checked first
+    "ingest_sampling_period_subnormal": ["ingest", "--sampling-period", "1e-320"],
     "ingest_threshold_nan": ["ingest", "--threshold", "nan"],
     "stats_mean_nan": ["stats", "--mean", "nan"],
     "stats_dead_time_zero": ["stats", "--mean", "0.012", "--dead-time", "0"],
@@ -475,7 +487,12 @@ def test_bad_numeric_flag_exits_2(name, tmp_path, capsys):
     assert info.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    reason = "is not finite" if value in ("nan", "inf") else "is not > 0"
+    if value in ("nan", "inf"):
+        reason = "is not finite"
+    elif name.endswith("subnormal"):
+        reason = f"is subnormal, below {sys.float_info.min!r}"
+    else:
+        reason = "is not > 0"
     assert f"argument {flag}: '{value}' {reason}" in err
     assert "Traceback" not in err
 

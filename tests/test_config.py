@@ -150,6 +150,9 @@ PROBES = {
     "slot_width_sub_ps": {"source": {"mean_photon_override": 0.012, "dead_time": 1e-13}},
     # 0.3 s steps do not make up a 0.5 s dwell (a 0.6 s dwell loads)
     "step_not_tiling_dwell": {"ccm": {"step": 0.3}, "scan": {"seconds_per_point": 0.5}},
+    # 900 ps past ten 0.1 s steps; a 1e-9 s tolerance used to load it and
+    # run 10 steps
+    "dwell_not_whole_steps_in_ps": {"scan": {"seconds_per_point": 1.0000000009}},
     # the accumulation bin changed no output byte and is gone, like pzt.scan_duration
     "accumulation_bin_removed": {"ccm": {"accumulation_bin": 1.0}},
     # 30 ns pulses 22 ns apart overlap; this used to exit 3 at scan point 0
@@ -167,6 +170,10 @@ PROBES = {
 }
 # what the message must name, beyond "configuration error"
 PROBE_MESSAGES = {
+    "dwell_not_whole_steps_in_ps": (
+        "seconds_per_point must be a whole number of ccm steps: 1000000000900 ps "
+        "is not a multiple of 100000000000 ps"
+    ),
     "accumulation_bin_removed": "unknown key at ccm.accumulation_bin",
     "coherence_length_square_underflows": "laser_coherence_length must be > 0 with a square",
     "step_shorter_than_slot": "ccm.step 1e-08 s is shorter than one 2.2e-08 s slot",

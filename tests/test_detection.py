@@ -517,11 +517,14 @@ class TestDetectBin:
         assert np.diff(train_b.starts).min() == 21_700
 
     def test_pair_subset_uniform(self, monkeypatch):
-        # 6 of 8 slots occupied, 3 of them by pairs.  With every photon sent to
-        # D2, a pair's slot time enters D2's dead-time filter twice, which
-        # shows which of the 6 occupied slots hold the pairs.  Each of the
+        # 6 of 8 slots occupied, 3 of them by pairs.  At p = 1/2 a pair that
+        # splits puts its slot time into both detectors' dead-time filters,
+        # and a single slot into one, so in the trials where all three pairs
+        # split the slots in both inputs show which of the 6 hold the pairs.
+        # Splitting is drawn apart from the pair subset, so each of the
         # C(6, 3) = 20 choices is equally likely: chi-square with 19 degrees
-        # of freedom, bound at its 0.9999 quantile (49.5)
+        # of freedom, bound at its 0.9999 quantile (49.5), over the first
+        # 1 000 such trials (50 expected per cell)
         inputs = []
         dead_time = detection.dead_time_filter
 
@@ -531,15 +534,18 @@ class TestDetectBin:
 
         monkeypatch.setattr(detection, "dead_time_filter", recording_filter)
         batch = PhotonBatch(3, 3, 0, 8)
-        optics = OpticalState(phase=0.0, intrinsic_visibility=1.0)
-        trials = 4_000
+        optics = OpticalState(phase=math.pi / 2, intrinsic_visibility=1.0)
+        trials, seed = 1_000, 5000
         counts = {}
-        for k in range(trials):
-            detect_both(batch, optics, quiet_detector(), seed=5000 + k)
-            _, to_d2 = inputs[-2:]
-            times, repeats = np.unique(to_d2, return_counts=True)
-            key = tuple(np.flatnonzero(repeats == 2).tolist())
-            counts[key] = counts.get(key, 0) + 1
+        while sum(counts.values()) < trials:
+            detect_both(batch, optics, quiet_detector(), seed=seed)
+            seed += 1
+            to_d1, to_d2 = inputs[-2:]
+            occupied = np.union1d(to_d1, to_d2)
+            split = np.isin(occupied, to_d1) & np.isin(occupied, to_d2)
+            if split.sum() == 3:
+                key = tuple(np.flatnonzero(split).tolist())
+                counts[key] = counts.get(key, 0) + 1
         assert len(counts) == 20
         expected = trials / 20
         assert sum((c - expected) ** 2 / expected for c in counts.values()) < 49.5
@@ -548,11 +554,14 @@ class TestDetectBin:
 def reference_detect_bin(batch, optics, detectors, seed, slot_width):
     """detect_bin written plainly: a mask over the occupied slots for the
     pairs, per-photon masks for routing and thinning, then a concatenation
-    and a sort per channel.
+    and a sort per channel.  Every photon that reaches a channel is an event
+    of its dead-time filter, the second photon of a same-port pair included.
 
-    Returns each channel's (dead-time filter input, event times after the
-    filter, quantizing and the bin-edge cut) and the state the generator is
-    left in.
+    Returns, per channel, a namespace of the dead-time filter input
+    (``filter_in``), the same input without the second photons of same-port
+    pairs (``one_per_slot``), the slot times that route a photon to the
+    channel (``routed``) and the event times after the filter, quantizing
+    and the bin-edge cut (``kept``); then the state the generator is left in.
     """
     slot_ps = seconds_to_ps(slot_width, "slot_width")
     bin_length = batch.slots_per_bin * slot_ps
@@ -569,7 +578,7 @@ def reference_detect_bin(batch, optics, detectors, seed, slot_width):
     first_to_d1 = rng.random(k) < p_d1
     second_to_d1 = rng.random(n_p) < p_d1
 
-    events = []
+    lanes = []
     for lane, det in enumerate(detectors):
         first = first_to_d1 if lane == 0 else ~first_to_d1
         second = second_to_d1 if lane == 0 else ~second_to_d1
@@ -578,10 +587,19 @@ def reference_detect_bin(batch, optics, detectors, seed, slot_width):
             second = second & (rng.random(n_p) < det.efficiency)
         dark = generate_dark_events(det.dark_rate, bin_length, derive_seed(seed, 1 + lane))
         t = np.sort(np.concatenate([slot_t[first], pair_t[second], dark]))
+        alone = second & ~first[is_pair]  # second photons whose first went elsewhere
+        one_per_slot = np.sort(np.concatenate([slot_t[first], pair_t[alone], dark]))
         grid = det.resolving_time_ps
         kept = (reference_dead_time_filter(t, det.dead_time_ps) + grid // 2) // grid * grid
-        events.append((t, kept[kept + det.pulse_duration_ps <= bin_length]))
-    return events[0], events[1], rng.bit_generator.state
+        lanes.append(
+            SimpleNamespace(
+                filter_in=t,
+                one_per_slot=one_per_slot,
+                routed=np.union1d(slot_t[first], pair_t[second]),
+                kept=kept[kept + det.pulse_duration_ps <= bin_length],
+            )
+        )
+    return lanes[0], lanes[1], rng.bit_generator.state
 
 
 def traced_detect_bin(monkeypatch, *args, **kwargs):
@@ -655,18 +673,23 @@ class TestDetectBinMatchesReference:
         seed = 1000 + case
 
         trains, inputs, state = traced_detect_bin(monkeypatch, batch, optics, dets, seed, 22e-9)
-        *events, ref_state = reference_detect_bin(batch, optics, dets, seed, 22e-9)
+        *lanes, ref_state = reference_detect_bin(batch, optics, dets, seed, 22e-9)
         assert state == ref_state
         bin_length = batch.slots_per_bin * 22_000
+        doubled = 0
         for lane, det in enumerate(dets):
-            train, (ref_in, ref) = trains[lane], events[lane]
-            # the same filter input, doubled photons of same-port pairs included
-            np.testing.assert_array_equal(inputs[lane], ref_in)
-            np.testing.assert_array_equal(train.starts, ref)
+            train, ref = trains[lane], lanes[lane]
+            # the reference's filter input less the second photons of
+            # same-port pairs; its trains, which the filter made from every
+            # photon, are the same, so those photons never survive it
+            np.testing.assert_array_equal(inputs[lane], ref.one_per_slot)
+            np.testing.assert_array_equal(train.starts, ref.kept)
+            doubled += ref.filter_in.size - ref.one_per_slot.size
             assert train.starts.dtype == np.int64
             assert train.duration == det.pulse_duration_ps
             assert train.bin_length == bin_length
             assert train.min_gap == det.dead_time_ps - det.resolving_time_ps
+        assert (doubled > 0) == (name != "empty")
 
         # coincide on these trains, B delayed or not, agrees with the two-pointer walk
         for tau in (0.0, 3e-9, -7e-9):
@@ -680,6 +703,23 @@ class TestDetectBinMatchesReference:
                 cfg.overlap_threshold_ps,
             )
             assert coincide(*trains, cfg) == (len(expected), expected)
+
+
+class TestFilterInputOnePerSlot:
+    @pytest.mark.parametrize("phase", [0.0, 1.0, math.pi / 2, 2.5, math.pi])
+    @pytest.mark.parametrize("efficiency", [1.0, 0.6])
+    def test_routed_slot_times_strictly_increasing(self, phase, efficiency, monkeypatch):
+        # without darks each channel's filter input is one event per slot that
+        # routes a photon to it, however many of the slot's photons do
+        batch = sample_batch(0.05, 200_000, seed=61)
+        optics = OpticalState(phase=phase, intrinsic_visibility=0.882)
+        det = quiet_detector(efficiency=efficiency)
+        _, inputs, _ = traced_detect_bin(monkeypatch, batch, optics, (det, det), 62, 22e-9)
+        *lanes, _ = reference_detect_bin(batch, optics, (det, det), 62, 22e-9)
+        assert sum(ref.filter_in.size - ref.routed.size for ref in lanes) > 0
+        for got, ref in zip(inputs, lanes):
+            assert np.all(np.diff(got) > 0)
+            np.testing.assert_array_equal(got, ref.routed)
 
 
 class TestDetectorConfig:

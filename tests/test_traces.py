@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import math
+import re
 import struct
 import sys
 import tempfile
@@ -445,21 +446,25 @@ TWO_LEVELS = [(0.0, 4.0), (4.0, 0.0)] * 25
 def test_written_times_are_exact_decimal_multiples(dt, samples):
     ch1, ch2 = np.array(samples, dtype=np.float32).reshape(-1, 2).T
     trace = TraceFile(ch1=ch1, ch2=ch2, sampling_period=dt)
+    times = [nearest_double(Fraction(repr(dt)) * k) for k in range(len(samples))]
+    legacy_times = [k * dt for k in range(len(samples))]
     with tempfile.TemporaryDirectory() as tmp:
         new, legacy = Path(tmp) / "new.csv", Path(tmp) / "legacy.csv"
-        write_trace_csv(trace, new)
         legacy_row_writer(trace, legacy)
-        with open(new, newline="") as fh:
-            times = [float(row[0]) for row in list(csv.reader(fh))[1:]]
-        assert times == [nearest_double(Fraction(repr(dt)) * k) for k in range(len(samples))]
-        legacy_times = [k * dt for k in range(len(samples))]
-        # a file whose times overflow is refused at its first infinite time
-        for path, file_times in ((new, times), (legacy, legacy_times)):
-            if math.inf in file_times:
-                line = file_times.index(math.inf) + 2
-                assert verdict(path) == f"<path>: line {line}: time inf is not finite"
+        # a legacy file whose times overflow is refused at its first infinite time
+        if math.inf in legacy_times:
+            line = legacy_times.index(math.inf) + 2
+            assert verdict(legacy) == f"<path>: line {line}: time inf is not finite"
         if math.inf in times:
+            # the writer refuses such a trace and leaves no file
+            message = f"{len(samples)} samples at sampling period {dt!r} s end past"
+            with pytest.raises(TraceParseError, match=re.escape(message)):
+                write_trace_csv(trace, new)
+            assert not new.exists()
             return
+        write_trace_csv(trace, new)
+        with open(new, newline="") as fh:
+            assert [float(row[0]) for row in list(csv.reader(fh))[1:]] == times
         got = verdict(new)
         if len(samples) < 2:
             assert got == verdict(legacy)
