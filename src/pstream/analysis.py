@@ -121,6 +121,14 @@ def g2_rate(n_a: float, n_b: float, n_c: float, accumulation: float, delta_t: fl
     the counter pairs two pulses.  For the AND gate that is the matcher's own
     window d_A + d_B - 2*overlap_threshold, 10 ns for 10 ns pulses and a 5 ns
     threshold, 30 ns for 20 ns pulses (``build_report`` passes it).
+
+    On the simulator's slot grid this reads about tau_slot / delta_t (2.2 for
+    22 ns slots and a 10 ns window) for coherent light, not the textbook 1
+    (Grangier, Roger & Aspect, EPL 1, 173, 1986).  The textbook value assumes
+    independent arrival times that coincide within delta_t.  Here every photon
+    of a slot arrives at the slot start, so two photons coincide exactly when
+    they share a slot: N_c / (N_A N_B) = 1 / S for S slots, and T / delta_t =
+    S tau_slot / delta_t.
     """
     if accumulation <= 0 or delta_t <= 0:
         raise DomainError("accumulation and delta_t must be > 0")

@@ -134,7 +134,8 @@ def positive_float(text: str) -> float:
 
 
 def normal_positive_float(text: str) -> float:
-    """argparse type: a finite normal double > 0, as ``TraceFile`` takes for its period."""
+    """argparse type: a finite normal double > 0, as ``TraceFile`` takes for its period;
+    its reciprocal is finite too."""
     value = positive_float(text)
     if value < sys.float_info.min:
         raise argparse.ArgumentTypeError(f"{text!r} is subnormal, below {sys.float_info.min!r}")
@@ -186,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="occupancy statistics for a mean photon number")
     p.add_argument("--mean", type=finite_float, required=True)
-    p.add_argument("--dead-time", type=positive_float, default=22e-9, dest="dead_time")
+    p.add_argument("--dead-time", type=normal_positive_float, default=22e-9, dest="dead_time")
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("ingest", help="extract events from a trace file")

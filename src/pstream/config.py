@@ -16,8 +16,9 @@ match its field's annotation: a bool takes only true/false, an int an integer
 (not a bool or a float), a float any finite number; null only where optional.
 Times are in seconds, and those used as picoseconds must round to >= 1 ps.
 Cross-field rules (counter steps tile the dwell exactly in int picoseconds
-and hold at least one slot; the power chain gives an occupancy below 1) are
-checked when the config is built.  For a new run, the PSTREAM_SEED
+and hold at least one slot; the power chain gives an occupancy below 1; a
+step is expected to hold at most ``MAX_STEP_EVENTS`` occupied slots and dark
+counts) are checked when the config is built.  For a new run, the PSTREAM_SEED
 environment variable overrides the config seed and an explicit CLI flag wins
 over both (``seed_override``); reading a run back keeps the seed it recorded.
 """
@@ -25,6 +26,7 @@ over both (``seed_override``); reading a run back keeps the seed it recorded.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
@@ -32,12 +34,17 @@ from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
 
 from .coincidence import CcmConfig
-from .detection import DetectorConfig, seconds_to_ps
+from .detection import PS_PER_S, DetectorConfig, seconds_to_ps
 from .errors import ConfigError
 from .interferometer import PztConfig
 from .source import SourceConfig
 
 SEED_ENV_VAR = "PSTREAM_SEED"
+# the most events a counter step may be expected to hold: its occupied slots
+# plus both lanes' dark counts.  The committed configs hold about 5.4e4.  A
+# step peaks at about 24 bytes per event (tracemalloc, a 1 s step of 5.4e5
+# events), so a step at the cap holds about 240 MB.
+MAX_STEP_EVENTS = 1e7
 
 
 @dataclass(frozen=True)
@@ -116,6 +123,13 @@ class ExperimentConfig:
             raise ConfigError(
                 f"seconds_per_point must be a whole number of ccm steps: {dwell_ps} ps "
                 f"is not a multiple of {step_ps} ps"
+            )
+        occupied = step_ps // slot_ps * -math.expm1(-self.source.mean_photon())
+        dark = sum(det.dark_rate for det in self.detectors) * step_ps / PS_PER_S
+        if not occupied + dark <= MAX_STEP_EVENTS:
+            raise ConfigError(
+                f"a ccm step is expected to hold {occupied:.3g} occupied slots and {dark:.3g} "
+                f"dark counts, more than {MAX_STEP_EVENTS:.0e} events"
             )
 
     def with_seed(self, seed: int) -> "ExperimentConfig":

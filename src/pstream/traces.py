@@ -14,19 +14,26 @@ Two file forms are supported:
   time reads back as the double nearest that decimal instant, so the first
   step is the period itself.  The voltages are the shortest ``repr`` of the
   float32 samples widened to float64, so they read back exactly.  The writer
-  works in 16k-row chunks and formats the ``e{x},ch1,ch2`` tail of each
-  distinct pair of sample bit patterns in a chunk once, since a capture holds
-  few voltage levels.  Files written before the times became exact decimals
-  hold ``repr(k * sampling_period)`` and read the same.  The reader decodes
-  UTF-8.  It takes the sampling period as ``times[1] - times[0]`` and
-  rejects, naming the first bad line, a row without exactly three fields (a
-  blank line included), a field that ``float()`` cannot parse, a time that
-  is not finite, a first step that is not > 0, a later step more than half a
-  period away from the first, and a voltage that is not finite or does not
-  fit a float32.  A file with fewer than two samples, or with bytes that are
-  not UTF-8, is rejected too.  The body is parsed by one ``np.loadtxt`` call
-  on the file; a row loop with the same verdicts takes over where that call
-  cannot decide, and names the line;
+  works in 16k-row chunks, each built as one uint8 matrix and written with
+  one ``tobytes()``.  It formats the ``e{x},ch1,ch2`` tail of each distinct
+  pair of sample bit patterns in a chunk once, since a capture holds few
+  voltage levels, and rows gather their tails from a padded byte table.  The
+  digits of k*m fill the leading columns right-aligned, by repeated ``% 10``
+  and ``// 10`` on integer arrays.  k*m is carried as two base-10**9 limbs,
+  which stay within int64 for any k*m below about 9.2e27, so for more than
+  9e10 samples at any period.  Where a chunk's rows differ in width (its
+  digit count changes, or its tails differ in length), one boolean keep-mask
+  drops the leading zeros and the padding.  Files written before the times
+  became exact decimals hold ``repr(k * sampling_period)`` and read the
+  same.  The reader decodes UTF-8.  It takes the sampling period as
+  ``times[1] - times[0]`` and rejects, naming the first bad line, a row
+  without exactly three fields (a blank line included), a field that
+  ``float()`` cannot parse, a time that is not finite, a first step that is
+  not > 0, a later step more than half a period away from the first, and a
+  voltage that is not finite or does not fit a float32.  A file with fewer
+  than two samples, or with bytes that are not UTF-8, is rejected too.  The
+  body is parsed by one ``np.loadtxt`` call on the file; a row loop with the
+  same verdicts takes over where that call cannot decide, and names the line;
 * raw packed little-endian float32 with a 16-byte header: the magic
   ``PSTRACE1`` followed by two little-endian uint32 words (sample count,
   channel count), then count*channels floats interleaved per sample
@@ -37,7 +44,8 @@ Two file forms are supported:
 A ``TraceFile`` refuses a sampling period that is not a finite normal double
 above 0: the decimal ``repr`` of a subnormal one can be 1.2 % off its value.
 The CSV writer refuses, before it opens the file, a trace whose last time
-would read back as infinite.
+would read back as infinite, and ``ingest_trace`` a trace with a rising edge
+whose time is infinite.
 Every rejection raises ``TraceParseError``, which ``pstream ingest`` turns
 into exit code 3.
 """
@@ -126,11 +134,19 @@ def _rising_edges(samples: np.ndarray, threshold: float, dt: float) -> np.ndarra
     if not above.any():
         return np.empty(0, dtype=float)
     edges = np.flatnonzero(above & ~np.concatenate(([False], above[:-1])))
-    return edges * dt
+    with np.errstate(over="ignore"):  # refused below
+        times = edges * dt
+    if not np.isfinite(times[-1]):  # the last edge is the latest
+        raise TraceParseError(
+            f"rising edge at sample {edges[-1]} lies past the largest double "
+            f"at sampling period {dt!r} s"
+        )
+    return times
 
 
 def ingest_trace(trace: TraceFile) -> tuple[np.ndarray, np.ndarray]:
-    """Event times (seconds) per channel, one per above-threshold run."""
+    """Event times (seconds) per channel, one per above-threshold run; refuses
+    a trace with an edge whose time overflows a double."""
     return (
         _rising_edges(trace.ch1, trace.threshold, trace.sampling_period),
         _rising_edges(trace.ch2, trace.threshold, trace.sampling_period),
@@ -155,8 +171,8 @@ def write_trace_csv(trace: TraceFile, path: str | Path) -> None:
             f"{path}: {trace.n_samples} samples at sampling period "
             f"{trace.sampling_period!r} s end past the largest double"
         )
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(_CSV_HEADER) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(",".join(_CSV_HEADER).encode() + b"\n")
         for start in range(0, trace.n_samples, _CSV_CHUNK_ROWS):
             stop = min(start + _CSV_CHUNK_ROWS, trace.n_samples)
             ch1, ch2 = trace.ch1[start:stop], trace.ch2[start:stop]
@@ -165,10 +181,65 @@ def write_trace_csv(trace: TraceFile, path: str | Path) -> None:
             pairs = np.stack((ch1, ch2), axis=1).view(np.uint64)[:, 0]
             _, first, which = np.unique(pairs, return_index=True, return_inverse=True)
             tails = list(map(tail, ch1[first].tolist(), ch2[first].tolist()))
-            rows = [""] * (2 * (stop - start))
-            rows[0::2] = map(int.__repr__, range(start * step, stop * step, step))
-            rows[1::2] = map(tails.__getitem__, which.tolist())
-            fh.write("".join(rows))
+            fh.write(_csv_rows(start, step, tails, which))
+
+
+# the base of the two limbs that carry a time through int64 arithmetic
+_LIMB = 10**9
+
+
+def _csv_rows(start: int, step: int, tails: list[str], which: np.ndarray) -> bytes:
+    """Rows ``start`` .. ``start + len(which) - 1`` as bytes: row k is the decimal
+    digits of k*step followed by ``tails[which[k - start]]``.
+
+    The rows are one uint8 matrix: the times' digits right-aligned in the
+    leading columns, each row's tail gathered from a padded byte table after
+    them.  A time is carried as ``hi * 10**9 + lo``, so both limbs fit int64
+    for any time below about 9.2e27.  Where rows differ in width, a keep-mask
+    drops the leading zeros and the tails' padding.
+    """
+    n = which.size
+    width = len(str((start + n - 1) * step))  # digits of the chunk's largest time
+    lead = len(str(start * step))  # and of its smallest
+    tail_len = np.fromiter(map(len, tails), np.intp, len(tails))
+    tail_width = int(tail_len.max())
+    table = np.array(tails, dtype=f"S{tail_width}")  # ASCII, padded with NUL bytes
+    rows = np.empty((n, width + tail_width), np.uint8)
+    rows[:, width:].view(table.dtype)[:, 0] = np.take(table, which)
+    hi_start, lo_start = divmod(start * step, _LIMB)
+    step_hi, step_lo = divmod(step, _LIMB)
+    i = np.arange(n, dtype=np.int64)
+    lo = i * step_lo
+    lo += lo_start
+    limbs = [(lo, width)]
+    if width > 9:
+        hi, lo = np.divmod(lo, _LIMB)
+        hi += i * step_hi
+        hi += hi_start
+        limbs = [(lo, 9), (hi, width - 9)]
+    right = width
+    for value, count in limbs:
+        if count <= 9:  # below 10**9, so uint32 holds it
+            value = value.astype(np.uint32)
+        for col in range(right - 1, right - count - 1, -1):
+            value, digit = np.divmod(value, 10)
+            digit += ord("0")
+            rows[:, col] = digit
+        right -= count
+    if lead == width and tail_len.min() == tail_width:
+        return rows.tobytes()
+    # each row's class: its digit count and its tail's length, whose kept
+    # columns one mask row holds; the digit count rises by one at
+    # k = ceil(10**d / step)
+    lengths, length_class = np.unique(tail_len, return_inverse=True)
+    code = length_class[which]
+    for d in range(lead, width):
+        code[-(-(10**d) // step) - start :] += lengths.size
+    col = np.arange(width + tail_width)
+    digit_count = np.arange(lead, width + 1)[:, None, None]
+    masks = (col >= width - digit_count) & (col < width + lengths[:, None])
+    masks = np.frombuffer(masks.tobytes(), f"V{col.size}")
+    return rows.ravel()[np.take(masks, code).view(bool)].tobytes()
 
 
 def read_trace_csv(path: str | Path, threshold: float = DEFAULT_THRESHOLD) -> TraceFile:

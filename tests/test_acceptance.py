@@ -23,11 +23,12 @@ from pstream.detection import (
     dead_time_filter,
     detect_bin,
     generate_dark_events,
+    seconds_to_ps,
     shape_pulses,
 )
-from pstream.interferometer import OpticalState
+from pstream.interferometer import OpticalState, port_probability
 from pstream.runner import analytic_fig4, export_scan_csv, run_scan, scan_series
-from pstream.source import mean_photon_number, pair_fraction, sample_batch
+from pstream.source import mean_photon_number, pair_fraction, poisson_tail, sample_batch
 
 CENTER_WINDOW = (-2e-6, 2e-6)
 CONTRAST = 0.882
@@ -98,6 +99,34 @@ def test_double_modulation(full_series):
         ok,
         f"singles period {singles_period*1e9:.2f} nm (error {wavelength_err:.2%}, tol 1%); "
         f"coincidence/singles {pair_period/singles_period:.4f} (error {halving_err:.2%}, tol 2%)",
+    )
+
+
+def test_coincidence_budget(full_scan):
+    """Every point's N_c is the expected number of split pairs, S·P(≥2)·2p(1−p).
+
+    Photons of a slot all arrive at the slot start, and slots are 22 ns apart,
+    so 10 ns pulses of different slots never overlap by the 5 ns threshold.
+    The only coincidences are slots of two or more photons (each routed as a
+    pair) whose two photons leave by different ports, with p = (1 − V·G·cos φ)/2
+    at the point.  The pair slots are a Poisson count and each splits
+    independently, so N_c is Poisson with that mean; dark counts add about 0.1
+    coincidences per point.  S is the point's 10 steps of 4 545 454 slots.
+    """
+    cfg = full_scan.config
+    steps = cfg.scan.seconds_per_point_ps // cfg.ccm.step_ps
+    slots = steps * (cfg.ccm.step_ps // seconds_to_ps(cfg.source.dead_time, "dead_time"))
+    assert slots == 10 * 4_545_454
+    phase, gain, n_c = np.array([(pt.phase, pt.envelope, pt.n_c) for pt in full_scan.points]).T
+    p = port_probability(phase, gain, cfg.optics.intrinsic_visibility)
+    expected = slots * poisson_tail(2, cfg.source.mean_photon()) * 2 * p * (1 - p)
+    z = (n_c - expected) / np.sqrt(expected)
+    z_bound, mean_band = 5.0, 0.3  # the mean of 316 z-scores has sd 0.056
+    check(
+        "coincidence budget S·P(≥2)·2p(1−p)",
+        bool(np.all(np.abs(z) < z_bound)) and abs(z.mean()) < mean_band,
+        f"{len(z)} points, z from {z.min():.2f} to {z.max():.2f} (bound {z_bound}), "
+        f"mean z {z.mean():.3f} (band ±{mean_band}), sd {z.std(ddof=1):.3f}",
     )
 
 

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -449,6 +450,19 @@ class TestIngest:
         assert f"data error: {path}: line 4: " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_edge_time_overflow_exits_3(self, trains, tmp_path, capsys):
+        # a raw trace read at a 1e308 s period used to write every edge as inf
+        path = tmp_path / "trace.bin"
+        write_trace_raw(synthesize_trace(*trains, duration=4e-7), path)
+        out = tmp_path / "events.csv"
+        argv = ["ingest", "--trace", str(path), "--out", str(out), "--sampling-period", "1e308"]
+        assert run_cli(*argv) == 3
+        assert capsys.readouterr().err == (
+            "data error: rising edge at sample 643 lies past the largest double "
+            "at sampling period 1e+308 s\n"
+        )
+        assert not out.exists()
+
     def test_bad_magic_exits_3(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"JUNKJUNK" + b"\x00" * 8)
@@ -468,6 +482,8 @@ BAD_NUMERIC_FLAGS = {
     "ingest_threshold_nan": ["ingest", "--threshold", "nan"],
     "stats_mean_nan": ["stats", "--mean", "nan"],
     "stats_dead_time_zero": ["stats", "--mean", "0.012", "--dead-time", "0"],
+    # 1/dead_time overflowed: stats printed inf slots per second and a NaN mean
+    "stats_dead_time_subnormal": ["stats", "--mean", "0.012", "--dead-time", "5e-324"],
     "fig4_v_nan": ["fig4", "--v", "nan"],
     "fig4_leff_zero": ["fig4", "--leff", "0"],
     "fig4_span_zero": ["fig4", "--span", "0"],
@@ -497,6 +513,93 @@ def test_bad_numeric_flag_exits_2(name, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# numeric flag values: any double as repr, integers, the edges of the double
+# range and text that is not a number
+REAL = st.one_of(
+    st.floats().map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from(
+        ["0", "-0.0", "5e-324", "1e-320", "2.2250738585072014e-308", "1e-300", "1e308",
+         "-1e308", "1e999", "nan", "-inf", "abc", "", "0x10", "1_0", "4e-10", "0.882", "2e-6"]
+    ),
+)
+# fig4 --points stays at or below 10**4 rows
+POINTS = st.one_of(st.integers(-3, 10**4).map(str), st.sampled_from(["2.5", "1e3", "abc", ""]))
+SEED = st.one_of(
+    st.integers(-(2**65), 2**65).map(str), st.sampled_from(["-1", str(2**64), "1.5", "nan", ""])
+)
+# at most 2 valid workers; the invalid counts are refused before any thread starts
+WORKERS = st.one_of(
+    st.integers(1, 2).map(str), st.sampled_from(["0", "-1", str(-(2**70)), "1.5", "abc", ""])
+)
+FUZZED_FLAGS = {
+    "fig4": {"--v": REAL, "--leff": REAL, "--span": REAL, "--points": POINTS, "--wavelength": REAL},
+    "stats": {"--mean": REAL, "--dead-time": REAL},
+    "ingest": {"--sampling-period": REAL, "--threshold": REAL},
+    "simulate": {"--seed": SEED, "--workers": WORKERS},
+}
+# a value written as nan or inf; a temporary path holds none as a whole word
+NON_FINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
+# the flags a subcommand requires, with a valid value where the case draws none
+REQUIRED_FLAGS = {"fig4": {"--v": "0.882", "--leff": "2e-6"}, "stats": {"--mean": "0.012"}}
+
+
+@pytest.fixture(scope="module")
+def flag_fuzz_inputs(tmp_path_factory):
+    """A 2-point, one-step config and a CSV and a raw trace, for the flag fuzzer."""
+    root = tmp_path_factory.mktemp("flags")
+    doc = {
+        "source": {"mean_photon_override": 0.012},
+        "scan": {"n_points": 2, "seconds_per_point": 0.1, "seed": 5},
+    }
+    (root / "cfg.json").write_text(json.dumps(doc))
+    a = PulseTrain((np.arange(6) * 50_000 + 7_000).astype(np.int64), 10_000, bin_length=400_000)
+    b = PulseTrain((np.arange(4) * 70_000 + 23_000).astype(np.int64), 10_000, bin_length=400_000)
+    trace = synthesize_trace(a, b, duration=4e-7)
+    write_trace_csv(trace, root / "trace.csv")
+    write_trace_raw(trace, root / "trace.bin")
+    return root
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_numeric_flag_fuzz_exits_cleanly(flag_fuzz_inputs, data):
+    command = data.draw(st.sampled_from(sorted(FUZZED_FLAGS)))
+    flags = dict(REQUIRED_FLAGS.get(command, {}))
+    for flag, values in FUZZED_FLAGS[command].items():
+        value = data.draw(st.none() | values, label=flag)
+        if value is not None:
+            flags[flag] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        argv = [command] + [f"{flag}={value}" for flag, value in flags.items()]
+        if command == "fig4":
+            argv += ["--out", str(out)]
+        elif command == "ingest":
+            trace = data.draw(st.sampled_from(["trace.csv", "trace.bin"]))
+            argv += ["--trace", str(flag_fuzz_inputs / trace), "--out", str(out)]
+        elif command == "simulate":
+            argv += ["--config", str(flag_fuzz_inputs / "cfg.json"), "--out", str(out)]
+        stdout, err = io.StringIO(), io.StringIO()
+        saved_seed = os.environ.pop(SEED_ENV_VAR, None)
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+                code = main(argv)
+        except SystemExit as exc:  # argparse refused a value
+            code = exc.code
+        finally:
+            if saved_seed is not None:
+                os.environ[SEED_ENV_VAR] = saved_seed
+        assert code in (0, 2, 3, 4), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        written = sorted(out.rglob("*")) if out.is_dir() else [out] if out.exists() else []
+        if code == 0:
+            for text in [stdout.getvalue()] + [path.read_text() for path in written]:
+                assert not NON_FINITE.search(text), (argv, text[:200])
+        else:
+            assert not any(path.name == "scan.csv" for path in written), argv
+
+
 # values that pass argparse but that pstream refuses: stats printed two lines
 # before it refused, an envelope width whose square underflows wrote NaN
 # (g2 from fig4, the envelope column from simulate) and exited 0, and a
@@ -520,6 +623,16 @@ REFUSED_VALUES = {
         ["simulate", "--config", "{config}", "--out", "{out}"],
         "<root>: ccm.step 1e-08 s is shorter than one 2.2e-08 s slot",
     ),
+    # 2*pi*x/wavelength overflowed: fig4 wrote NaN curves and simulate an
+    # infinite phase_rad, both with exit 0
+    "fig4_wavelength_subnormal": (
+        ["fig4", "--v", "1", "--leff", "2e-6", "--wavelength", "5e-324", "--out", "{out}/c.csv"],
+        "phase 2*pi*x/wavelength is not finite at wavelength 5e-324 m",
+    ),
+    "simulate_wavelength_subnormal": (
+        ["simulate", "--config", "{config}", "--out", "{out}"],
+        "scan point 0: phase 2*pi*x/wavelength is not finite at wavelength 1e-320 m",
+    ),
     "simulate_seed_negative": (
         ["simulate", "--config", "{config}", "--out", "{out}", "--seed", "-1"],
         "seed must lie in [0, 2**64), got -1",
@@ -536,6 +649,9 @@ REFUSED_CONFIGS = {
         "scan": dict(TINY_CONFIG["scan"], asymmetric_walkoff=True),
     },
     "simulate_step_shorter_than_slot": {"ccm": {"step": 1e-8}},
+    "simulate_wavelength_subnormal": {
+        "source": {"mean_photon_override": 0.012, "wavelength": 1e-320}
+    },
 }
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from pstream.cli import main
 from pstream.config import (
+    MAX_STEP_EVENTS,
     ExperimentConfig,
     SEED_ENV_VAR,
     config_from_dict,
@@ -167,6 +169,10 @@ PROBES = {
     "coherence_length_square_underflows": {"optics": {"laser_coherence_length": 1e-300}},
     # a 10 ns step holds no 22 ns slot; scan point 0 used to refuse it
     "step_shorter_than_slot": {"ccm": {"step": 1e-8}},
+    # 1 ps slots: 1e11 per step, 1.2e9 of them occupied.  These two loaded, and
+    # their first step would have asked numpy for arrays of 1e9 elements or more
+    "step_events_slots": {"source": {"mean_photon_override": 0.012, "dead_time": 1e-12}},
+    "step_events_dark_rate": {"detectors": [{"dark_rate": 1e12}, {}]},
 }
 # what the message must name, beyond "configuration error"
 PROBE_MESSAGES = {
@@ -180,6 +186,14 @@ PROBE_MESSAGES = {
     "resolving_time_over_dead_time": "resolving_time 3e-08 s exceeds dead_time 2.2e-08 s",
     "pulse_plus_grid_step_over_dead_time": (
         "pulse_duration 2.19e-08 s + resolving_time 3.5e-10 s exceeds dead_time 2.2e-08 s"
+    ),
+    "step_events_slots": (
+        "a ccm step is expected to hold 1.19e+09 occupied slots and 5.4 dark counts, "
+        "more than 1e+07 events"
+    ),
+    "step_events_dark_rate": (
+        "a ccm step is expected to hold 5.42e+04 occupied slots and 1e+11 dark counts, "
+        "more than 1e+07 events"
     ),
 }
 
@@ -214,6 +228,19 @@ def test_bad_value_stops_at_load(name, tmp_path, monkeypatch):
     assert PROBE_MESSAGES.get(name, "") in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (out / "scan.csv").exists()
+
+
+@pytest.mark.parametrize(("dark_rate", "loads"), [(9.9e7, True), (1e8, False)])
+def test_step_event_cap(dark_rate, loads):
+    # 5.4e4 occupied slots plus 9.9e6 or 1e7 dark counts in one 0.1 s step;
+    # only loaded, never run
+    doc = probe_document({"detectors": [{"dark_rate": dark_rate}, {}]})
+    if loads:
+        assert config_from_dict(doc).detectors[0].dark_rate == dark_rate
+    else:
+        message = f"more than {MAX_STEP_EVENTS:.0e} events"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config_from_dict(doc)
 
 
 # derive_seed masks to 64 bits, so -1 and 2**64 used to alias 2**64 - 1 and 0

@@ -288,8 +288,9 @@ READER_CORPUS = {
 
 def writer_corpus():
     """Traces of float32 edge values and random bit patterns, over more rows than
-    one write chunk, at 400 ps and at a period whose repr has 16 digits; and an
-    empty trace."""
+    one write chunk, at 400 ps and at periods whose repr has 16 digits; an empty
+    trace; and the same samples at 9.99999999e-10, whose 9 digits carry the low
+    limb of a time on nearly every row, and at a 17-digit period."""
     f32 = np.finfo(np.float32)
     edge = np.array(
         [-0.0, np.nan, np.inf, -np.inf, f32.smallest_subnormal, f32.max, -f32.max,
@@ -306,6 +307,8 @@ def writer_corpus():
         TraceFile(ch1=ch1, ch2=ch2, sampling_period=400e-12),
         TraceFile(ch1=ch1, ch2=ch2, sampling_period=1e-9 / 3),
         TraceFile(ch1=np.zeros(0), ch2=np.zeros(0)),
+        TraceFile(ch1=ch1, ch2=ch2, sampling_period=9.99999999e-10),
+        TraceFile(ch1=ch1, ch2=ch2, sampling_period=1.0000000000000002e-10),
     ]
 
 
@@ -319,6 +322,9 @@ class TestCsvDifferential:
     """write_trace_csv and read_trace_csv against the row-at-a-time references."""
 
     def test_writer_bytes_match_row_writer(self, tmp_path):
+        # at 400 ps the second chunk's times cross from 5 to 6 digits (k * 4
+        # reaches 10**5 at k = 25 000), so its rows differ in width mid-chunk
+        assert traces._CSV_CHUNK_ROWS < 10**5 // 4 < 2 * traces._CSV_CHUNK_ROWS
         for trace in writer_corpus():
             write_trace_csv(trace, tmp_path / "new.csv")
             row_writer(trace, tmp_path / "old.csv")
@@ -391,6 +397,25 @@ class TestCsvDifferential:
         path.write_text(HEADER + GOOD)
         back = read_trace_csv(path)
         assert back.n_samples == 3 and back.sampling_period == 4e-10
+
+
+@pytest.mark.parametrize(
+    ("start", "step"),
+    [
+        (0, 4),
+        (249_999_990, 4),  # k * m crosses 10**9: the high limb starts
+        (999_999_990, 999_999_999),  # the low limb carries on nearly every row
+        (29_999_999_990, 33_333_333_333_333_335),  # the high limb crosses 10**18
+    ],
+)
+def test_chunk_time_digits_carry_across_limbs(start, step):
+    # rows take the times k * m from any start, without writing the rows before
+    # it; tails of two widths, so the keep-mask drops padding on every other row
+    which = np.arange(20) % 2
+    got = traces._csv_rows(start, step, ["\n", ",x\n"], which)
+    rows = zip(range(start, start + 20), which)
+    want = "".join(f"{k * step}{',x' if w else ''}\n" for k, w in rows)
+    assert got == want.encode()
 
 
 @pytest.mark.parametrize("case", ["400ps", "third_of_ns", "empty", "capture"])
@@ -487,8 +512,9 @@ def traced_peak(fn, *args):
 def test_csv_round_trip_memory_bounded(tmp_path):
     # 100 us, 249 975 samples.  The row-by-row writer and the line-generator
     # reader peaked at 13.01 MB and 12.50 MB here (numpy 2.4.6, Python 3.11.7),
-    # and the bounds stay at those figures.  The chunked writer with decimal
-    # times and the file-fed reader peak at 2.11 MB and 11.26 MB.
+    # and the bounds stay at those figures.  The writer that builds each chunk
+    # as one byte matrix and the file-fed reader peak at 1.72 MB and 11.26 MB
+    # (the writer that joined each chunk's row strings peaked at 2.11 MB).
     trace = committed_capture(100e-6, seed=25)
     path = tmp_path / "trace.csv"
     _, write_peak = traced_peak(write_trace_csv, trace, path)
