@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, source, traces
 from .analysis import averaged_g2
 from .config import config_to_dict, load_config, seed_override
 from .errors import ConfigError, DataError, DomainError, NumericalError
@@ -38,7 +38,6 @@ from .runner import (
     ScanResult,
 )
 from .source import mean_photon_number, pair_fraction, poisson_pmf, poisson_tail
-from .traces import ingest_trace, read_trace_csv, read_trace_raw
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -105,10 +104,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     path = Path(args.trace)
     fmt = args.format or ("csv" if path.suffix.lower() == ".csv" else "raw")
     if fmt == "csv":
-        trace = read_trace_csv(path, threshold=args.threshold)
+        trace = traces.read_trace_csv(path)
     else:
-        trace = read_trace_raw(path, sampling_period=args.sampling_period, threshold=args.threshold)
-    events1, events2 = ingest_trace(trace)
+        trace = traces.read_trace_raw(path, sampling_period=args.sampling_period)
+    events1, events2 = traces.ingest_trace(trace, args.threshold)
     with open(args.out, "w", newline="") as fh:
         fh.write("channel,time_s\n")
         fh.write("".join(map("1,{!r}\n".format, events1.tolist())))
@@ -182,12 +181,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--span", type=positive_float, default=4e-6, help="half-range of the x grid, meters"
     )
     p.add_argument("--points", type=int_at_least(2), default=2001)
-    p.add_argument("--wavelength", type=positive_float, default=632.8e-9)
+    p.add_argument("--wavelength", type=positive_float, default=source.DEFAULT_WAVELENGTH)
     p.set_defaults(func=_cmd_fig4)
 
     p = sub.add_parser("stats", help="occupancy statistics for a mean photon number")
     p.add_argument("--mean", type=finite_float, required=True)
-    p.add_argument("--dead-time", type=normal_positive_float, default=22e-9, dest="dead_time")
+    p.add_argument("--dead-time", type=normal_positive_float, default=source.DEFAULT_DEAD_TIME)
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("ingest", help="extract events from a trace file")
@@ -195,9 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="events CSV path")
     p.add_argument("--format", choices=["csv", "raw"], default=None)
     p.add_argument(
-        "--sampling-period", type=normal_positive_float, default=400e-12, dest="sampling_period"
+        "--sampling-period", type=normal_positive_float, default=traces.DEFAULT_SAMPLING_PERIOD
     )
-    p.add_argument("--threshold", type=finite_float, default=2.0)
+    p.add_argument("--threshold", type=finite_float, default=traces.DEFAULT_THRESHOLD)
     p.set_defaults(func=_cmd_ingest)
     return parser
 

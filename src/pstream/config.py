@@ -112,8 +112,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if len(self.detectors) != 2:
             raise ConfigError("exactly two detector configurations are required")
-        # the slot width; checked here because detection imports source
+        # derived once: the slot width in int ps (here, because detection
+        # imports source), the slots per counter step and the steps per point
         slot_ps = seconds_to_ps(self.source.dead_time, "source.dead_time")
+        object.__setattr__(self, "slot_ps", slot_ps)
         if self.ccm.step_ps < slot_ps:
             raise ConfigError(
                 f"ccm.step {self.ccm.step} s is shorter than one {self.source.dead_time} s slot"
@@ -124,7 +126,9 @@ class ExperimentConfig:
                 f"seconds_per_point must be a whole number of ccm steps: {dwell_ps} ps "
                 f"is not a multiple of {step_ps} ps"
             )
-        occupied = step_ps // slot_ps * -math.expm1(-self.source.mean_photon())
+        object.__setattr__(self, "slots_per_step", step_ps // slot_ps)
+        object.__setattr__(self, "steps_per_point", dwell_ps // step_ps)
+        occupied = self.slots_per_step * -math.expm1(-self.source.mean_photon())
         dark = sum(det.dark_rate for det in self.detectors) * step_ps / PS_PER_S
         if not occupied + dark <= MAX_STEP_EVENTS:
             raise ConfigError(

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConfigError, ContractError, DomainError
 from .interferometer import OpticalState
 from .seeding import derive_seed
-from .source import PhotonBatch
+from .source import DEFAULT_DEAD_TIME, PhotonBatch
 
 PS_PER_S = 1_000_000_000_000
 
@@ -57,7 +57,7 @@ class DetectorConfig:
     of one channel never overlap, and quantizing never merges two kept events.
     """
 
-    dead_time: float = 22e-9
+    dead_time: float = DEFAULT_DEAD_TIME
     dark_rate: float = 27.0
     pulse_duration: float = 10e-9
     resolving_time: float = 350e-12

@@ -39,11 +39,11 @@ from .analysis import (
 )
 from .coincidence import accumulate, coincide
 from .config import ExperimentConfig
-from .detection import PS_PER_S, detect_bin, seconds_to_ps
+from .detection import PS_PER_S, detect_bin
 from .errors import DataError, PstreamError
 from .interferometer import OpticalState, envelope, pzt_phase, singles_fringe, voltage_to_displacement
 from .seeding import derive_seed
-from .source import mean_photon_number, sample_batch
+from .source import DEFAULT_WAVELENGTH, mean_photon_number, sample_batch
 
 SCAN_COLUMNS = ["point", "voltage_V", "x_m", "phase_rad", "envelope", "N_A", "N_B", "N_c"]
 # half-width of the zero-path window that build_report reads fringes in, meters
@@ -95,12 +95,10 @@ def _simulate_point(cfg: ExperimentConfig, index: int, volt: float) -> ScanPoint
     state = OpticalState(phase, cfg.optics.intrinsic_visibility, gain)
     mean = cfg.source.mean_photon()
     point_seed = derive_seed(cfg.scan.seed, index)
-    n_steps = cfg.scan.seconds_per_point_ps // cfg.ccm.step_ps
-    slots_per_step = cfg.ccm.step_ps // seconds_to_ps(cfg.source.dead_time, "source.dead_time")
     steps = []
-    for j in range(n_steps):
+    for j in range(cfg.steps_per_point):
         step_seed = derive_seed(point_seed, j)
-        batch = sample_batch(mean, slots_per_step, derive_seed(step_seed, 0))
+        batch = sample_batch(mean, cfg.slots_per_step, derive_seed(step_seed, 0))
         train_a, train_b = detect_bin(
             batch, state, cfg.detectors, derive_seed(step_seed, 1), slot_width=cfg.source.dead_time
         )
@@ -204,7 +202,7 @@ def analytic_fig4(
     visibility_v: float,
     l_eff: float,
     x_grid: np.ndarray,
-    wavelength: float = 632.8e-9,
+    wavelength: float = DEFAULT_WAVELENGTH,
 ) -> Fig4Curves:
     """Noise-free model curves over ``x_grid``.
 

@@ -3,7 +3,9 @@
 A trace holds two channels of voltage samples on a fixed sampling grid
 (400 ps by default, 2.5e6 points per channel for a 1 ms capture).  Events are
 recovered by rising-edge extraction: each run of samples above the threshold
-contributes one event at its first sample.
+contributes one event at its first sample.  The threshold is a setting of
+``ingest_trace`` alone; a trace and its files hold only the samples and the
+sampling period.
 
 Two file forms are supported:
 
@@ -69,6 +71,8 @@ MAGIC = b"PSTRACE1"
 HEADER = struct.Struct("<8sII")
 DEFAULT_SAMPLING_PERIOD = 400e-12
 DEFAULT_THRESHOLD = 2.0
+# the volts a synthesized sample reads while a pulse covers it
+AMPLITUDE = 4.0
 
 
 @dataclass(frozen=True)
@@ -78,7 +82,6 @@ class TraceFile:
     ch1: np.ndarray
     ch2: np.ndarray
     sampling_period: float = DEFAULT_SAMPLING_PERIOD
-    threshold: float = DEFAULT_THRESHOLD
 
     def __post_init__(self):
         ch1 = np.asarray(self.ch1, dtype=np.float32)
@@ -105,12 +108,10 @@ def synthesize_trace(
     train_ch2: PulseTrain,
     sampling_period: float = DEFAULT_SAMPLING_PERIOD,
     duration: float | None = None,
-    amplitude: float = 4.0,
-    threshold: float = DEFAULT_THRESHOLD,
 ) -> TraceFile:
     """Rasterize two pulse trains onto the sampling grid.
 
-    A sample reads ``amplitude`` volts whenever any pulse covers its instant.
+    A sample reads ``AMPLITUDE`` volts whenever any pulse covers its instant.
     """
     if duration is None:
         duration = max(train_ch1.bin_length, train_ch2.bin_length) / PS_PER_S
@@ -122,11 +123,9 @@ def synthesize_trace(
         first = np.ceil(train.starts / dt_ps).astype(np.int64)
         last = np.ceil((train.starts + train.duration) / dt_ps).astype(np.int64)
         for a, b in zip(np.clip(first, 0, n).tolist(), np.clip(last, 0, n).tolist()):
-            v[a:b] = amplitude
+            v[a:b] = AMPLITUDE
         channels.append(v)
-    return TraceFile(
-        ch1=channels[0], ch2=channels[1], sampling_period=sampling_period, threshold=threshold
-    )
+    return TraceFile(ch1=channels[0], ch2=channels[1], sampling_period=sampling_period)
 
 
 def _rising_edges(samples: np.ndarray, threshold: float, dt: float) -> np.ndarray:
@@ -144,12 +143,15 @@ def _rising_edges(samples: np.ndarray, threshold: float, dt: float) -> np.ndarra
     return times
 
 
-def ingest_trace(trace: TraceFile) -> tuple[np.ndarray, np.ndarray]:
-    """Event times (seconds) per channel, one per above-threshold run; refuses
-    a trace with an edge whose time overflows a double."""
+def ingest_trace(
+    trace: TraceFile, threshold: float = DEFAULT_THRESHOLD
+) -> tuple[np.ndarray, np.ndarray]:
+    """Event times (seconds) per channel, one per run of samples above
+    ``threshold`` volts; refuses a trace with an edge whose time overflows a
+    double."""
     return (
-        _rising_edges(trace.ch1, trace.threshold, trace.sampling_period),
-        _rising_edges(trace.ch2, trace.threshold, trace.sampling_period),
+        _rising_edges(trace.ch1, threshold, trace.sampling_period),
+        _rising_edges(trace.ch2, threshold, trace.sampling_period),
     )
 
 
@@ -242,7 +244,7 @@ def _csv_rows(start: int, step: int, tails: list[str], which: np.ndarray) -> byt
     return rows.ravel()[np.take(masks, code).view(bool)].tobytes()
 
 
-def read_trace_csv(path: str | Path, threshold: float = DEFAULT_THRESHOLD) -> TraceFile:
+def read_trace_csv(path: str | Path) -> TraceFile:
     """Read a CSV trace written by ``write_trace_csv`` (rules in the module docstring)."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
@@ -253,7 +255,7 @@ def read_trace_csv(path: str | Path, threshold: float = DEFAULT_THRESHOLD) -> Tr
                 data = _parse_csv_rows(path, csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise TraceParseError(f"{path}: not {exc.encoding} text ({exc.reason})") from exc
-    return _trace_from_csv_columns(path, data, threshold)
+    return _trace_from_csv_columns(path, data)
 
 
 # suffixes of the files that np.loadtxt decompresses when given their path
@@ -317,7 +319,7 @@ def _parse_csv_rows(path, rows) -> np.ndarray:
     return np.array(values, dtype=np.float64).reshape(-1, 3)
 
 
-def _trace_from_csv_columns(path, data: np.ndarray, threshold: float) -> TraceFile:
+def _trace_from_csv_columns(path, data: np.ndarray) -> TraceFile:
     """Check the parsed rows (module docstring) and build the trace from them."""
     if len(data) < 2:
         raise TraceParseError(f"{path}: need at least two samples to infer the sampling period")
@@ -354,7 +356,7 @@ def _trace_from_csv_columns(path, data: np.ndarray, threshold: float) -> TraceFi
             f"{where}: {_CSV_HEADER[1 + column]} value {float(data[k, 1 + column])!r} "
             "is not a finite float32"
         )
-    return TraceFile(ch1=channels[0], ch2=channels[1], sampling_period=period, threshold=threshold)
+    return TraceFile(ch1=channels[0], ch2=channels[1], sampling_period=period)
 
 
 def write_trace_raw(trace: TraceFile, path: str | Path) -> None:
@@ -366,11 +368,7 @@ def write_trace_raw(trace: TraceFile, path: str | Path) -> None:
         fh.write(data.tobytes())
 
 
-def read_trace_raw(
-    path: str | Path,
-    sampling_period: float = DEFAULT_SAMPLING_PERIOD,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> TraceFile:
+def read_trace_raw(path: str | Path, sampling_period: float = DEFAULT_SAMPLING_PERIOD) -> TraceFile:
     raw = Path(path).read_bytes()
     if len(raw) < HEADER.size:
         raise TraceParseError(f"{path}: truncated header at byte {len(raw)} (need {HEADER.size})")
@@ -393,9 +391,4 @@ def read_trace_raw(
             f"{path}: byte {HEADER.size + 4 * k}: ch{k % 2 + 1} sample {float(data[k])!r} "
             "is not finite"
         )
-    return TraceFile(
-        ch1=data[0::2].copy(),
-        ch2=data[1::2].copy(),
-        sampling_period=sampling_period,
-        threshold=threshold,
-    )
+    return TraceFile(ch1=data[0::2].copy(), ch2=data[1::2].copy(), sampling_period=sampling_period)

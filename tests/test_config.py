@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -131,6 +132,13 @@ class TestLoadConfig:
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
         cfg = load_config(path)
         assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
+    def test_committed_configs_derive_the_counter_step(self, path, monkeypatch):
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        cfg = load_config(path)
+        # 22 ns slots, 0.1 s steps, 1 s per point
+        assert (cfg.slot_ps, cfg.slots_per_step, cfg.steps_per_point) == (22_000, 4_545_454, 10)
 
 
 # Inputs that used to end in a traceback, run with a config other than the one
@@ -366,3 +374,23 @@ class TestExperimentConfig:
         cfg = ExperimentConfig()
         assert cfg.with_seed(5).scan.seed == 5
         assert cfg.with_seed(5).source == cfg.source
+
+    def test_replace_derives_the_counter_step_again(self):
+        # perfbench builds its configs with dataclasses.replace and with_seed
+        from pstream.coincidence import CcmConfig
+        from pstream.source import SourceConfig
+
+        cfg = ExperimentConfig()
+        derived = (cfg.slot_ps, cfg.slots_per_step, cfg.steps_per_point)
+        assert derived == (22_000, 4_545_454, 10)
+        seeded = cfg.with_seed(5)
+        assert (seeded.slot_ps, seeded.slots_per_step, seeded.steps_per_point) == derived
+        cfg = dataclasses.replace(
+            cfg,
+            source=SourceConfig(mean_photon_override=0.012, dead_time=11e-9),
+            ccm=CcmConfig(step=0.25),
+            scan=dataclasses.replace(cfg.scan, seconds_per_point=0.5),
+        )
+        assert (cfg.slot_ps, cfg.slots_per_step, cfg.steps_per_point) == (11_000, 22_727_272, 2)
+        cfg = cfg.with_seed(6)
+        assert (cfg.slot_ps, cfg.slots_per_step, cfg.steps_per_point) == (11_000, 22_727_272, 2)

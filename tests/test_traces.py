@@ -1,6 +1,8 @@
 import contextlib
 import csv
+import dataclasses
 import hashlib
+import inspect
 import io
 import math
 import re
@@ -114,6 +116,31 @@ class TestSynthesizeIngest:
         assert ev1.size == len(train_a)
         assert ev2.size == len(train_b)
 
+    def test_samples_read_zero_or_the_amplitude(self):
+        trace = synthesize_trace(regular_train(5), regular_train(3, start=777_000))
+        for channel in (trace.ch1, trace.ch2):
+            assert set(np.unique(channel).tolist()) == {0.0, traces.AMPLITUDE}
+
+    def test_threshold_is_an_ingest_setting_alone(self):
+        assert [f.name for f in dataclasses.fields(TraceFile)] == ["ch1", "ch2", "sampling_period"]
+        for reader in (synthesize_trace, read_trace_csv, read_trace_raw):
+            assert "threshold" not in inspect.signature(reader).parameters
+        assert "amplitude" not in inspect.signature(synthesize_trace).parameters
+        default = inspect.signature(ingest_trace).parameters["threshold"].default
+        assert default == traces.DEFAULT_THRESHOLD
+
+    @pytest.mark.parametrize(
+        ("threshold", "edges"),
+        [(0.5, [1]), (1.0, [2, 4]), (2.5, [2, 4]), (3.0, []), (-1.0, [0])],
+    )
+    def test_threshold_sets_the_edge_level(self, threshold, edges):
+        # a sample counts only strictly above the threshold
+        samples = [0.0, 1.0, 3.0, 1.0, 3.0, 3.0, 0.5]
+        trace = TraceFile(ch1=samples, ch2=samples[::-1], sampling_period=1e-9)
+        ev1, ev2 = ingest_trace(trace, threshold)
+        assert (ev1 / 1e-9).round().tolist() == edges
+        assert ev2.size == len(edges)
+
     def test_oscilloscope_ensemble_counts_match_bench_rates(self):
         # repeated 1 ms captures at the working occupancy: per-channel event
         # counts average near the bench's 274 +- 16 / 265 +- 18 readings
@@ -205,7 +232,7 @@ def row_writer(trace, path):
             )
 
 
-def row_reader(path, threshold=2.0):
+def row_reader(path):
     """Reference: the one-row-at-a-time CSV reader that read_trace_csv replaced."""
     times = []
     ch1 = []
@@ -230,7 +257,6 @@ def row_reader(path, threshold=2.0):
         ch1=np.array(ch1, dtype=np.float32),
         ch2=np.array(ch2, dtype=np.float32),
         sampling_period=times[1] - times[0],
-        threshold=threshold,
     )
 
 
