@@ -73,7 +73,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig4(args: argparse.Namespace) -> int:
-    x = np.linspace(-args.span, args.span, args.points)
+    # past half the largest double, span - (-span) overflows; pzt_phase then
+    # refuses the grid's non-finite points
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.linspace(-args.span, args.span, args.points)
     curves = analytic_fig4(args.v, args.leff, x, wavelength=args.wavelength)
     export_fig4_csv(curves, args.out)
     print(f"wrote {args.out} ({args.points} grid points)")

@@ -18,7 +18,8 @@ Times are in seconds, and those used as picoseconds must round to >= 1 ps.
 Cross-field rules (counter steps tile the dwell exactly in int picoseconds
 and hold at least one slot; the power chain gives an occupancy below 1; a
 step is expected to hold at most ``MAX_STEP_EVENTS`` occupied slots and dark
-counts) are checked when the config is built.  For a new run, the PSTREAM_SEED
+counts; the phase is finite at both ends of the piezo range) are checked when
+the config is built.  For a new run, the PSTREAM_SEED
 environment variable overrides the config seed and an explicit CLI flag wins
 over both (``seed_override``); reading a run back keeps the seed it recorded.
 """
@@ -35,8 +36,8 @@ from typing import Any, get_args, get_origin, get_type_hints
 
 from .coincidence import CcmConfig
 from .detection import PS_PER_S, DetectorConfig, seconds_to_ps
-from .errors import ConfigError
-from .interferometer import PztConfig
+from .errors import ConfigError, DomainError
+from .interferometer import PztConfig, pzt_phase, voltage_to_displacement
 from .source import SourceConfig
 
 SEED_ENV_VAR = "PSTREAM_SEED"
@@ -135,6 +136,14 @@ class ExperimentConfig:
                 f"a ccm step is expected to hold {occupied:.3g} occupied slots and {dark:.3g} "
                 f"dark counts, more than {MAX_STEP_EVENTS:.0e} events"
             )
+        # the scan's phase is monotonic in the voltage, so finite at both ends
+        # of the range means finite at every scan point
+        pzt = self.optics.pzt
+        try:
+            for volts in (pzt.voltage_min, pzt.voltage_max):
+                pzt_phase(voltage_to_displacement(volts, pzt), self.source.wavelength)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
         return replace(self, scan=replace(self.scan, seed=seed))

@@ -50,7 +50,8 @@ class PztConfig:
     """Piezo scan calibration: voltage range, resolution and meters per volt.
 
     The default calibration of 8e-8 m/V maps the 0-100 V range onto +-4 um
-    about the range center, where the beam overlap is perfect.
+    about the range center, where the beam overlap is perfect.  The range
+    must hold a finite number of resolution steps.
     """
 
     voltage_min: float = 0.0
@@ -63,6 +64,12 @@ class PztConfig:
             raise ConfigError("voltage_max must exceed voltage_min")
         if self.voltage_resolution <= 0:
             raise ConfigError("voltage_resolution must be > 0")
+        span = self.voltage_max - self.voltage_min
+        if not math.isfinite(span / self.voltage_resolution):
+            raise ConfigError(
+                f"voltage range {span} V is not a finite number of "
+                f"{self.voltage_resolution} V resolution steps"
+            )
         if self.displacement_per_volt <= 0:
             raise ConfigError("displacement_per_volt must be > 0")
 
@@ -92,14 +99,21 @@ def voltage_to_displacement(v: float, cfg: PztConfig) -> float:
 
     The offset from the range center is quantized to the controller's voltage
     resolution grid, then scaled by the calibration; the center of the range
-    maps to x = 0.
+    maps to x = 0.  Refuses a voltage whose offset is not a finite number of
+    steps, as where the center 0.5*(min + max) overflows.
     """
     if not cfg.voltage_min <= v <= cfg.voltage_max:
         raise DomainError(
             f"voltage {v} outside [{cfg.voltage_min}, {cfg.voltage_max}]"
         )
     offset = v - cfg.voltage_center
-    quantized = round(offset / cfg.voltage_resolution) * cfg.voltage_resolution
+    steps = offset / cfg.voltage_resolution
+    if not math.isfinite(steps):
+        raise DomainError(
+            f"voltage {v} lies {offset} V from the range center, not a finite number of "
+            f"{cfg.voltage_resolution} V resolution steps"
+        )
+    quantized = round(steps) * cfg.voltage_resolution
     return quantized * cfg.displacement_per_volt
 
 
@@ -108,12 +122,20 @@ def envelope(x, l_eff: float):
 
     Accepts scalars or arrays; equals 1 at x = 0 and 1/2 at |x| = l_eff/2.
     A width whose square underflows to 0 (below about 1e-162 m) is refused:
-    it would give 0/0 at x = 0.
+    it would give 0/0 at x = 0.  Where the exponent overflows, or the width's
+    square does, the ratio x/l_eff is squared instead: the same Gaussian,
+    without the overflow or inf/inf.
     """
     if not (l_eff > 0 and l_eff * l_eff > 0):
         raise DomainError(f"l_eff must be > 0 with a square that does not underflow, got {l_eff}")
     xs = np.asarray(x, dtype=float)
-    return np.exp(-_FOUR_LN2 * xs * xs / (l_eff * l_eff))
+    with np.errstate(over="ignore", invalid="ignore"):  # such values are replaced below
+        exponent = -_FOUR_LN2 * xs * xs / (l_eff * l_eff)
+        kept = np.isfinite(exponent) & math.isfinite(l_eff * l_eff)
+        if not kept.all():
+            ratio = xs / l_eff
+            exponent = np.where(kept, exponent, -_FOUR_LN2 * ratio * ratio)
+    return np.exp(exponent)
 
 
 def _check_unit_interval(name: str, value) -> None:

@@ -128,7 +128,7 @@ def synthesize_trace(
     return TraceFile(ch1=channels[0], ch2=channels[1], sampling_period=sampling_period)
 
 
-def _rising_edges(samples: np.ndarray, threshold: float, dt: float) -> np.ndarray:
+def _rising_edges(samples: np.ndarray, threshold: np.float32, dt: float) -> np.ndarray:
     above = samples > threshold
     if not above.any():
         return np.empty(0, dtype=float)
@@ -148,10 +148,16 @@ def ingest_trace(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Event times (seconds) per channel, one per run of samples above
     ``threshold`` volts; refuses a trace with an edge whose time overflows a
-    double."""
+    double.
+
+    The samples are float32, and the threshold is compared as the float32
+    nearest it; one beyond the float32 range acts as an infinite level.
+    """
+    with np.errstate(over="ignore"):  # past the float32 range, the level is inf
+        level = np.float32(threshold)
     return (
-        _rising_edges(trace.ch1, threshold, trace.sampling_period),
-        _rising_edges(trace.ch2, threshold, trace.sampling_period),
+        _rising_edges(trace.ch1, level, trace.sampling_period),
+        _rising_edges(trace.ch2, level, trace.sampling_period),
     )
 
 

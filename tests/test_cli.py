@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -379,6 +380,34 @@ class TestFig4:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "50ceb779d4f3f9f2bae4c6b77ff948ab4d6ec17ed02bdc2d0ea73324d6d36cbe"
 
+    # each warned "overflow encountered" in envelope's x*x or in linspace's
+    # span - (-span); 1e200 by 1e200 also gave inf/inf = NaN and exit 2
+    @pytest.mark.parametrize(
+        ("flags", "edge_envelope"),
+        [
+            (["--leff", "2e-6", "--span", "1e200"], 0.0),
+            (["--leff", "2e-6", "--span", "1.6104418557358715e+148"], 0.0),
+            (["--leff", "1e200", "--span", "1e200"], 2.0**-4),
+            (["--leff", "2e307", "--span", "2e307", "--wavelength", "1e300"], 2.0**-4),
+            (["--leff", "2e-6", "--span", "1.7976931348623157e308"], None),
+        ],
+    )
+    def test_huge_values_without_warnings(self, flags, edge_envelope, tmp_path, capsys):
+        out = tmp_path / "curves.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("fig4", "--v", "0.882", *flags, "--out", str(out))
+        if edge_envelope is None:  # 2*pi*x overflows at the grid's ends
+            assert code == 2
+            assert "phase 2*pi*x/wavelength is not finite" in capsys.readouterr().err
+            return
+        assert code == 0
+        data = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.isfinite(data).all()
+        assert data[1000, 1] == 1.0  # x = 0
+        # at x = +-span: 2**-4 where the FWHM is the span, 0 where it is far smaller
+        assert data[[0, -1], 1] == pytest.approx(edge_envelope, rel=1e-12)
+
 
 class TestStats:
     def test_prints_occupancy_table(self, capsys):
@@ -462,6 +491,21 @@ class TestIngest:
             "at sampling period 1e+308 s\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("form", ["csv", "bin"])
+    @pytest.mark.parametrize("threshold", ["1e308", "-1e308"])
+    def test_threshold_beyond_float32_range(self, form, threshold, trains, tmp_path, capsys):
+        # 1e308 printed "overflow encountered in cast" from numpy
+        trace = synthesize_trace(*trains, duration=4e-7)
+        path = tmp_path / f"trace.{form}"
+        (write_trace_csv if form == "csv" else write_trace_raw)(trace, path)
+        out = tmp_path / "events.csv"
+        argv = ["ingest", "--trace", str(path), "--out", str(out), f"--threshold={threshold}"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(*argv) == 0
+        events = 0 if threshold == "1e308" else 1
+        assert f"channel 1: {events} events; channel 2: {events} events" in capsys.readouterr().out
 
     def test_bad_magic_exits_3(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -631,7 +675,7 @@ REFUSED_VALUES = {
     ),
     "simulate_wavelength_subnormal": (
         ["simulate", "--config", "{config}", "--out", "{out}"],
-        "scan point 0: phase 2*pi*x/wavelength is not finite at wavelength 1e-320 m",
+        "<root>: phase 2*pi*x/wavelength is not finite at wavelength 1e-320 m",
     ),
     "simulate_seed_negative": (
         ["simulate", "--config", "{config}", "--out", "{out}", "--seed", "-1"],

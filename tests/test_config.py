@@ -181,6 +181,21 @@ PROBES = {
     # their first step would have asked numpy for arrays of 1e9 elements or more
     "step_events_slots": {"source": {"mean_photon_override": 0.012, "dead_time": 1e-12}},
     "step_events_dark_rate": {"detectors": [{"dark_rate": 1e12}, {}]},
+    # round() of an infinite count of resolution steps raised OverflowError:
+    # a traceback and exit 1
+    "pzt_voltage_max_overflow": {"optics": {"pzt": {"voltage_max": 1e308}}},
+    "pzt_resolution_subnormal": {"optics": {"pzt": {"voltage_resolution": 1e-320}}},
+    # the range overflowed inside np.linspace, which warned
+    "pzt_range_overflow": {"optics": {"pzt": {"voltage_min": -1.7e308, "voltage_max": 1.7e308}}},
+    # a finite range whose center 0.5*(min + max) overflows
+    "pzt_center_overflow": {
+        "optics": {
+            "pzt": {"voltage_min": 1e308, "voltage_max": 1.0000001e308, "voltage_resolution": 1.0}
+        }
+    },
+    # the phase 2*pi*x/wavelength overflowed; scan point 0 used to refuse these
+    "pzt_displacement_per_volt_overflow": {"optics": {"pzt": {"displacement_per_volt": 1e300}}},
+    "wavelength_subnormal": {"source": {"mean_photon_override": 0.012, "wavelength": 1e-320}},
 }
 # what the message must name, beyond "configuration error"
 PROBE_MESSAGES = {
@@ -203,6 +218,20 @@ PROBE_MESSAGES = {
         "a ccm step is expected to hold 5.42e+04 occupied slots and 1e+11 dark counts, "
         "more than 1e+07 events"
     ),
+    "pzt_voltage_max_overflow": (
+        "optics.pzt: voltage range 1e+308 V is not a finite number of 0.0015 V resolution steps"
+    ),
+    "pzt_resolution_subnormal": (
+        "optics.pzt: voltage range 100.0 V is not a finite number of 1e-320 V resolution steps"
+    ),
+    "pzt_range_overflow": (
+        "optics.pzt: voltage range inf V is not a finite number of 0.0015 V resolution steps"
+    ),
+    "pzt_center_overflow": "<root>: voltage 1e+308 lies -inf V from the range center",
+    "pzt_displacement_per_volt_overflow": (
+        "<root>: phase 2*pi*x/wavelength is not finite at wavelength 6.328e-07 m"
+    ),
+    "wavelength_subnormal": "<root>: phase 2*pi*x/wavelength is not finite at wavelength 1e-320 m",
 }
 
 
@@ -235,6 +264,7 @@ def test_bad_value_stops_at_load(name, tmp_path, monkeypatch):
     assert "configuration error" in proc.stderr
     assert PROBE_MESSAGES.get(name, "") in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1  # no warning either
     assert not (out / "scan.csv").exists()
 
 

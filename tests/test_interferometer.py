@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,26 @@ class TestVoltageToDisplacement:
         with pytest.raises(ConfigError):
             PztConfig(voltage_resolution=0.0)
 
+    # round() of an infinite step count raised OverflowError, and linspace
+    # over an infinite range warned
+    @pytest.mark.parametrize(
+        "calibration",
+        [
+            {"voltage_max": 1e308},
+            {"voltage_resolution": 1e-320},
+            {"voltage_min": -1.7e308, "voltage_max": 1.7e308},
+        ],
+    )
+    def test_range_of_no_finite_step_count_refused(self, calibration):
+        with pytest.raises(ConfigError, match="is not a finite number of"):
+            PztConfig(**calibration)
+
+    def test_center_overflow_refused_as_domain_error(self):
+        # a finite range whose center 0.5*(min + max) overflows
+        cfg = PztConfig(voltage_min=1e308, voltage_max=1.0000001e308, voltage_resolution=1.0)
+        with pytest.raises(DomainError, match="not a finite number of 1.0 V resolution steps"):
+            voltage_to_displacement(1e308, cfg)
+
 
 class TestEnvelope:
     def test_peak(self):
@@ -95,6 +116,34 @@ class TestEnvelope:
         xs = np.linspace(0, 5e-6, 200)
         g = envelope(xs, 2e-6)
         assert np.all(np.diff(g) < 0)
+
+    @given(
+        st.floats(min_value=-1e150, max_value=1e150),
+        st.floats(min_value=1e-150, max_value=1e150),
+    )
+    def test_bits_of_the_direct_form_where_it_is_finite(self, x, l_eff):
+        with np.errstate(all="ignore"):
+            exponent = -4.0 * math.log(2.0) * np.float64(x) * x / (l_eff * l_eff)
+        assume(np.isfinite(exponent))
+        assert envelope(x, l_eff) == np.exp(exponent)
+
+    @pytest.mark.parametrize(
+        ("x", "l_eff", "ratio"),
+        [
+            (1e200, 2e-6, math.inf),  # x*x overflows
+            (1e153, 1e-6, math.inf),  # the division overflows
+            (1e200, 1e200, 1.0),  # both squares overflow: inf/inf gave NaN
+            (-1e308, 1e308, -1.0),
+            (5e153, 1e155, 0.05),  # the width's square overflows alone
+            (1.7e308, 1e-150, math.inf),  # the ratio's square overflows too
+        ],
+    )
+    def test_squares_that_overflow(self, x, l_eff, ratio):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = envelope(np.array([0.0, x]), l_eff)
+        assert g[0] == 1.0
+        assert g[1] == pytest.approx(math.exp(-4.0 * math.log(2.0) * ratio * ratio), rel=1e-12)
 
 
 class TestPortProbability:

@@ -116,16 +116,13 @@ class TestSynthesizeIngest:
         assert ev1.size == len(train_a)
         assert ev2.size == len(train_b)
 
-    def test_samples_read_zero_or_the_amplitude(self):
-        trace = synthesize_trace(regular_train(5), regular_train(3, start=777_000))
-        for channel in (trace.ch1, trace.ch2):
-            assert set(np.unique(channel).tolist()) == {0.0, traces.AMPLITUDE}
-
     def test_threshold_is_an_ingest_setting_alone(self):
         assert [f.name for f in dataclasses.fields(TraceFile)] == ["ch1", "ch2", "sampling_period"]
         for reader in (synthesize_trace, read_trace_csv, read_trace_raw):
             assert "threshold" not in inspect.signature(reader).parameters
         assert "amplitude" not in inspect.signature(synthesize_trace).parameters
+        trace = synthesize_trace(regular_train(5), regular_train(3, start=777_000))
+        assert set(np.unique(trace.ch1).tolist()) == {0.0, traces.AMPLITUDE}
         default = inspect.signature(ingest_trace).parameters["threshold"].default
         assert default == traces.DEFAULT_THRESHOLD
 
@@ -140,6 +137,28 @@ class TestSynthesizeIngest:
         ev1, ev2 = ingest_trace(trace, threshold)
         assert (ev1 / 1e-9).round().tolist() == edges
         assert ev2.size == len(edges)
+
+    @pytest.mark.parametrize("form", ["csv", "raw"])
+    @pytest.mark.parametrize(
+        ("threshold", "edges"),
+        [(1e308, 0), (-1e308, 1), (3.4028235677973366e38, 0), (-3.5e38, 1)],
+    )
+    def test_threshold_beyond_float32_range(self, form, threshold, edges, tmp_path):
+        # numpy warned "overflow encountered in cast" when it cast such a
+        # threshold to the samples' float32
+        trace = synthesize_trace(regular_train(5), regular_train(3, start=777_000))
+        path = tmp_path / f"trace.{form}"
+        if form == "csv":
+            write_trace_csv(trace, path)
+            back = read_trace_csv(path)
+        else:
+            write_trace_raw(trace, path)
+            back = read_trace_raw(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ev1, ev2 = ingest_trace(back, threshold)
+        # an infinite level: no sample above it, or every sample in one run
+        assert ev1.tolist() == ev2.tolist() == [0.0] * edges
 
     def test_oscilloscope_ensemble_counts_match_bench_rates(self):
         # repeated 1 ms captures at the working occupancy: per-channel event
