@@ -34,8 +34,18 @@ Two file forms are supported:
   not > 0, a later step more than half a period away from the first, and a
   voltage that is not finite or does not fit a float32.  A file with fewer
   than two samples, or with bytes that are not UTF-8, is rejected too.  The
-  body is parsed by one ``np.loadtxt`` call on the file; a row loop with the
-  same verdicts takes over where that call cannot decide, and names the line;
+  body takes one of three routes, chosen per file from its bytes, all with
+  the same values and verdicts.  The exact path reads the body in 1 MiB
+  chunks of whole lines, as the writer builds it: a run of lines that repeat
+  one byte layout, digits aside, is one uint8 matrix, and each field's digits
+  become its double through one dot product and one multiply or divide by a
+  power of ten.  It takes fields of at most 15 digits with a power of ten
+  within +-22, which that one rounding reads exactly as ``float()`` does,
+  and only the bytes ``0-9 . - e ,`` and newline.  A file that leaves it
+  (a longer field, another byte, or runs under 64 lines on average, such
+  as a noise record of 17-digit voltages) goes to one ``np.loadtxt`` call.
+  A row loop takes a file with a ``\\r`` or a blank line, and one that
+  ``loadtxt`` cannot read, and names the bad line;
 * raw packed little-endian float32 with a 16-byte header: the magic
   ``PSTRACE1`` followed by two little-endian uint32 words (sample count,
   channel count), then count*channels floats interleaved per sample
@@ -56,6 +66,7 @@ from __future__ import annotations
 
 import csv
 import os
+import re
 import struct
 import sys
 from dataclasses import dataclass
@@ -266,26 +277,41 @@ def read_trace_csv(path: str | Path) -> TraceFile:
 
 # suffixes of the files that np.loadtxt decompresses when given their path
 _COMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
-_COUNT_CHUNK_BYTES = 1 << 20
+_CHUNK_BYTES = 1 << 20
+# the body bytes converted per step at most, which sizes the step buffers
+# (about 2.5 MB) for any line width
+_STEP_BYTES = 1 << 18
+# the exact path converts a run, or the part of one within a chunk and a step,
+# per step, at a fixed Python cost; a file that needs more than one step per
+# this many lines, after a few free steps, goes to np.loadtxt
+_MIN_MEAN_RUN = 64
+_FREE_STEPS = 8
+# a field the exact path takes: sign, digits, point, digits, exponent (its
+# few digits keep int() fast and within its digit limit)
+_EXACT_FIELD = re.compile(rb"(-?)([0-9]*)(?:\.([0-9]*))?(?:e(-?[0-9]{1,3}))?")
+# a field's digits go through float32 in groups this long, below 2**24 so exact
+_GROUP_DIGITS = 7
 
 
 def _parse_csv_bulk(path) -> np.ndarray | None:
     """The body as an (n, 3) float64 array, or None where only the row loop can decide.
 
-    ``np.loadtxt`` reads the file itself.  It skips blank lines, which the row
-    loop rejects, and warns on an empty body.  So it starts only from a
-    non-blank first line, and its rows must number the body's lines, counted
-    from the bytes.  A file with a ``\\r`` in it goes to the row loop, because
-    ``loadtxt`` and the ``csv`` module split such lines differently.  Then
-    ``loadtxt`` accepts no file that the row loop rejects, and gives each field
-    it parses the value ``float()`` gives.
+    A first pass counts the body's lines from the bytes.  A file with a ``\\r``
+    in it goes to the row loop, because ``loadtxt`` and the ``csv`` module split
+    such lines differently, and so does a blank first line.  The exact path
+    (``_parse_exact``) then reads the body.  Where it declines, ``np.loadtxt``
+    reads the file by its path: a path, unlike an open file, lets it read in
+    large blocks rather than line by line.  Given a path it also decompresses
+    by suffix, so a file with such a suffix goes to the row loop instead.
+    ``loadtxt`` skips blank lines, which the row loop rejects, so its rows must
+    number the body's lines.  Then neither path accepts a file that the row
+    loop rejects, and both give each field the value ``float()`` gives.
     """
-    if Path(path).suffix in _COMPRESSED_SUFFIXES:
-        return None
     with open(path, "rb") as fh:
         if b"\r" in fh.readline():  # the header, checked already
             return None
-        chunk = fh.read(_COUNT_CHUNK_BYTES)
+        body = fh.tell()
+        chunk = fh.read(_CHUNK_BYTES)
         if chunk[:1] in (b"", b"\n"):
             return None
         lines = 0
@@ -294,8 +320,14 @@ def _parse_csv_bulk(path) -> np.ndarray | None:
                 return None
             lines += chunk.count(b"\n")
             last = chunk[-1:]
-            chunk = fh.read(_COUNT_CHUNK_BYTES)
-    lines += last != b"\n"
+            chunk = fh.read(_CHUNK_BYTES)
+        lines += last != b"\n"
+        fh.seek(body)
+        data = _parse_exact(fh, lines)
+    if data is not None:
+        return data
+    if Path(path).suffix in _COMPRESSED_SUFFIXES:
+        return None
     try:
         data = np.loadtxt(
             os.path.abspath(path),  # absolute, so never taken for a URL
@@ -310,6 +342,152 @@ def _parse_csv_bulk(path) -> np.ndarray | None:
     if data.shape != (lines, 3):
         return None
     return data
+
+
+def _parse_exact(fh, lines: int) -> np.ndarray | None:
+    """The body's ``lines`` lines, from ``fh`` at its start, as an (n, 3) float64
+    array; None where a line leaves the exact path or its runs are short.
+
+    The body is read in chunks of whole lines.  From a line's start, the lines
+    of its length are one (rows, width) uint8 view of the chunk, and the leading
+    rows that repeat the first row's layout (``_Layout``) form a run, converted
+    in one step.  No Python work is done per line, and a file that would need
+    more than one step per ``_MIN_MEAN_RUN`` lines is declined.
+    """
+    data = np.empty((lines, 3))
+    buf = bytearray(_CHUNK_BYTES)
+    chunk = np.frombuffer(buf, np.uint8)
+    work = _StepBuffers()
+    row = steps = held = 0
+    layout = None
+    while True:
+        size = held + fh.readinto(memoryview(buf)[held:])
+        if size == held:  # the end of the file
+            if not size:
+                return data if row == lines else None
+            buf[size] = ord("\n")  # the last line, without its newline (held < a chunk)
+            size += 1
+        end = buf.rfind(b"\n", 0, size) + 1
+        if not end:  # a line longer than a chunk
+            return None
+        pos = 0
+        while pos < end:
+            width = buf.find(b"\n", pos) + 1 - pos
+            block = chunk[pos : pos + min(end - pos, _STEP_BYTES) // width * width]
+            fit = None
+            if layout is not None and layout.width == width:
+                fit = layout.fitting(block, work)
+            if not fit:
+                layout = _Layout.of(bytes(buf[pos : pos + width]))
+                if layout is None:
+                    return None
+                fit = layout.fitting(block, work)
+            n, digits = fit
+            steps += 1
+            if steps > _FREE_STEPS + (row + n) // _MIN_MEAN_RUN or row + n > lines:
+                return None
+            layout.convert(digits, data[row : row + n], work)
+            row += n
+            pos += n * width
+        held = size - end
+        chunk[:held] = chunk[end:size]
+
+
+class _StepBuffers:
+    """The arrays every step of one read writes into: large temporaries
+    allocated per step would each be mapped and faulted in again."""
+
+    def __init__(self):
+        self.digits = np.empty(_STEP_BYTES, np.uint8)
+        self.fits = np.empty(_STEP_BYTES, bool)
+        self.floats = np.empty(_STEP_BYTES, np.float32)
+        # a row has fewer digit groups than bytes, so its sums fit as well
+        self.sums = np.empty(_STEP_BYTES, np.float32)
+
+
+class _Layout:
+    """The byte layout of a body line on the exact path.
+
+    Its three fields are each a sign, digits, a point, digits and an exponent,
+    with at most 15 digits and a power of ten within +-22: such a decimal is
+    its digits as an integer, an exact double, times or divided by an exact
+    power of ten, and that one IEEE operation rounds as ``float()`` does
+    (Clinger, PLDI 1990).  A line repeats the layout when it equals the line
+    the layout was made from in every byte but the digit columns, which hold
+    0-9.
+    """
+
+    def __init__(self, line: bytes, fields: list):
+        self.width = len(line)
+        lo = np.frombuffer(line, np.uint8).copy()
+        span = np.zeros(self.width, np.uint8)
+        groups = []  # the column weights of each group of digits
+        self.fields = []  # per field: its groups, most significant first; op; scale
+        for columns, power, negative in fields:
+            lo[columns] = ord("0")
+            span[columns] = 9
+            # every group but the most significant holds _GROUP_DIGITS digits
+            cuts = range(len(columns) % _GROUP_DIGITS or _GROUP_DIGITS, len(columns), _GROUP_DIGITS)
+            first = len(groups)
+            for group in np.split(columns, cuts):
+                weights = np.zeros(self.width, np.float32)
+                weights[group] = 10.0 ** np.arange(len(group) - 1, -1, -1)
+                groups.append(weights)
+            scale = float(10 ** abs(power)) * (-1.0 if negative else 1.0)
+            op = np.multiply if power >= 0 else np.divide
+            self.fields.append((range(first, len(groups)), op, scale))
+        self.weights = np.array(groups)
+        # the checks for a full step, tiled, so each is one flat pass
+        self.lo = np.tile(lo, _STEP_BYTES // self.width)
+        self.span = np.tile(span, _STEP_BYTES // self.width)
+
+    @classmethod
+    def of(cls, line: bytes) -> _Layout | None:
+        """The layout of ``line`` (ending in a newline), or None off the exact path."""
+        texts = line[:-1].split(b",")
+        if len(texts) != 3:
+            return None
+        fields = []
+        start = 0
+        for text in texts:
+            match = _EXACT_FIELD.fullmatch(text)
+            if match is None:
+                return None
+            sign, whole, fraction, exponent = match.groups()
+            fraction = fraction or b""
+            power = int(exponent or 0) - len(fraction)
+            if not 0 < len(whole) + len(fraction) <= 15 or abs(power) > 22:
+                return None
+            at = start + len(sign)
+            columns = list(range(at, at + len(whole)))
+            columns += range(at + len(whole) + 1, at + len(whole) + 1 + len(fraction))
+            fields.append((columns, power, bool(sign)))
+            start += len(text) + 1
+        return cls(line, fields)
+
+    def fitting(self, block: np.ndarray, work: _StepBuffers) -> tuple[int, np.ndarray] | None:
+        """How many leading rows of ``block`` (whole rows of this width) repeat
+        the layout, with their digits as a (rows, width) uint8 array; None when
+        the first row does not."""
+        digits = np.subtract(block, self.lo[: block.size], out=work.digits[: block.size])
+        fits = np.less_equal(digits, self.span[: block.size], out=work.fits[: block.size])
+        n = block.size // self.width if fits.all() else int(fits.argmin()) // self.width
+        return (n, digits[: n * self.width].reshape(n, self.width)) if n else None
+
+    def convert(self, digits: np.ndarray, out: np.ndarray, work: _StepBuffers) -> None:
+        """Write the doubles of the rows whose ``digits`` fit into ``out``."""
+        floats = work.floats[: digits.size].reshape(digits.shape)
+        floats[...] = digits
+        sums = work.sums[: len(self.weights) * len(digits)].reshape(len(self.weights), -1)
+        np.matmul(self.weights, floats.T, out=sums)  # exact, below 10**7
+        for column, (groups, op, scale) in enumerate(self.fields):
+            value = sums[groups[0]]
+            if len(groups) > 1:  # below 10**15, so exact in float64
+                value = value.astype(np.float64)
+                for group in groups[1:]:
+                    value *= 10.0**_GROUP_DIGITS
+                    value += sums[group]
+            op(value, scale, out=out[:, column], dtype=np.float64)
 
 
 def _parse_csv_rows(path, rows) -> np.ndarray:

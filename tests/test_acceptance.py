@@ -23,12 +23,17 @@ from pstream.detection import (
     dead_time_filter,
     detect_bin,
     generate_dark_events,
-    seconds_to_ps,
     shape_pulses,
 )
 from pstream.interferometer import OpticalState, port_probability
 from pstream.runner import analytic_fig4, export_scan_csv, run_scan, scan_series
-from pstream.source import mean_photon_number, pair_fraction, poisson_tail, sample_batch
+from pstream.source import (
+    mean_photon_number,
+    pair_fraction,
+    poisson_pmf,
+    poisson_tail,
+    sample_batch,
+)
 
 CENTER_WINDOW = (-2e-6, 2e-6)
 CONTRAST = 0.882
@@ -114,8 +119,7 @@ def test_coincidence_budget(full_scan):
     coincidences per point.  S is the point's 10 steps of 4 545 454 slots.
     """
     cfg = full_scan.config
-    steps = cfg.scan.seconds_per_point_ps // cfg.ccm.step_ps
-    slots = steps * (cfg.ccm.step_ps // seconds_to_ps(cfg.source.dead_time, "dead_time"))
+    slots = cfg.slots_per_step * cfg.steps_per_point
     assert slots == 10 * 4_545_454
     phase, gain, n_c = np.array([(pt.phase, pt.envelope, pt.n_c) for pt in full_scan.points]).T
     p = port_probability(phase, gain, cfg.optics.intrinsic_visibility)
@@ -129,6 +133,39 @@ def test_coincidence_budget(full_scan):
         f"mean z {z.mean():.3f} (band ±{mean_band}), sd {z.std(ddof=1):.3f}",
     )
 
+
+
+def test_singles_budget(full_scan):
+    """Every point's N_A and N_B are the expected clicks per detector plus dark counts.
+
+    A slot of one photon clicks D1 with probability p and D2 with 1 − p.  A
+    slot of two or more photons is routed as a pair, and two photons that leave
+    by the same port give that detector one click, as the second arrives within
+    its dead time: D1 clicks unless both leave toward D2, with probability
+    1 − (1 − p)², and D2 unless both leave toward D1, 1 − p².  So
+    N_A = S·[P(1)·p + P(≥2)·(1 − (1−p)²)] + D_A·T and
+    N_B = S·[P(1)·(1−p) + P(≥2)·(1 − p²)] + D_B·T, each a sum of rare
+    independent clicks and so near Poisson.
+    """
+    cfg = full_scan.config
+    slots = cfg.slots_per_step * cfg.steps_per_point
+    mean = cfg.source.mean_photon()
+    one, pair = poisson_pmf(1, mean), poisson_tail(2, mean)
+    phase, gain, n_a, n_b = np.array(
+        [(pt.phase, pt.envelope, pt.n_a, pt.n_b) for pt in full_scan.points]
+    ).T
+    p = port_probability(phase, gain, cfg.optics.intrinsic_visibility)
+    dark = [det.dark_rate * cfg.scan.seconds_per_point for det in cfg.detectors]
+    z_bound, mean_band = 5.0, 0.3  # the mean of 316 z-scores has sd 0.056
+    for name, counts, q, d in (("N_A", n_a, p, dark[0]), ("N_B", n_b, 1 - p, dark[1])):
+        expected = slots * (one * q + pair * (1 - (1 - q) ** 2)) + d
+        z = (counts - expected) / np.sqrt(expected)
+        check(
+            f"singles budget {name}",
+            bool(np.all(np.abs(z) < z_bound)) and abs(z.mean()) < mean_band,
+            f"{len(z)} points, z from {z.min():.2f} to {z.max():.2f} (bound {z_bound}), "
+            f"mean z {z.mean():.3f} (band ±{mean_band}), sd {z.std(ddof=1):.3f}",
+        )
 
 def _envelope_limited_g2_peak(l_eff, wavelength=632.8e-9):
     """Innermost maximum of the noise-free g2 curve at unit visibility, from the

@@ -772,6 +772,7 @@ BAD_SCRIPT_FLAGS = {
 
 
 @pytest.mark.parametrize("name", sorted(BAD_SCRIPT_FLAGS))
+@pytest.mark.usefixtures("child_pythonpath")
 def test_script_rejects_bad_flag(name, tmp_path):
     workflow, flag, value = BAD_SCRIPT_FLAGS[name]
     config = tmp_path / "cfg.json"
@@ -792,6 +793,7 @@ def test_script_rejects_bad_flag(name, tmp_path):
 
 
 class TestEntryPoint:
+    @pytest.mark.usefixtures("child_pythonpath")
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "pstream.cli", "--version"],

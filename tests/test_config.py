@@ -246,6 +246,7 @@ def probe_document(probe: dict) -> dict:
 
 
 @pytest.mark.parametrize("name", PROBES)
+@pytest.mark.usefixtures("child_pythonpath")
 def test_bad_value_stops_at_load(name, tmp_path, monkeypatch):
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     path = tmp_path / "cfg.json"

@@ -288,6 +288,15 @@ def outcome(read, path):
     return trace.ch1, trace.ch2, trace.sampling_period
 
 
+
+def noting_loadtxt(fn, *args):
+    """``fn(*args)``, and whether it called np.loadtxt."""
+    calls = []
+    loadtxt = np.loadtxt
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+        return fn(*args), bool(calls)
+
 HEADER = "time_s,ch1_V,ch2_V\n"
 GOOD = "0.0,0.0,4.0\n4e-10,4.0,0.0\n8e-10,0.0,0.0\n"
 # (file text, message that only the new reader gives or None): each None
@@ -428,13 +437,96 @@ class TestCsvDifferential:
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path)
 
-        def no_row_loop(*args):
-            raise AssertionError("read_trace_csv fell back to its row loop")
+        def refuse(route):
+            def fail(*args, **kwargs):
+                raise AssertionError(f"read_trace_csv fell back to {route}")
 
-        monkeypatch.setattr(traces, "_parse_csv_rows", no_row_loop)
+            return fail
+
+        # the exact path reads it: a silent fall back would hide a lost gain
+        monkeypatch.setattr(traces, "_parse_csv_rows", refuse("its row loop"))
+        monkeypatch.setattr(np, "loadtxt", refuse("np.loadtxt"))
         back = read_trace_csv(path)
         assert np.array_equal(back.ch1, trace.ch1) and np.array_equal(back.ch2, trace.ch2)
         assert back.sampling_period == trace.sampling_period
+
+    @pytest.mark.parametrize(
+        ("case", "route"),
+        [
+            ("noise", "loadtxt"),
+            ("late_17_digit_voltage", "loadtxt"),
+            ("late_subnormal_voltage", "loadtxt"),
+            ("legacy", "loadtxt"),
+            ("no_final_newline", "exact"),
+        ],
+    )
+    def test_reader_matches_row_reader_on_both_routes(self, case, route, tmp_path):
+        path = tmp_path / "trace.csv"
+        if case == "noise":
+            # an oscilloscope record: 17-digit voltages, lines of many lengths
+            rng = np.random.default_rng(27)
+            noise = rng.normal(0.0, 0.05, size=(2, 20_000)).astype(np.float32)
+            write_trace_csv(TraceFile(ch1=noise[0], ch2=noise[1]), path)
+        elif case == "legacy":
+            legacy_row_writer(committed_capture(30e-6, seed=29), path)  # 17-digit times
+        else:
+            write_trace_csv(committed_capture(30e-6, seed=29), path)
+            data = path.read_bytes()
+            if case == "no_final_newline":
+                data = data[:-1]
+            else:
+                # one field that leaves the exact path, in a line of the second
+                # chunk, after the first has been read
+                value = {"late_17_digit_voltage": b"0.10000000149011612"}.get(case, b"1e-45")
+                start = data.index(b"\n", traces._CHUNK_BYTES + 100) + 1
+                stop = data.index(b"\n", start)
+                time, _, ch2 = data[start:stop].split(b",")
+                data = data[:start] + b",".join([time, value, ch2]) + data[stop:]
+            path.write_bytes(data)
+        got, used_loadtxt = noting_loadtxt(outcome, read_trace_csv, path)
+        assert used_loadtxt == (route == "loadtxt")
+        want = outcome(row_reader, path)
+        assert not isinstance(got, str), got
+        assert got[0].view(np.uint32).tolist() == want[0].view(np.uint32).tolist()
+        assert got[1].view(np.uint32).tolist() == want[1].view(np.uint32).tolist()
+        assert got[2] == want[2]
+
+    @pytest.mark.parametrize(
+        ("field", "exact"),
+        [
+            ("123456789012345", True),  # 15 digits
+            ("1234567890123456", False),
+            ("12345678.9012345e-15", True),  # 15 digits at 10**-22
+            ("1e22", True),
+            ("1e-22", True),
+            ("1e23", False),
+            ("1e-23", False),
+            ("-0.0", True),
+            ("-0e-10", True),
+            ("4.", True),
+            (".5", True),
+            ("-.5e3", True),
+            ("+4.0", False),
+            ("1E5", False),
+            (".", False),
+            ("1e", False),
+            pytest.param("0." + "1" * traces._CHUNK_BYTES, False, id="line_longer_than_a_chunk"),
+        ],
+    )
+    def test_exact_path_edges(self, field, exact, tmp_path):
+        # each field the exact path takes reads as the double float() gives;
+        # a field beyond it sends the file to np.loadtxt, or on to the row loop
+        path = tmp_path / "trace.csv"
+        lines = [f"0e-10,{field},{field}", f"4e-10,{field},{field}"]
+        path.write_text(HEADER + "\n".join(lines) + "\n")
+        data, used_loadtxt = noting_loadtxt(traces._parse_csv_bulk, path)
+        assert used_loadtxt != exact
+        try:
+            want = [[float(text) for text in line.split(",")] for line in lines]
+        except ValueError:
+            assert data is None and outcome(read_trace_csv, path) == outcome(row_reader, path)
+            return
+        assert np.array(want).view(np.uint64).tolist() == data.view(np.uint64).tolist()
 
     def test_compression_suffix_read_as_plain_text(self, tmp_path):
         # np.loadtxt would decompress a file by its suffix, given its path
@@ -443,6 +535,61 @@ class TestCsvDifferential:
         back = read_trace_csv(path)
         assert back.n_samples == 3 and back.sampling_period == 4e-10
 
+
+# a field's form on the exact path: sign, digits before and after an optional
+# point (at least one), and an optional exponent
+FIELD_FORM = st.tuples(
+    st.sampled_from(["", "-"]),
+    st.integers(0, 10),
+    st.sampled_from([None, 0, 1, 3, 8]),
+    st.one_of(st.none(), st.integers(-40, 40).map(str), st.sampled_from(["-022", "022", "-0"])),
+).filter(lambda form: form[1] + (form[2] or 0) > 0)
+
+
+@st.composite
+def exact_bodies(draw):
+    """Bodies of one to three runs of lines, each run one layout of three
+    fields whose digits are drawn line by line."""
+    lines = []
+    for _ in range(draw(st.integers(1, 3))):
+        forms = [draw(FIELD_FORM) for _ in range(3)]
+        for _ in range(draw(st.integers(1, 12))):
+            fields = []
+            for sign, whole, fraction, exponent in forms:
+                def digits(n):
+                    return draw(st.text("0123456789", min_size=n, max_size=n))
+
+                text = sign + digits(whole)
+                text += "" if fraction is None else "." + digits(fraction)
+                fields.append(text + ("" if exponent is None else "e" + exponent))
+            lines.append(",".join(fields))
+    return lines
+
+
+def on_exact_path(text):
+    """Whether ``text``, in an exact-path form, has at most 15 digits and a
+    power of ten within +-22."""
+    mantissa, _, exponent = text.lstrip("-").partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    return len(whole + fraction) <= 15 and abs(int(exponent or 0) - len(fraction)) <= 22
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_bodies())
+@example(["9" * 15 + ",0.0,-0.0"])
+@example(["123456789012345e-22,1e22,.000000000000001e-7"])
+@example(["9999999999999999,0.0,0.0", "9999999999999998,0.0,0.0"])  # 16 digits, past 2**53
+def test_exact_path_reads_every_field_as_float(lines):
+    # bit for bit the doubles float() gives; np.loadtxt only for a file with a
+    # field of more than 15 digits or a power of ten beyond +-22
+    want = np.array([[float(text) for text in line.split(",")] for line in lines])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        path.write_text(HEADER + "\n".join(lines) + "\n")
+        data, used_loadtxt = noting_loadtxt(traces._parse_csv_bulk, path)
+    assert data.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    exact = all(on_exact_path(text) for line in lines for text in line.split(","))
+    assert used_loadtxt != exact
 
 @pytest.mark.parametrize(
     ("start", "step"),
@@ -558,8 +705,11 @@ def test_csv_round_trip_memory_bounded(tmp_path):
     # 100 us, 249 975 samples.  The row-by-row writer and the line-generator
     # reader peaked at 13.01 MB and 12.50 MB here (numpy 2.4.6, Python 3.11.7),
     # and the bounds stay at those figures.  The writer that builds each chunk
-    # as one byte matrix and the file-fed reader peak at 1.72 MB and 11.26 MB
-    # (the writer that joined each chunk's row strings peaked at 2.11 MB).
+    # as one byte matrix peaks at 1.72 MB (the one that joined each chunk's row
+    # strings, at 2.11 MB).  The reader peaks at 11.26 MB, as it did with
+    # np.loadtxt: its exact path, in 1 MiB chunks and 256 KiB steps, peaks at
+    # 10.73 MB, and the checks on the parsed columns at 11.26 MB (reading the
+    # whole body at once peaked at about 14 MB).
     trace = committed_capture(100e-6, seed=25)
     path = tmp_path / "trace.csv"
     _, write_peak = traced_peak(write_trace_csv, trace, path)
