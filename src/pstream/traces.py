@@ -34,18 +34,21 @@ Two file forms are supported:
   not > 0, a later step more than half a period away from the first, and a
   voltage that is not finite or does not fit a float32.  A file with fewer
   than two samples, or with bytes that are not UTF-8, is rejected too.  The
-  body takes one of three routes, chosen per file from its bytes, all with
-  the same values and verdicts.  The exact path reads the body in 1 MiB
-  chunks of whole lines, as the writer builds it: a run of lines that repeat
-  one byte layout, digits aside, is one uint8 matrix, and each field's digits
-  become its double through one dot product and one multiply or divide by a
-  power of ten.  It takes fields of at most 15 digits with a power of ten
-  within +-22, which that one rounding reads exactly as ``float()`` does,
-  and only the bytes ``0-9 . - e ,`` and newline.  A file that leaves it
-  (a longer field, another byte, or runs under 64 lines on average, such
-  as a noise record of 17-digit voltages) goes to one ``np.loadtxt`` call.
-  A row loop takes a file with a ``\\r`` or a blank line, and one that
-  ``loadtxt`` cannot read, and names the bad line;
+  body takes up to three routes, chosen from its bytes, all with the same
+  values and verdicts.  The exact path reads the body in 1 MiB chunks of
+  whole lines, as the writer builds it: a run of lines that repeat one byte
+  layout, digits aside, is one uint8 matrix, and each field's digits become
+  its double through one dot product and one multiply or divide by a power
+  of ten.  It takes fields of at most 15 digits with a power of ten within
+  +-22, which that one rounding reads exactly as ``float()`` does, and only
+  the bytes ``0-9 . - e ,`` and newline.  Each run costs a fixed Python
+  time, so the exact path stops where the runs grow shorter than 160 lines,
+  a little above where it stops saving time over ``np.loadtxt``, and at a
+  line it does not take (a longer field or another byte, as in a noise
+  record of 17-digit voltages).  One ``np.loadtxt`` call then reads the
+  rest, or the whole body where the exact path stopped early.  A row loop
+  takes a file with a ``\\r`` or a blank line, and one that ``loadtxt``
+  cannot read, and names the bad line;
 * raw packed little-endian float32 with a 16-byte header: the magic
   ``PSTRACE1`` followed by two little-endian uint32 words (sample count,
   channel count), then count*channels floats interleaved per sample
@@ -281,16 +284,25 @@ _CHUNK_BYTES = 1 << 20
 # the body bytes converted per step at most, which sizes the step buffers
 # (about 2.5 MB) for any line width
 _STEP_BYTES = 1 << 18
-# the exact path converts a run, or the part of one within a chunk and a step,
-# per step, at a fixed Python cost; a file that needs more than one step per
-# this many lines, after a few free steps, goes to np.loadtxt
-_MIN_MEAN_RUN = 64
-_FREE_STEPS = 8
+# a step of the exact path costs a fixed Python time, about what it saves
+# over np.loadtxt on 130 lines of 15 bytes (the two take equal time on a body
+# of 128-line runs); each step earns its lines less this many, and the rest of
+# the file goes to np.loadtxt once the credit, capped at _CREDIT_STEPS steps'
+# worth, runs out.  Set above the crossover, so that a file whose runs stop
+# the exact path late has been read faster up to there
+_STEP_LINES = 160
+_CREDIT_STEPS = 8
+# np.loadtxt parses a line in about the time it takes to copy ten of the rows
+# it parsed into place after the ones the exact path read
+_REPARSE_RATIO = 10
 # a field the exact path takes: sign, digits, point, digits, exponent (its
 # few digits keep int() fast and within its digit limit)
 _EXACT_FIELD = re.compile(rb"(-?)([0-9]*)(?:\.([0-9]*))?(?:e(-?[0-9]{1,3}))?")
 # a field's digits go through float32 in groups this long, below 2**24 so exact
 _GROUP_DIGITS = 7
+# the bytes a run's first check covers, after which the checks double
+_FIRST_CHECK = 1 << 12
+_ZERO_DIGITS = bytes.maketrans(b"123456789", b"000000000")
 
 
 def _parse_csv_bulk(path) -> np.ndarray | None:
@@ -298,21 +310,24 @@ def _parse_csv_bulk(path) -> np.ndarray | None:
 
     A first pass counts the body's lines from the bytes.  A file with a ``\\r``
     in it goes to the row loop, because ``loadtxt`` and the ``csv`` module split
-    such lines differently, and so does a blank first line.  The exact path
-    (``_parse_exact``) then reads the body.  Where it declines, ``np.loadtxt``
-    reads the file by its path: a path, unlike an open file, lets it read in
-    large blocks rather than line by line.  Given a path it also decompresses
-    by suffix, so a file with such a suffix goes to the row loop instead.
-    ``loadtxt`` skips blank lines, which the row loop rejects, so its rows must
-    number the body's lines.  Then neither path accepts a file that the row
-    loop rejects, and both give each field the value ``float()`` gives.
+    such lines differently.  The exact path (``_parse_exact``) then reads the
+    body, and ``np.loadtxt`` the lines from the one where it stopped, or all
+    of them where it stopped early.  ``loadtxt`` gets the file's path: a path,
+    unlike an open file, lets it read in large blocks rather than line by
+    line, and it skips lines at about a tenth of its cost to parse them.
+    Given a path it also decompresses by suffix, so a file with such a suffix
+    goes to the row loop instead.  ``loadtxt`` skips blank lines, which the
+    row loop rejects, so the exact path sends a blank line to the row loop,
+    and ``loadtxt``'s rows must number the lines it was given.  Then neither
+    path accepts a file that the row loop rejects, and both give each field
+    the value ``float()`` gives.
     """
     with open(path, "rb") as fh:
         if b"\r" in fh.readline():  # the header, checked already
             return None
         body = fh.tell()
         chunk = fh.read(_CHUNK_BYTES)
-        if chunk[:1] in (b"", b"\n"):
+        if not chunk:
             return None
         lines = 0
         while chunk:
@@ -323,70 +338,82 @@ def _parse_csv_bulk(path) -> np.ndarray | None:
             chunk = fh.read(_CHUNK_BYTES)
         lines += last != b"\n"
         fh.seek(body)
-        data = _parse_exact(fh, lines)
-    if data is not None:
+        data = np.empty((lines, 3))
+        row = _parse_exact(fh, data)
+    if row is None:
+        return None
+    if row == lines:
         return data
     if Path(path).suffix in _COMPRESSED_SUFFIXES:
         return None
+    skip = row if _REPARSE_RATIO * row >= lines - row else 0
+    if not skip:
+        data = None  # freed, for loadtxt's rows
     try:
-        data = np.loadtxt(
+        rest = np.loadtxt(
             os.path.abspath(path),  # absolute, so never taken for a URL
             delimiter=",",
             comments=None,
-            skiprows=1,
+            skiprows=1 + skip,
             ndmin=2,
             encoding="utf-8",
         )
     except ValueError:
         return None
-    if data.shape != (lines, 3):
+    if rest.shape != (lines - skip, 3):
         return None
+    if not skip:
+        return rest
+    data[skip:] = rest
     return data
 
 
-def _parse_exact(fh, lines: int) -> np.ndarray | None:
-    """The body's ``lines`` lines, from ``fh`` at its start, as an (n, 3) float64
-    array; None where a line leaves the exact path or its runs are short.
+def _parse_exact(fh, data: np.ndarray) -> int | None:
+    """How many of the body's lines, from ``fh`` at its start, the exact path
+    reads into ``data`` before a line leaves it or its runs grow short; None
+    at a blank line.
 
     The body is read in chunks of whole lines.  From a line's start, the lines
     of its length are one (rows, width) uint8 view of the chunk, and the leading
-    rows that repeat the first row's layout (``_Layout``) form a run, converted
-    in one step.  No Python work is done per line, and a file that would need
-    more than one step per ``_MIN_MEAN_RUN`` lines is declined.
+    rows that repeat that line's layout (``_Layout``) form a run, converted in
+    one step.  No Python work is done per line.
     """
-    data = np.empty((lines, 3))
     buf = bytearray(_CHUNK_BYTES)
     chunk = np.frombuffer(buf, np.uint8)
     work = _StepBuffers()
-    row = steps = held = 0
-    layout = None
+    layouts = {}  # the last layout made from a line, by its bytes with every digit 0
+    credit = cap = _CREDIT_STEPS * _STEP_LINES
+    row = held = 0
     while True:
         size = held + fh.readinto(memoryview(buf)[held:])
         if size == held:  # the end of the file
             if not size:
-                return data if row == lines else None
+                return row
             buf[size] = ord("\n")  # the last line, without its newline (held < a chunk)
             size += 1
         end = buf.rfind(b"\n", 0, size) + 1
         if not end:  # a line longer than a chunk
-            return None
+            return row
         pos = 0
         while pos < end:
             width = buf.find(b"\n", pos) + 1 - pos
-            block = chunk[pos : pos + min(end - pos, _STEP_BYTES) // width * width]
-            fit = None
-            if layout is not None and layout.width == width:
-                fit = layout.fitting(block, work)
-            if not fit:
-                layout = _Layout.of(bytes(buf[pos : pos + width]))
-                if layout is None:
-                    return None
-                fit = layout.fitting(block, work)
-            n, digits = fit
-            steps += 1
-            if steps > _FREE_STEPS + (row + n) // _MIN_MEAN_RUN or row + n > lines:
+            if width == 1:  # a blank line, which loadtxt would skip
                 return None
-            layout.convert(digits, data[row : row + n], work)
+            most = min(end - pos, _STEP_BYTES) // width
+            line = bytes(buf[pos : pos + width])
+            key = line.translate(_ZERO_DIGITS)
+            layout = layouts.get(key)
+            # a layout of the same key fits unless the line's exponents differ
+            n = layout.run(chunk[pos:end], most, work) if layout else 0
+            if not n:
+                layout = layouts[key] = _Layout.of(line)
+                if layout is None:
+                    return row
+                n = layout.run(chunk[pos:end], most, work)
+            credit = min(credit + n - _STEP_LINES, cap)
+            if credit < 0 or row + n > len(data):
+                return row
+            layout.convert(work.digits[: n * width].reshape(n, width), data[row : row + n], work)
             row += n
             pos += n * width
         held = size - end
@@ -419,13 +446,13 @@ class _Layout:
 
     def __init__(self, line: bytes, fields: list):
         self.width = len(line)
-        lo = np.frombuffer(line, np.uint8).copy()
-        span = np.zeros(self.width, np.uint8)
+        self.lo = np.frombuffer(line, np.uint8).copy()
+        self.span = np.zeros(self.width, np.uint8)
         groups = []  # the column weights of each group of digits
         self.fields = []  # per field: its groups, most significant first; op; scale
         for columns, power, negative in fields:
-            lo[columns] = ord("0")
-            span[columns] = 9
+            self.lo[columns] = ord("0")
+            self.span[columns] = 9
             # every group but the most significant holds _GROUP_DIGITS digits
             cuts = range(len(columns) % _GROUP_DIGITS or _GROUP_DIGITS, len(columns), _GROUP_DIGITS)
             first = len(groups)
@@ -437,9 +464,10 @@ class _Layout:
             op = np.multiply if power >= 0 else np.divide
             self.fields.append((range(first, len(groups)), op, scale))
         self.weights = np.array(groups)
-        # the checks for a full step, tiled, so each is one flat pass
-        self.lo = np.tile(lo, _STEP_BYTES // self.width)
-        self.span = np.tile(span, _STEP_BYTES // self.width)
+        # the checks for as many rows as fill _FIRST_CHECK bytes: a longer
+        # block is checked as rows of this tile, a shorter one by its start
+        rows = max(1, _FIRST_CHECK // self.width)
+        self.lo, self.span = np.tile(self.lo, rows), np.tile(self.span, rows)
 
     @classmethod
     def of(cls, line: bytes) -> _Layout | None:
@@ -465,14 +493,34 @@ class _Layout:
             start += len(text) + 1
         return cls(line, fields)
 
-    def fitting(self, block: np.ndarray, work: _StepBuffers) -> tuple[int, np.ndarray] | None:
-        """How many leading rows of ``block`` (whole rows of this width) repeat
-        the layout, with their digits as a (rows, width) uint8 array; None when
-        the first row does not."""
-        digits = np.subtract(block, self.lo[: block.size], out=work.digits[: block.size])
-        fits = np.less_equal(digits, self.span[: block.size], out=work.fits[: block.size])
-        n = block.size // self.width if fits.all() else int(fits.argmin()) // self.width
-        return (n, digits[: n * self.width].reshape(n, self.width)) if n else None
+    def run(self, rows: np.ndarray, most: int, work: _StepBuffers) -> int:
+        """How many of the first ``most`` rows of ``rows`` (bytes from a line's
+        start) repeat the layout; their digits go to ``work.digits``.
+
+        The rows are checked in windows that double from one tile, so a run
+        costs its bytes, at most twice over, and one tile.
+        """
+        width, tile = self.width, self.lo.size
+        n = 0
+        window = tile // width
+        while n < most:
+            stop = min(n + window, most)
+            view = rows[n * width : stop * width]
+            digits = work.digits[n * width : stop * width]
+            fits = work.fits[: view.size]
+            cut = view.size // tile * tile
+            if cut:
+                shape = (-1, tile)
+                np.subtract(view[:cut].reshape(shape), self.lo, out=digits[:cut].reshape(shape))
+                np.less_equal(digits[:cut].reshape(shape), self.span, out=fits[:cut].reshape(shape))
+            if cut < view.size:
+                left = view.size - cut
+                np.subtract(view[cut:], self.lo[:left], out=digits[cut:])
+                np.less_equal(digits[cut:], self.span[:left], out=fits[cut:])
+            if not fits.all():
+                return n + int(fits.argmin()) // width
+            n = window = stop
+        return n
 
     def convert(self, digits: np.ndarray, out: np.ndarray, work: _StepBuffers) -> None:
         """Write the doubles of the rows whose ``digits`` fit into ``out``."""

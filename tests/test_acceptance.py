@@ -134,7 +134,6 @@ def test_coincidence_budget(full_scan):
     )
 
 
-
 def test_singles_budget(full_scan):
     """Every point's N_A and N_B are the expected clicks per detector plus dark counts.
 
@@ -166,6 +165,7 @@ def test_singles_budget(full_scan):
             f"{len(z)} points, z from {z.min():.2f} to {z.max():.2f} (bound {z_bound}), "
             f"mean z {z.mean():.3f} (band ±{mean_band}), sd {z.std(ddof=1):.3f}",
         )
+
 
 def _envelope_limited_g2_peak(l_eff, wavelength=632.8e-9):
     """Innermost maximum of the noise-free g2 curve at unit visibility, from the
