@@ -93,3 +93,6 @@ from .traces import (
     write_trace_csv,
     write_trace_raw,
 )
+from . import heap
+
+heap._keep_freed_heap()  # glibc's heap settings, once per process

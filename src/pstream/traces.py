@@ -35,8 +35,8 @@ Two file forms are supported:
   voltage that is not finite or does not fit a float32.  A file with fewer
   than two samples, or with bytes that are not UTF-8, is rejected too.  The
   body takes up to three routes, chosen from its bytes, all with the same
-  values and verdicts.  The exact path reads the body in 1 MiB chunks of
-  whole lines, as the writer builds it: a run of lines that repeat one byte
+  values and verdicts.  The exact path reads the body once, in 1 MiB chunks
+  of whole lines, as the writer builds it: a run of lines that repeat one byte
   layout, digits aside, is one uint8 matrix, and each field's digits become
   its double through one dot product and one multiply or divide by a power
   of ten.  It takes fields of at most 15 digits with a power of ten within
@@ -308,49 +308,46 @@ _ZERO_DIGITS = bytes.maketrans(b"123456789", b"000000000")
 def _parse_csv_bulk(path) -> np.ndarray | None:
     """The body as an (n, 3) float64 array, or None where only the row loop can decide.
 
-    A first pass counts the body's lines from the bytes.  A file with a ``\\r``
-    in it goes to the row loop, because ``loadtxt`` and the ``csv`` module split
-    such lines differently.  The exact path (``_parse_exact``) then reads the
-    body, and ``np.loadtxt`` the lines from the one where it stopped, or all
-    of them where it stopped early.  ``loadtxt`` gets the file's path: a path,
-    unlike an open file, lets it read in large blocks rather than line by
-    line, and it skips lines at about a tenth of its cost to parse them.
-    Given a path it also decompresses by suffix, so a file with such a suffix
-    goes to the row loop instead.  ``loadtxt`` skips blank lines, which the
-    row loop rejects, so the exact path sends a blank line to the row loop,
-    and ``loadtxt``'s rows must number the lines it was given.  Then neither
-    path accepts a file that the row loop rejects, and both give each field
-    the value ``float()`` gives.
+    The exact path (``_parse_exact``) reads the body in one pass.  A file with
+    a ``\\r`` in it goes to the row loop, because ``loadtxt`` and the ``csv``
+    module split such lines differently.  The exact path stops at a line with
+    a ``\\r``, as at any byte it does not take; where it stopped before the
+    end, the rest is counted and checked for ``\\r``, and ``np.loadtxt`` reads
+    the lines from the one where it stopped, or all of them where it stopped
+    early.  ``loadtxt`` gets the file's path: a path, unlike an open file,
+    lets it read in large blocks rather than line by line, and it skips lines
+    at about a tenth of its cost to parse them.  Given a path it also
+    decompresses by suffix, so a file with such a suffix goes to the row loop
+    instead.  ``loadtxt`` skips blank lines, which the row loop rejects, so the
+    exact path sends a blank line to the row loop, and ``loadtxt``'s rows must
+    number the lines it was given.  Then neither path accepts a file that the
+    row loop rejects, and both give each field the value ``float()`` gives.
     """
     with open(path, "rb") as fh:
         if b"\r" in fh.readline():  # the header, checked already
             return None
-        body = fh.tell()
-        chunk = fh.read(_CHUNK_BYTES)
-        if not chunk:
+        read = _parse_exact(fh)
+        if read is None:
             return None
-        lines = 0
-        while chunk:
+        data, stop = read
+        if stop is None:
+            return data
+        fh.seek(stop)
+        rest = 0  # the lines from the one where the exact path stopped
+        while chunk := fh.read(_CHUNK_BYTES):
             if b"\r" in chunk:
                 return None
-            lines += chunk.count(b"\n")
+            rest += chunk.count(b"\n")
             last = chunk[-1:]
-            chunk = fh.read(_CHUNK_BYTES)
-        lines += last != b"\n"
-        fh.seek(body)
-        data = np.empty((lines, 3))
-        row = _parse_exact(fh, data)
-    if row is None:
-        return None
-    if row == lines:
-        return data
+        rest += last != b"\n"  # the exact path stopped at a line, so there is one
     if Path(path).suffix in _COMPRESSED_SUFFIXES:
         return None
-    skip = row if _REPARSE_RATIO * row >= lines - row else 0
+    row = len(data)
+    skip = row if _REPARSE_RATIO * row >= rest else 0
     if not skip:
         data = None  # freed, for loadtxt's rows
     try:
-        rest = np.loadtxt(
+        rest_rows = np.loadtxt(
             os.path.abspath(path),  # absolute, so never taken for a URL
             delimiter=",",
             comments=None,
@@ -360,40 +357,54 @@ def _parse_csv_bulk(path) -> np.ndarray | None:
         )
     except ValueError:
         return None
-    if rest.shape != (lines - skip, 3):
+    if rest_rows.shape != (row + rest - skip, 3):
         return None
     if not skip:
-        return rest
-    data[skip:] = rest
+        return rest_rows
+    data.resize((skip + rest, 3), refcheck=False)  # realloc: the rows stay in place
+    data[skip:] = rest_rows
     return data
 
 
-def _parse_exact(fh, data: np.ndarray) -> int | None:
-    """How many of the body's lines, from ``fh`` at its start, the exact path
-    reads into ``data`` before a line leaves it or its runs grow short; None
-    at a blank line.
+def _parse_exact(fh) -> tuple[np.ndarray, int | None] | None:
+    """The rows that the exact path reads from ``fh`` at the body's start,
+    and the offset in the file of the first line it left, None where it read
+    them all; None for an empty body or a blank line.
 
     The body is read in chunks of whole lines.  From a line's start, the lines
-    of its length are one (rows, width) uint8 view of the chunk, and the leading
-    rows that repeat that line's layout (``_Layout``) form a run, converted in
-    one step.  No Python work is done per line.
+    of its length are one (rows, width) uint8 view of the chunk, and the
+    leading rows that repeat that line's layout (``_Layout``) form a run,
+    converted in one step.  No Python work is done per line.  The rows go
+    into an array sized from the body's length and its first line's width.
+    It is grown where later lines are shorter, and cut to the rows read at the
+    end, both by ``resize`` (a ``realloc``) rather than by a copy into a new
+    array.  Rows past an estimate that was too large are never written, so
+    their pages never count towards the resident set.
     """
     buf = bytearray(_CHUNK_BYTES)
     chunk = np.frombuffer(buf, np.uint8)
     work = _StepBuffers()
     layouts = {}  # the last layout made from a line, by its bytes with every digit 0
     credit = cap = _CREDIT_STEPS * _STEP_LINES
-    row = held = 0
+    body = fh.tell()
+    length = os.fstat(fh.fileno()).st_size - body
+    data = np.empty((0, 3))
+    row = held = offset = 0  # offset: the body's bytes before buf[0]
+
+    def rows_read(stop):
+        data.resize((row, 3), refcheck=False)  # no view of data is left
+        return data, stop
+
     while True:
         size = held + fh.readinto(memoryview(buf)[held:])
         if size == held:  # the end of the file
             if not size:
-                return row
+                return rows_read(None) if offset else None
             buf[size] = ord("\n")  # the last line, without its newline (held < a chunk)
             size += 1
         end = buf.rfind(b"\n", 0, size) + 1
         if not end:  # a line longer than a chunk
-            return row
+            return rows_read(body + offset)
         pos = 0
         while pos < end:
             width = buf.find(b"\n", pos) + 1 - pos
@@ -408,21 +419,33 @@ def _parse_exact(fh, data: np.ndarray) -> int | None:
             if not n:
                 layout = layouts[key] = _Layout.of(line)
                 if layout is None:
-                    return row
+                    return rows_read(body + offset + pos)
                 n = layout.run(chunk[pos:end], most, work)
             credit = min(credit + n - _STEP_LINES, cap)
-            if credit < 0 or row + n > len(data):
-                return row
+            if credit < 0:
+                return rows_read(body + offset + pos)
+            if row + n > len(data):  # room for the lines left, at this run's width
+                rows = row + n + max(length - offset - pos - n * width, 0) // width + 1
+                if row:
+                    data.resize((rows, 3), refcheck=False)  # zeroes the rows it adds
+                else:
+                    data = np.empty((rows, 3))
             layout.convert(work.digits[: n * width].reshape(n, width), data[row : row + n], work)
             row += n
             pos += n * width
         held = size - end
         chunk[:held] = chunk[end:size]
+        offset += end
 
 
 class _StepBuffers:
-    """The arrays every step of one read writes into: large temporaries
-    allocated per step would each be mapped and faulted in again."""
+    """The arrays every step of one read writes into, allocated once per read.
+
+    Under the package's heap policy (``pstream.heap``) arrays allocated per
+    step would be reused from the heap rather than faulted in again, but a
+    read with them took 0.6-1.3 % longer on the benchmark capture (6.36-6.45
+    against 6.32-6.41 ms, three alternating pairs) and peaked 0.16 MB higher.
+    """
 
     def __init__(self):
         self.digits = np.empty(_STEP_BYTES, np.uint8)

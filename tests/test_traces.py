@@ -508,6 +508,52 @@ class TestCsvDifferential:
         assert got[2] == want[2]
 
     @pytest.mark.parametrize(
+        ("case", "row_loop"),
+        [
+            ("crlf_after_first_chunk", True),
+            ("cr_after_first_chunk", True),
+            ("blank_line_after_first_chunk", True),
+            ("no_final_newline", False),
+            ("longer_than_estimate", False),
+        ],
+    )
+    def test_single_pass_reader_matches_row_reader(self, case, row_loop, tmp_path):
+        # the exact path reads the body once: it stops at a \r, which the
+        # count of the lines left then finds, meets a blank line only where
+        # it reads, and grows its rows past the estimate from the body's
+        # length and its first line
+        path = tmp_path / "trace.csv"
+        if case == "longer_than_estimate":
+            # 1 000 lines of long voltages, then 79 000 shorter ones, over two chunks
+            ch1 = np.zeros(80_000, np.float32)
+            ch1[:1_000] = 3.3359375
+            write_trace_csv(TraceFile(ch1=ch1, ch2=ch1.copy()), path)
+            body = path.read_bytes().partition(b"\n")[2]
+            assert len(body) > traces._CHUNK_BYTES
+            assert len(body) // body.index(b"\n") + 1 < 80_000
+        else:
+            write_trace_csv(committed_capture(30e-6, seed=29), path)
+            data = path.read_bytes()
+            end = data.index(b"\n", traces._CHUNK_BYTES + 100)  # a line of the second chunk
+            data = {
+                "crlf_after_first_chunk": data[:end] + b"\r" + data[end:],
+                "cr_after_first_chunk": data[:end] + b"\r" + data[end + 1 :],
+                "blank_line_after_first_chunk": data[:end] + b"\n" + data[end:],
+                "no_final_newline": data[:-1],
+            }[case]
+            path.write_bytes(data)
+        data, skipped = noting_loadtxt(traces._parse_csv_bulk, path)
+        assert skipped == [] and (data is None) == row_loop
+        got, want = outcome(read_trace_csv, path), outcome(row_reader, path)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert not isinstance(got, str), got
+        assert got[0].view(np.uint32).tolist() == want[0].view(np.uint32).tolist()
+        assert got[1].view(np.uint32).tolist() == want[1].view(np.uint32).tolist()
+        assert got[2] == want[2]
+
+    @pytest.mark.parametrize(
         ("field", "exact"),
         [
             ("123456789012345", True),  # 15 digits
@@ -724,10 +770,12 @@ def test_csv_round_trip_memory_bounded(tmp_path):
     # reader peaked at 13.01 MB and 12.50 MB here (numpy 2.4.6, Python 3.11.7),
     # and the bounds stay at those figures.  The writer that builds each chunk
     # as one byte matrix peaks at 1.72 MB (the one that joined each chunk's row
-    # strings, at 2.11 MB).  The reader peaks at 11.26 MB, as it did with
-    # np.loadtxt: its exact path, in 1 MiB chunks and 256 KiB steps, peaks at
-    # 9.80 MB, and the checks on the parsed columns at 11.26 MB (reading the
-    # whole body at once peaked at about 14 MB).
+    # strings, at 2.11 MB).  The reader peaks at 11.91 MB (11.26 MB with
+    # np.loadtxt): its exact path, in 1 MiB chunks and 256 KiB steps, peaks at
+    # 11.89 MB, as it sizes its rows from the 14-byte first line (8.1 MB for
+    # 6.0 MB of rows; pages it never writes are never resident), and the
+    # checks on the parsed columns at 11.26 MB (reading the whole body at
+    # once peaked at about 14 MB).
     trace = committed_capture(100e-6, seed=25)
     path = tmp_path / "trace.csv"
     _, write_peak = traced_peak(write_trace_csv, trace, path)
