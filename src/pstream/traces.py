@@ -10,45 +10,50 @@ sampling period.
 Two file forms are supported:
 
 * CSV with header ``time_s,ch1_V,ch2_V`` and one row per sample.  The writer
-  gives sample k's time as the exact decimal k times ``repr(sampling_period)``:
-  with that repr's digits m and exponent x, the integer k*m followed by
-  ``e{x}`` (``0e-10``, ``4e-10``, ``8e-10``, ``12e-10``, ... at 400 ps).  A
-  time reads back as the double nearest that decimal instant, so the first
-  step is the period itself.  The voltages are the shortest ``repr`` of the
-  float32 samples widened to float64, so they read back exactly.  The writer
-  works in 16k-row chunks, each built as one uint8 matrix and written with
-  one ``tobytes()``.  It formats the ``e{x},ch1,ch2`` tail of each distinct
-  pair of sample bit patterns in a chunk once, since a capture holds few
-  voltage levels, and rows gather their tails from a padded byte table.  The
-  digits of k*m fill the leading columns right-aligned, by repeated ``% 10``
-  and ``// 10`` on integer arrays.  k*m is carried as two base-10**9 limbs,
-  which stay within int64 for any k*m below about 9.2e27, so for more than
-  9e10 samples at any period.  Where a chunk's rows differ in width (its
-  digit count changes, or its tails differ in length), one boolean keep-mask
-  drops the leading zeros and the padding.  Files written before the times
-  became exact decimals hold ``repr(k * sampling_period)`` and read the
-  same.  The reader decodes UTF-8.  It takes the sampling period as
+  gives sample k's time as the exact decimal k times
+  ``repr(sampling_period)``: with that repr's digits m and exponent x, the
+  integer k*m followed by ``e{x}`` (``0e-10``, ``4e-10``, ``8e-10``,
+  ``12e-10``, ... at 400 ps).  A time reads back as the double nearest that
+  decimal instant, so the first step is the period itself.  The voltages are
+  the shortest ``repr`` of the float32 samples widened to float64, so they
+  read back exactly.  The writer works in 16k-row chunks, each built as one
+  uint8 matrix and written from its buffer, without a copy.  It formats the
+  ``e{x},ch1,ch2`` tail of each distinct pair of sample bit patterns in a
+  chunk once, since a capture holds few voltage levels: the chunk's first
+  pair is tail 0, and only the rows whose pair differs from it are sorted
+  for the others.  Rows gather their tails from a padded byte table.  The
+  digits of k*m fill the leading columns right-aligned, four at a time from
+  a table of the bytes ``0000`` to ``9999``, and the leading one to three
+  digits of each limb one at a time.  k*m is carried as two base-10**9
+  limbs, which stay within int64 for any k*m below about 9.2e27, so for more
+  than 9e10 samples at any period.  Where a chunk's rows differ in width
+  (its digit count changes, or its tails differ in length), one boolean
+  keep-mask drops the leading zeros and the padding.  Files written before
+  the times became exact decimals hold ``repr(k * sampling_period)`` and
+  read the same.  The reader decodes UTF-8.  It takes the sampling period as
   ``times[1] - times[0]`` and rejects, naming the first bad line, a row
   without exactly three fields (a blank line included), a field that
   ``float()`` cannot parse, a time that is not finite, a first step that is
   not > 0, a later step more than half a period away from the first, and a
-  voltage that is not finite or does not fit a float32.  A file with fewer
-  than two samples, or with bytes that are not UTF-8, is rejected too.  The
-  body takes up to three routes, chosen from its bytes, all with the same
-  values and verdicts.  The exact path reads the body once, in 1 MiB chunks
-  of whole lines, as the writer builds it: a run of lines that repeat one byte
+  voltage that is not finite or does not fit a float32; whole-array
+  reductions pass a good file, and the per-line masks that find the first
+  bad line are built only when one fails.  A file with fewer than two
+  samples, or with bytes that are not UTF-8, is rejected too.  The body
+  takes up to three routes, chosen from its bytes, all with the same values
+  and verdicts.  The exact path reads the body once, in 1 MiB chunks of
+  whole lines, as the writer builds it: a run of lines that repeat one byte
   layout, digits aside, is one uint8 matrix, and each field's digits become
-  its double through one dot product and one multiply or divide by a power
-  of ten.  It takes fields of at most 15 digits with a power of ten within
-  +-22, which that one rounding reads exactly as ``float()`` does, and only
-  the bytes ``0-9 . - e ,`` and newline.  Each run costs a fixed Python
-  time, so the exact path stops where the runs grow shorter than 160 lines,
-  a little above where it stops saving time over ``np.loadtxt``, and at a
-  line it does not take (a longer field or another byte, as in a noise
-  record of 17-digit voltages).  One ``np.loadtxt`` call then reads the
-  rest, or the whole body where the exact path stopped early.  A row loop
-  takes a file with a ``\\r`` or a blank line, and one that ``loadtxt``
-  cannot read, and names the bad line;
+  its double through one matrix product, exact in float32, and one multiply
+  or divide by a power of ten.  It takes fields of at most 15 digits with a
+  power of ten within +-22, which that one rounding reads exactly as
+  ``float()`` does, and only the bytes ``0-9 . - e ,`` and newline.  Each
+  run costs a fixed Python time, so the exact path stops where the runs grow
+  shorter than 160 lines, a little above where it stops saving time over
+  ``np.loadtxt``, and at a line it does not take (a longer field or another
+  byte, as in a noise record of 17-digit voltages).  One ``np.loadtxt`` call
+  then reads the rest, or the whole body where the exact path stopped early.
+  A row loop takes a file with a ``\\r`` or a blank line, and one that
+  ``loadtxt`` cannot read, and names the bad line;
 * raw packed little-endian float32 with a 16-byte header: the magic
   ``PSTRACE1`` followed by two little-endian uint32 words (sample count,
   channel count), then count*channels floats interleaved per sample
@@ -68,6 +73,7 @@ into exit code 3.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import re
 import struct
@@ -201,24 +207,40 @@ def write_trace_csv(trace: TraceFile, path: str | Path) -> None:
             # each row's (ch1, ch2) bit pattern as one key: keyed by bits, not
             # value, -0.0 keeps its own tail and a NaN has a key
             pairs = np.stack((ch1, ch2), axis=1).view(np.uint64)[:, 0]
-            _, first, which = np.unique(pairs, return_index=True, return_inverse=True)
+            # row 0's key is tail 0, and only the rows off it are sorted: in a
+            # capture, the few samples a pulse covers
+            other = np.flatnonzero(pairs != pairs[0])
+            _, first, inverse = np.unique(pairs[other], return_index=True, return_inverse=True)
+            which = np.zeros(pairs.size, np.intp)
+            which[other] = inverse + 1
+            first = np.concatenate(([0], other[first]))
             tails = list(map(tail, ch1[first].tolist(), ch2[first].tolist()))
             fh.write(_csv_rows(start, step, tails, which))
 
 
 # the base of the two limbs that carry a time through int64 arithmetic
 _LIMB = 10**9
+# the time digits written per column group, and the bytes b"0000" .. b"9999"
+# of each group's value, one 4-byte void each (the digits of d are row d of
+# the 10x10x10x10 index grid)
+_GROUP = 10**4
+_GROUP_BYTES = np.ascontiguousarray(
+    np.indices((10, 10, 10, 10), np.uint8).reshape(4, _GROUP).T + ord("0")
+).view("V4")[:, 0]
 
 
-def _csv_rows(start: int, step: int, tails: list[str], which: np.ndarray) -> bytes:
-    """Rows ``start`` .. ``start + len(which) - 1`` as bytes: row k is the decimal
-    digits of k*step followed by ``tails[which[k - start]]``.
+def _csv_rows(start: int, step: int, tails: list[str], which: np.ndarray) -> np.ndarray:
+    """Rows ``start`` .. ``start + len(which) - 1`` as a uint8 array of their
+    bytes: row k is the decimal digits of k*step followed by
+    ``tails[which[k - start]]``.
 
     The rows are one uint8 matrix: the times' digits right-aligned in the
     leading columns, each row's tail gathered from a padded byte table after
     them.  A time is carried as ``hi * 10**9 + lo``, so both limbs fit int64
-    for any time below about 9.2e27.  Where rows differ in width, a keep-mask
-    drops the leading zeros and the tails' padding.
+    for any time below about 9.2e27.  Each limb's digits are written four
+    columns at a time from the right, from ``_GROUP_BYTES``, and its leading
+    one to three digits one column at a time.  Where rows differ in width, a
+    keep-mask drops the leading zeros and the tails' padding.
     """
     n = which.size
     width = len(str((start + n - 1) * step))  # digits of the chunk's largest time
@@ -243,13 +265,21 @@ def _csv_rows(start: int, step: int, tails: list[str], which: np.ndarray) -> byt
     for value, count in limbs:
         if count <= 9:  # below 10**9, so uint32 holds it
             value = value.astype(np.uint32)
-        for col in range(right - 1, right - count - 1, -1):
+        groups = count // 4
+        for col in range(right - 4, right - 4 * groups - 1, -4):
+            # value % 10**4 as value less 10**4 times the quotient: a division
+            # by a constant is vectorized, and % is not
+            high = value // _GROUP
+            value -= high * _GROUP
+            rows[:, col : col + 4].view(_GROUP_BYTES.dtype)[:, 0] = np.take(_GROUP_BYTES, value)
+            value = high
+        for col in range(right - 4 * groups - 1, right - count - 1, -1):
             value, digit = np.divmod(value, 10)
             digit += ord("0")
             rows[:, col] = digit
         right -= count
     if lead == width and tail_len.min() == tail_width:
-        return rows.tobytes()
+        return rows
     # each row's class: its digit count and its tail's length, whose kept
     # columns one mask row holds; the digit count rises by one at
     # k = ceil(10**d / step)
@@ -261,7 +291,7 @@ def _csv_rows(start: int, step: int, tails: list[str], which: np.ndarray) -> byt
     digit_count = np.arange(lead, width + 1)[:, None, None]
     masks = (col >= width - digit_count) & (col < width + lengths[:, None])
     masks = np.frombuffer(masks.tobytes(), f"V{col.size}")
-    return rows.ravel()[np.take(masks, code).view(bool)].tobytes()
+    return rows.ravel()[np.take(masks, code).view(bool)]
 
 
 def read_trace_csv(path: str | Path) -> TraceFile:
@@ -443,8 +473,10 @@ class _StepBuffers:
 
     Under the package's heap policy (``pstream.heap``) arrays allocated per
     step would be reused from the heap rather than faulted in again, but a
-    read with them took 0.6-1.3 % longer on the benchmark capture (6.36-6.45
-    against 6.32-6.41 ms, three alternating pairs) and peaked 0.16 MB higher.
+    read with them, each step's freed before the next, was slower in 13 of
+    18 alternating rounds of 40 reads of the benchmark capture (medians
+    14.21 against 13.75 ms, on 2 cores shared with other load), with the
+    same 11.91 MB peak.
     """
 
     def __init__(self):
@@ -486,7 +518,9 @@ class _Layout:
             scale = float(10 ** abs(power)) * (-1.0 if negative else 1.0)
             op = np.multiply if power >= 0 else np.divide
             self.fields.append((range(first, len(groups)), op, scale))
-        self.weights = np.array(groups)
+        # (width, groups), so a step's (rows, width) digits times it are a
+        # row-major product
+        self.weights = np.array(groups).T.copy()
         # the checks for as many rows as fill _FIRST_CHECK bytes: a longer
         # block is checked as rows of this tile, a shorter one by its start
         rows = max(1, _FIRST_CHECK // self.width)
@@ -549,15 +583,15 @@ class _Layout:
         """Write the doubles of the rows whose ``digits`` fit into ``out``."""
         floats = work.floats[: digits.size].reshape(digits.shape)
         floats[...] = digits
-        sums = work.sums[: len(self.weights) * len(digits)].reshape(len(self.weights), -1)
-        np.matmul(self.weights, floats.T, out=sums)  # exact, below 10**7
+        sums = work.sums[: len(digits) * self.weights.shape[1]].reshape(len(digits), -1)
+        np.matmul(floats, self.weights, out=sums)  # exact, below 10**7
         for column, (groups, op, scale) in enumerate(self.fields):
-            value = sums[groups[0]]
+            value = sums[:, groups[0]]
             if len(groups) > 1:  # below 10**15, so exact in float64
                 value = value.astype(np.float64)
                 for group in groups[1:]:
                     value *= 10.0**_GROUP_DIGITS
-                    value += sums[group]
+                    value += sums[:, group]
             op(value, scale, out=out[:, column], dtype=np.float64)
 
 
@@ -580,8 +614,6 @@ def _trace_from_csv_columns(path, data: np.ndarray) -> TraceFile:
         raise TraceParseError(f"{path}: need at least two samples to infer the sampling period")
     times = data[:, 0]
     period = float(times[1]) - float(times[0])
-    bad_time = ~np.isfinite(times)
-    bad_step = np.zeros(len(times), dtype=bool)
     # non-finite values are reported below, so their arithmetic must not warn
     with np.errstate(over="ignore", invalid="ignore"):
         channels = [data[:, 1].astype(np.float32), data[:, 2].astype(np.float32)]
@@ -589,8 +621,20 @@ def _trace_from_csv_columns(path, data: np.ndarray) -> TraceFile:
         off = np.diff(times)
         off -= period
         np.abs(off, out=off)
+        # all good, decided by reductions: a NaN makes a max or min NaN, which
+        # fails its test; a finite period needs finite first two times, and
+        # finite steps keep every later time finite
+        if (
+            0 < period < math.inf
+            and off.max() <= period / 2
+            and all(math.isfinite(c.min()) and math.isfinite(c.max()) for c in channels)
+        ):
+            return TraceFile(ch1=channels[0], ch2=channels[1], sampling_period=period)
+        # else the per-line masks, to name the first bad line
+        bad_step = np.zeros(len(times), dtype=bool)
         bad_step[1:] = ~(off <= period / 2)
     bad_step[1] |= not period > 0
+    bad_time = ~np.isfinite(times)
     bad_sample = ~(np.isfinite(channels[0]) & np.isfinite(channels[1]))
     bad = bad_time | bad_step | bad_sample
     if bad.any():
@@ -620,7 +664,7 @@ def write_trace_raw(trace: TraceFile, path: str | Path) -> None:
     data[1::2] = trace.ch2
     with open(path, "wb") as fh:
         fh.write(HEADER.pack(MAGIC, trace.n_samples, 2))
-        fh.write(data.tobytes())
+        fh.write(data)
 
 
 def read_trace_raw(path: str | Path, sampling_period: float = DEFAULT_SAMPLING_PERIOD) -> TraceFile:

@@ -339,6 +339,16 @@ READER_CORPUS = {
         HEADER + '"Infinity",0.0,4.0\n4e-10,4.0,0.0\n',
         "line 2: time inf is not finite",
     ),
+    # two faults in either order: the first line with one is named
+    "bad_step_then_nan_voltage": (
+        HEADER + "0.0,0.0,4.0\n4e-10,4.0,0.0\n1e-3,0.0,0.0\n1.0000004e-3,0.0,nan\n",
+        "line 4: time 0.001 is not one sampling period (4e-10 s, from the first two rows) "
+        "after 4e-10",
+    ),
+    "nan_voltage_then_bad_step": (
+        HEADER + "0.0,0.0,4.0\n4e-10,4.0,nan\n8e-10,0.0,0.0\n1e-3,0.0,0.0\n",
+        "line 3: ch2_V value nan is not a finite float32",
+    ),
 }
 
 
@@ -430,6 +440,21 @@ class TestCsvDifferential:
         # a synthesized capture, 2 voltage levels per channel, over several write chunks
         trace = committed_capture(30e-6, seed=21)
         assert trace.n_samples > 2 * traces._CSV_CHUNK_ROWS
+        write_trace_csv(trace, tmp_path / "new.csv")
+        row_writer(trace, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_writer_bytes_match_row_writer_on_chunk_starting_in_a_pulse(self, tmp_path):
+        # a pulse on ch1 covers samples 16 375 .. 16 399, so the second chunk's
+        # row 0 sits at 4.0 V, and its tail is not the one of the chunk's
+        # resting level; ch2 pulses elsewhere
+        chunk_start_ps = traces._CSV_CHUNK_ROWS * 400
+        a = regular_train(3, spacing_ps=2_000_000, start=chunk_start_ps - 3_600)
+        b = regular_train(3, spacing_ps=2_000_000, start=1_000_000)
+        trace = synthesize_trace(a, b, duration=3 * traces._CSV_CHUNK_ROWS * 400e-12)
+        assert trace.ch1[traces._CSV_CHUNK_ROWS] == 4.0 and trace.ch2[traces._CSV_CHUNK_ROWS] == 0.0
+        second = trace.ch1[traces._CSV_CHUNK_ROWS : 2 * traces._CSV_CHUNK_ROWS]
+        assert np.count_nonzero(second == 4.0) < second.size // 2
         write_trace_csv(trace, tmp_path / "new.csv")
         row_writer(trace, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -642,6 +667,9 @@ def on_exact_path(text):
 @example(["123456789012345e-22,1e22,.000000000000001e-7"])
 @example(["9999999999999999,0.0,0.0", "9999999999999998,0.0,0.0"])  # 16 digits, past 2**53
 @example(["1e-10,0.0,0.0", "2e-11,0.0,0.0", "3e-10,0.0,0.0"])  # one layout but the exponent
+# the widest weight matrix, three 15-digit fields in 9 digit groups, and the narrowest
+@example(["123456789012345,-98765432109876.5,.999999999999999e7"] * 2)
+@example(["1,2,3", "4,-5,6", "7,8,-9"])
 def test_exact_path_reads_every_field_as_float(lines):
     # bit for bit the doubles float() gives; np.loadtxt only for a file with a
     # field of more than 15 digits or a power of ten beyond +-22
@@ -658,7 +686,10 @@ def test_exact_path_reads_every_field_as_float(lines):
 @pytest.mark.parametrize(
     ("start", "step"),
     [
-        (0, 4),
+        (0, 4),  # times of 1 and 2 digits
+        (20, 4),  # 2 and 3 digits
+        (2_490, 4),  # k * m crosses 10**4: 4 digits, then one group and 1 digit
+        (24_999_990, 4),  # k * m crosses 10**8: 8 digits, then two groups and 1 digit
         (249_999_990, 4),  # k * m crosses 10**9: the high limb starts
         (999_999_990, 999_999_999),  # the low limb carries on nearly every row
         (29_999_999_990, 33_333_333_333_333_335),  # the high limb crosses 10**18
@@ -666,9 +697,10 @@ def test_exact_path_reads_every_field_as_float(lines):
 )
 def test_chunk_time_digits_carry_across_limbs(start, step):
     # rows take the times k * m from any start, without writing the rows before
-    # it; tails of two widths, so the keep-mask drops padding on every other row
+    # it; tails of two widths, so the keep-mask drops padding on every other row.
+    # Digits go four columns at a time, so each case crosses a digit count
     which = np.arange(20) % 2
-    got = traces._csv_rows(start, step, ["\n", ",x\n"], which)
+    got = traces._csv_rows(start, step, ["\n", ",x\n"], which).tobytes()
     rows = zip(range(start, start + 20), which)
     want = "".join(f"{k * step}{',x' if w else ''}\n" for k, w in rows)
     assert got == want.encode()
@@ -769,13 +801,15 @@ def test_csv_round_trip_memory_bounded(tmp_path):
     # 100 us, 249 975 samples.  The row-by-row writer and the line-generator
     # reader peaked at 13.01 MB and 12.50 MB here (numpy 2.4.6, Python 3.11.7),
     # and the bounds stay at those figures.  The writer that builds each chunk
-    # as one byte matrix peaks at 1.72 MB (the one that joined each chunk's row
-    # strings, at 2.11 MB).  The reader peaks at 11.91 MB (11.26 MB with
-    # np.loadtxt): its exact path, in 1 MiB chunks and 256 KiB steps, peaks at
-    # 11.89 MB, as it sizes its rows from the 14-byte first line (8.1 MB for
-    # 6.0 MB of rows; pages it never writes are never resident), and the
-    # checks on the parsed columns at 11.26 MB (reading the whole body at
-    # once peaked at about 14 MB).
+    # as one byte matrix peaks at 1.79 MB (1.72 MB while it wrote the digits
+    # one column at a time: the 4-digit table lookup holds one index array
+    # more; the one that joined each chunk's row strings, at 2.11 MB).  The
+    # reader peaks at 11.91 MB (10.01 MB with np.loadtxt): its exact path, in
+    # 1 MiB chunks and 256 KiB steps, peaks at 11.90 MB, as it sizes its rows
+    # from the 14-byte first line (8.1 MB for 6.0 MB of rows; pages it never
+    # writes are never resident), and the checks on the parsed columns at
+    # 10.00 MB (11.26 MB while they built their per-line masks on every file;
+    # reading the whole body at once peaked at about 14 MB).
     trace = committed_capture(100e-6, seed=25)
     path = tmp_path / "trace.csv"
     _, write_peak = traced_peak(write_trace_csv, trace, path)
