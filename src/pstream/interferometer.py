@@ -82,13 +82,17 @@ def pzt_phase(x, wavelength: float):
     """Phase 2*pi*x/wavelength for a path-length offset ``x`` (unwrapped).
 
     A half-wavelength displacement is a pi phase shift.  Accepts scalars or
-    arrays; refuses a phase that overflows, whose cosine would be NaN.
+    arrays; refuses a phase that overflows, whose cosine would be NaN.  Where
+    ``2*pi*x`` alone overflows, the phase is taken as ``2*pi*(x/wavelength)``,
+    so a finite phase is refused only where ``x/wavelength`` overflows too.
     """
     if wavelength <= 0:
         raise DomainError(f"wavelength must be > 0, got {wavelength}")
     # a phase that overflows is refused below, so it need not warn
     with np.errstate(over="ignore"):
         phase = 2.0 * math.pi * x / wavelength
+        if not np.all(np.isfinite(phase)):
+            phase = 2.0 * math.pi * (x / wavelength)
     if not np.all(np.isfinite(phase)):
         raise DomainError(f"phase 2*pi*x/wavelength is not finite at wavelength {wavelength!r} m")
     return phase

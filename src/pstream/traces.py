@@ -51,7 +51,7 @@ Two file forms are supported:
   shorter than 160 lines, a little above where it stops saving time over
   ``np.loadtxt``, and at a line it does not take (a longer field or another
   byte, as in a noise record of 17-digit voltages).  One ``np.loadtxt`` call
-  then reads the rest, or the whole body where the exact path stopped early.
+  then reads the rest, from the line where the exact path stopped.
   A row loop takes a file with a ``\\r`` or a blank line, and one that
   ``loadtxt`` cannot read, and names the bad line;
 * raw packed little-endian float32 with a 16-byte header: the magic
@@ -311,8 +311,8 @@ def read_trace_csv(path: str | Path) -> TraceFile:
 # suffixes of the files that np.loadtxt decompresses when given their path
 _COMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
 _CHUNK_BYTES = 1 << 20
-# the body bytes converted per step at most, which sizes the step buffers
-# (about 2.5 MB) for any line width
+# the body bytes converted per step at most, which bounds a step's arrays
+# for any line width
 _STEP_BYTES = 1 << 18
 # a step of the exact path costs a fixed Python time, about what it saves
 # over np.loadtxt on 130 lines of 15 bytes (the two take equal time on a body
@@ -322,9 +322,6 @@ _STEP_BYTES = 1 << 18
 # the exact path late has been read faster up to there
 _STEP_LINES = 160
 _CREDIT_STEPS = 8
-# np.loadtxt parses a line in about the time it takes to copy ten of the rows
-# it parsed into place after the ones the exact path read
-_REPARSE_RATIO = 10
 # a field the exact path takes: sign, digits, point, digits, exponent (its
 # few digits keep int() fast and within its digit limit)
 _EXACT_FIELD = re.compile(rb"(-?)([0-9]*)(?:\.([0-9]*))?(?:e(-?[0-9]{1,3}))?")
@@ -343,15 +340,14 @@ def _parse_csv_bulk(path) -> np.ndarray | None:
     module split such lines differently.  The exact path stops at a line with
     a ``\\r``, as at any byte it does not take; where it stopped before the
     end, the rest is counted and checked for ``\\r``, and ``np.loadtxt`` reads
-    the lines from the one where it stopped, or all of them where it stopped
-    early.  ``loadtxt`` gets the file's path: a path, unlike an open file,
-    lets it read in large blocks rather than line by line, and it skips lines
-    at about a tenth of its cost to parse them.  Given a path it also
-    decompresses by suffix, so a file with such a suffix goes to the row loop
-    instead.  ``loadtxt`` skips blank lines, which the row loop rejects, so the
-    exact path sends a blank line to the row loop, and ``loadtxt``'s rows must
-    number the lines it was given.  Then neither path accepts a file that the
-    row loop rejects, and both give each field the value ``float()`` gives.
+    the lines from the one where it stopped.  ``loadtxt`` gets the file's
+    path: a path, unlike an open file, lets it read in large blocks rather
+    than line by line.  Given a path it also decompresses by suffix, so a file
+    with such a suffix goes to the row loop instead.  ``loadtxt`` skips blank
+    lines, which the row loop rejects, so the exact path sends a blank line to
+    the row loop, and ``loadtxt``'s rows must number the lines it was given.
+    Then neither path accepts a file that the row loop rejects, and both give
+    each field the value ``float()`` gives.
     """
     with open(path, "rb") as fh:
         if b"\r" in fh.readline():  # the header, checked already
@@ -373,26 +369,23 @@ def _parse_csv_bulk(path) -> np.ndarray | None:
     if Path(path).suffix in _COMPRESSED_SUFFIXES:
         return None
     row = len(data)
-    skip = row if _REPARSE_RATIO * row >= rest else 0
-    if not skip:
-        data = None  # freed, for loadtxt's rows
     try:
         rest_rows = np.loadtxt(
             os.path.abspath(path),  # absolute, so never taken for a URL
             delimiter=",",
             comments=None,
-            skiprows=1 + skip,
+            skiprows=1 + row,
             ndmin=2,
             encoding="utf-8",
         )
     except ValueError:
         return None
-    if rest_rows.shape != (row + rest - skip, 3):
+    if rest_rows.shape != (rest, 3):
         return None
-    if not skip:
+    if not row:
         return rest_rows
-    data.resize((skip + rest, 3), refcheck=False)  # realloc: the rows stay in place
-    data[skip:] = rest_rows
+    data.resize((row + rest, 3), refcheck=False)  # realloc: the rows stay in place
+    data[row:] = rest_rows
     return data
 
 
@@ -413,7 +406,6 @@ def _parse_exact(fh) -> tuple[np.ndarray, int | None] | None:
     """
     buf = bytearray(_CHUNK_BYTES)
     chunk = np.frombuffer(buf, np.uint8)
-    work = _StepBuffers()
     layouts = {}  # the last layout made from a line, by its bytes with every digit 0
     credit = cap = _CREDIT_STEPS * _STEP_LINES
     body = fh.tell()
@@ -445,12 +437,12 @@ def _parse_exact(fh) -> tuple[np.ndarray, int | None] | None:
             key = line.translate(_ZERO_DIGITS)
             layout = layouts.get(key)
             # a layout of the same key fits unless the line's exponents differ
-            n = layout.run(chunk[pos:end], most, work) if layout else 0
+            n, digits = layout.run(chunk[pos:end], most) if layout else (0, None)
             if not n:
                 layout = layouts[key] = _Layout.of(line)
                 if layout is None:
                     return rows_read(body + offset + pos)
-                n = layout.run(chunk[pos:end], most, work)
+                n, digits = layout.run(chunk[pos:end], most)
             credit = min(credit + n - _STEP_LINES, cap)
             if credit < 0:
                 return rows_read(body + offset + pos)
@@ -460,31 +452,12 @@ def _parse_exact(fh) -> tuple[np.ndarray, int | None] | None:
                     data.resize((rows, 3), refcheck=False)  # zeroes the rows it adds
                 else:
                     data = np.empty((rows, 3))
-            layout.convert(work.digits[: n * width].reshape(n, width), data[row : row + n], work)
+            layout.convert(digits, data[row : row + n])
             row += n
             pos += n * width
         held = size - end
         chunk[:held] = chunk[end:size]
         offset += end
-
-
-class _StepBuffers:
-    """The arrays every step of one read writes into, allocated once per read.
-
-    Under the package's heap policy (``pstream.heap``) arrays allocated per
-    step would be reused from the heap rather than faulted in again, but a
-    read with them, each step's freed before the next, was slower in 13 of
-    18 alternating rounds of 40 reads of the benchmark capture (medians
-    14.21 against 13.75 ms, on 2 cores shared with other load), with the
-    same 11.91 MB peak.
-    """
-
-    def __init__(self):
-        self.digits = np.empty(_STEP_BYTES, np.uint8)
-        self.fits = np.empty(_STEP_BYTES, bool)
-        self.floats = np.empty(_STEP_BYTES, np.float32)
-        # a row has fewer digit groups than bytes, so its sums fit as well
-        self.sums = np.empty(_STEP_BYTES, np.float32)
 
 
 class _Layout:
@@ -550,41 +523,41 @@ class _Layout:
             start += len(text) + 1
         return cls(line, fields)
 
-    def run(self, rows: np.ndarray, most: int, work: _StepBuffers) -> int:
+    def run(self, rows: np.ndarray, most: int) -> tuple[int, np.ndarray]:
         """How many of the first ``most`` rows of ``rows`` (bytes from a line's
-        start) repeat the layout; their digits go to ``work.digits``.
+        start) repeat the layout, and their digits as a (count, width) array.
 
         The rows are checked in windows that double from one tile, so a run
         costs its bytes, at most twice over, and one tile.
         """
         width, tile = self.width, self.lo.size
+        digits = np.empty(most * width, np.uint8)
+        fits = np.empty(most * width, bool)
         n = 0
         window = tile // width
         while n < most:
             stop = min(n + window, most)
             view = rows[n * width : stop * width]
-            digits = work.digits[n * width : stop * width]
-            fits = work.fits[: view.size]
+            part = digits[n * width : stop * width]
+            ok = fits[: view.size]
             cut = view.size // tile * tile
             if cut:
                 shape = (-1, tile)
-                np.subtract(view[:cut].reshape(shape), self.lo, out=digits[:cut].reshape(shape))
-                np.less_equal(digits[:cut].reshape(shape), self.span, out=fits[:cut].reshape(shape))
+                np.subtract(view[:cut].reshape(shape), self.lo, out=part[:cut].reshape(shape))
+                np.less_equal(part[:cut].reshape(shape), self.span, out=ok[:cut].reshape(shape))
             if cut < view.size:
                 left = view.size - cut
-                np.subtract(view[cut:], self.lo[:left], out=digits[cut:])
-                np.less_equal(digits[cut:], self.span[:left], out=fits[cut:])
-            if not fits.all():
-                return n + int(fits.argmin()) // width
+                np.subtract(view[cut:], self.lo[:left], out=part[cut:])
+                np.less_equal(part[cut:], self.span[:left], out=ok[cut:])
+            if not ok.all():
+                n += int(ok.argmin()) // width
+                break
             n = window = stop
-        return n
+        return n, digits[: n * width].reshape(n, width)
 
-    def convert(self, digits: np.ndarray, out: np.ndarray, work: _StepBuffers) -> None:
+    def convert(self, digits: np.ndarray, out: np.ndarray) -> None:
         """Write the doubles of the rows whose ``digits`` fit into ``out``."""
-        floats = work.floats[: digits.size].reshape(digits.shape)
-        floats[...] = digits
-        sums = work.sums[: len(digits) * self.weights.shape[1]].reshape(len(digits), -1)
-        np.matmul(floats, self.weights, out=sums)  # exact, below 10**7
+        sums = digits.astype(np.float32) @ self.weights  # exact, below 10**7
         for column, (groups, op, scale) in enumerate(self.fields):
             value = sums[:, groups[0]]
             if len(groups) > 1:  # below 10**15, so exact in float64

@@ -390,6 +390,8 @@ class TestFig4:
             (["--leff", "1e200", "--span", "1e200"], 2.0**-4),
             (["--leff", "2e307", "--span", "2e307", "--wavelength", "1e300"], 2.0**-4),
             (["--leff", "2e-6", "--span", "1.7976931348623157e308"], None),
+            # 2*pi*x overflows, 2*pi*(x/wavelength) does not: exit 2 before
+            (["--leff", "2e-6", "--span", "8e307", "--wavelength", "1e308"], 0.0),
         ],
     )
     def test_huge_values_without_warnings(self, flags, edge_envelope, tmp_path, capsys):
@@ -397,7 +399,7 @@ class TestFig4:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = run_cli("fig4", "--v", "0.882", *flags, "--out", str(out))
-        if edge_envelope is None:  # 2*pi*x overflows at the grid's ends
+        if edge_envelope is None:  # the grid's ends are not finite
             assert code == 2
             assert "phase 2*pi*x/wavelength is not finite" in capsys.readouterr().err
             return
