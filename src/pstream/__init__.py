@@ -19,7 +19,6 @@ from .analysis import (
     fringe_period,
     g2_rate,
     g2_ratio,
-    poisson_gof,
     visibility,
 )
 from .coincidence import CcmConfig, coincide
@@ -52,10 +51,8 @@ from .interferometer import (
     OpticalState,
     PztConfig,
     envelope,
-    pair_coincidence_probability,
     port_probability,
     pzt_phase,
-    singles_fringe,
     voltage_to_displacement,
 )
 from .runner import (
@@ -78,7 +75,6 @@ from .source import (
     SourceConfig,
     attenuated_power,
     mean_photon_number,
-    pair_fraction,
     photon_flux,
     poisson_pmf,
     poisson_tail,

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DomainError, NumericalError
-from .source import poisson_pmf, poisson_tail
 
 ROBUST_FRACTION = 0.05
 MIN_WINDOW_SAMPLES = 8
@@ -230,49 +229,3 @@ def fringe_period(series: FringeSeries) -> float:
         raise NumericalError("fewer than four samples per period; estimate unreliable")
     return float(period)
 
-
-def poisson_gof(observed, mean: float | None = None) -> tuple[float, int]:
-    """Pearson chi-square of an occupancy histogram against the Poisson pmf.
-
-    ``observed[k]`` is the number of slots (or bins) with occupancy k.  Cells
-    are merged from the high end until every expected count is at least 5.
-    Returns (chi_square, degrees of freedom); dof loses one extra when the
-    mean is fitted from the histogram.
-    """
-    obs = np.asarray(observed, dtype=float)
-    if obs.ndim != 1 or obs.size < 2:
-        raise DataError("observed histogram must be 1-d with at least two cells")
-    if np.any(obs < 0):
-        raise DomainError("histogram counts must be >= 0")
-    total = obs.sum()
-    if total <= 0:
-        raise NumericalError("empty histogram")
-
-    fitted = mean is None
-    if fitted:
-        mean = float(np.arange(obs.size) @ obs / total)
-    if mean < 0:
-        raise DomainError("mean must be >= 0")
-
-    expected = np.array([total * poisson_pmf(k, mean) for k in range(obs.size)])
-    tail = total * poisson_tail(obs.size, mean)
-
-    # merge the open tail and any sparse high cells downward until expected >= 5
-    obs_cells = obs.tolist()
-    exp_cells = expected.tolist()
-    exp_cells[-1] += tail
-    while len(exp_cells) > 1 and exp_cells[-1] < 5.0:
-        spill = exp_cells.pop()
-        exp_cells[-1] += spill
-        spill = obs_cells.pop()
-        obs_cells[-1] += spill
-    if len(exp_cells) < 2:
-        raise NumericalError("histogram degenerates to a single cell; no test possible")
-
-    obs_arr = np.array(obs_cells)
-    exp_arr = np.array(exp_cells)
-    chi_square = float(np.sum((obs_arr - exp_arr) ** 2 / exp_arr))
-    dof = len(exp_cells) - 1 - (1 if fitted else 0)
-    if dof < 1:
-        raise NumericalError("no degrees of freedom left after merging")
-    return chi_square, dof

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, source, traces
 from .analysis import averaged_g2
-from .config import config_to_dict, load_config, seed_override
+from .config import MAX_POINTS, config_to_dict, load_config, seed_override
 from .errors import ConfigError, DataError, DomainError, NumericalError
 from .runner import (
     analytic_fig4,
@@ -37,7 +37,7 @@ from .runner import (
     scan_series,
     ScanResult,
 )
-from .source import mean_photon_number, pair_fraction, poisson_pmf, poisson_tail
+from .source import mean_photon_number, poisson_pmf, poisson_tail
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -47,9 +47,10 @@ EXIT_NUMERICAL = 4
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, seed_override=seed_override(args.seed))
-    result = run_scan(cfg, workers=args.workers)
     out_dir = Path(args.out)
+    # an --out that cannot be a directory is refused before the scan runs
     out_dir.mkdir(parents=True, exist_ok=True)
+    result = run_scan(cfg, workers=args.workers)
     export_scan_csv(result, out_dir / "scan.csv")
     (out_dir / "config.json").write_text(json.dumps(config_to_dict(cfg), indent=2) + "\n")
     print(f"wrote {out_dir / 'scan.csv'} ({len(result.points)} points, seed {cfg.scan.seed})")
@@ -92,7 +93,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         "n  P(n)",
         *(f"{n}  {poisson_pmf(n, mean):.6e}" for n in range(6)),
         f">=3  {poisson_tail(3, mean):.6e}",
-        f"pair/single ratio P(2)/P(1) = mean/2 = {pair_fraction(mean):.6g}",
+        f"pair/single ratio P(2)/P(1) = mean/2 = {mean / 2:.6g}",
         f"slots per second at {args.dead_time*1e9:.0f} ns dead time: {slots:.6g}",
         f"expected singles per second: {slots * poisson_pmf(1, mean):.6g}",
         f"expected pairs per second:   {slots * poisson_pmf(2, mean):.6g}",
@@ -144,13 +145,15 @@ def normal_positive_float(text: str) -> float:
     return value
 
 
-def int_at_least(low: int):
-    """argparse type: an integer >= ``low``."""
+def int_in_range(low: int, high: int | None = None):
+    """argparse type: an integer >= ``low`` and, when ``high`` is given, <= ``high``."""
 
     def integer(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"{text!r} is not >= {low}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"{text!r} is not <= {high}")
         return value
 
     return integer
@@ -166,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override the config seed, in [0, 2**64)")
     p.add_argument(
-        "--workers", type=int_at_least(1), default=1, help="worker threads for scan points"
+        "--workers", type=int_in_range(1), default=1, help="worker threads for scan points"
     )
     p.set_defaults(func=_cmd_simulate)
 
@@ -183,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--span", type=positive_float, default=4e-6, help="half-range of the x grid, meters"
     )
-    p.add_argument("--points", type=int_at_least(2), default=2001)
+    p.add_argument("--points", type=int_in_range(2, MAX_POINTS), default=2001)
     p.add_argument("--wavelength", type=positive_float, default=source.DEFAULT_WAVELENGTH)
     p.set_defaults(func=_cmd_fig4)
 

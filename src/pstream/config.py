@@ -15,13 +15,14 @@ Unknown keys are rejected with the offending dotted path.  Each value must
 match its field's annotation: a bool takes only true/false, an int an integer
 (not a bool or a float), a float any finite number; null only where optional.
 Times are in seconds, and those used as picoseconds must round to >= 1 ps.
-Cross-field rules (counter steps tile the dwell exactly in int picoseconds
-and hold at least one slot; the power chain gives an occupancy below 1; a
-step is expected to hold at most ``MAX_STEP_EVENTS`` occupied slots and dark
-counts; the phase is finite at both ends of the piezo range) are checked when
-the config is built.  For a new run, the PSTREAM_SEED
-environment variable overrides the config seed and an explicit CLI flag wins
-over both (``seed_override``); reading a run back keeps the seed it recorded.
+``scan.n_points`` lies in [2, ``MAX_POINTS``].  Cross-field rules (counter
+steps tile the dwell exactly in int picoseconds and hold at least one slot;
+the power chain gives an occupancy below 1; a step is expected to hold at
+most ``MAX_STEP_EVENTS`` occupied slots and dark counts; the phase is finite
+at both ends of the piezo range) are checked when the config is built.  For a
+new run, the PSTREAM_SEED environment variable overrides the config seed and
+an explicit CLI flag wins over both (``seed_override``); reading a run back
+keeps the seed it recorded.
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ SEED_ENV_VAR = "PSTREAM_SEED"
 # step peaks at about 24 bytes per event (tracemalloc, a 1 s step of 5.4e5
 # events), so a step at the cap holds about 240 MB.
 MAX_STEP_EVENTS = 1e7
+# the most points a scan or a reference curve may have.  Each scan point
+# holds about 380 bytes (its ramp entry and its ScanPoint, tracemalloc), so
+# a scan at the cap holds about 0.4 GB.
+MAX_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -87,8 +92,8 @@ class ScanConfig:
     jitter_volts: float = 0.0
 
     def __post_init__(self):
-        if self.n_points < 2:
-            raise ConfigError("n_points must be >= 2")
+        if not 2 <= self.n_points <= MAX_POINTS:
+            raise ConfigError(f"n_points must lie in [2, {MAX_POINTS}], got {self.n_points}")
         if self.seconds_per_point <= 0:
             raise ConfigError("seconds_per_point must be > 0")
         object.__setattr__(

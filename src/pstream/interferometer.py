@@ -159,20 +159,3 @@ def port_probability(phase, envelope_gain, visibility):
     _check_unit_interval("visibility", visibility)
     return 0.5 * (1.0 - visibility * envelope_gain * np.cos(phase))
 
-
-def singles_fringe(phase, envelope_gain, visibility):
-    """Normalized single-photon rates (toward D1, toward D2); the pair sums to 1."""
-    p = port_probability(phase, envelope_gain, visibility)
-    return p, 1.0 - p
-
-
-def pair_coincidence_probability(phase, envelope_gain, visibility):
-    """Probability a bunched pair splits to one click on each detector.
-
-    Both photons of a pair are routed independently with the same port
-    probability p, so a split happens with probability
-    2 p (1 - p) = (1 - (V G cos phase)^2) / 2, giving a fringe doubly
-    modulated relative to the singles fringe.
-    """
-    p = port_probability(phase, envelope_gain, visibility)
-    return 2.0 * p * (1.0 - p)

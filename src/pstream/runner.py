@@ -41,7 +41,13 @@ from .coincidence import accumulate, coincide
 from .config import ExperimentConfig
 from .detection import PS_PER_S, detect_bin
 from .errors import DataError, PstreamError
-from .interferometer import OpticalState, envelope, pzt_phase, singles_fringe, voltage_to_displacement
+from .interferometer import (
+    OpticalState,
+    envelope,
+    port_probability,
+    pzt_phase,
+    voltage_to_displacement,
+)
 from .seeding import derive_seed
 from .source import DEFAULT_WAVELENGTH, mean_photon_number, sample_batch
 
@@ -215,7 +221,8 @@ def analytic_fig4(
         raise DataError("x grid must hold at least two points")
     gain = envelope(x, l_eff)
     phase = pzt_phase(x, wavelength)
-    i_d1, i_d2 = singles_fringe(phase, gain, visibility_v)
+    i_d1 = port_probability(phase, gain, visibility_v)
+    i_d2 = 1.0 - i_d1
     product = i_d1 * i_d2
     g2 = averaged_g2(
         (FringeSeries(x, i_d1), FringeSeries(x, i_d2)),
@@ -245,7 +252,8 @@ def read_scan_csv(path: str | Path) -> list[ScanPoint]:
     """Read a scan CSV back into records; floats round-trip exactly via repr.
 
     Raises DataError for a malformed row, a non-finite float, a negative
-    count, or more coincidences than the smaller singles count.
+    count or one above 2**63 - 1, or more coincidences than the smaller
+    singles count.
     """
     points = []
     with open(path, newline="") as fh:
@@ -265,6 +273,8 @@ def read_scan_csv(path: str | Path) -> list[ScanPoint]:
                 raise DataError(f"{path}: line {lineno}: non-finite value in {','.join(row[1:5])}")
             if min(n_a, n_b, n_c) < 0:
                 raise DataError(f"{path}: line {lineno}: negative count")
+            if max(n_a, n_b, n_c) > 2**63 - 1:  # a scan counts in int64
+                raise DataError(f"{path}: line {lineno}: count above 2**63 - 1")
             if n_c > min(n_a, n_b):
                 raise DataError(f"{path}: line {lineno}: N_c = {n_c} exceeds min(N_A, N_B)")
             points.append(ScanPoint(point, *floats, n_a, n_b, n_c))

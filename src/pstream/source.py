@@ -95,18 +95,6 @@ class PhotonBatch:
     def n_occupied(self) -> int:
         return self.n_single_slots + self.n_pair_slots + self.n_higher_slots
 
-    def occupancy_counts(self) -> np.ndarray:
-        """Histogram [empty, single, pair, higher] over the step's slots."""
-        return np.array(
-            [
-                self.slots_per_bin - self.n_occupied,
-                self.n_single_slots,
-                self.n_pair_slots,
-                self.n_higher_slots,
-            ],
-            dtype=np.int64,
-        )
-
 
 def attenuated_power(p_in: float, od: float) -> float:
     """Power after an ND stack of total optical density ``od``: p_in * 10**(-od)."""
@@ -172,13 +160,6 @@ def poisson_tail(n: int, mean: float) -> float:
         if term <= total * 1e-18:
             break
     return total
-
-
-def pair_fraction(mean: float) -> float:
-    """P(2)/P(1) for a Poisson process: exactly mean / 2."""
-    if mean < 0:
-        raise DomainError(f"mean must be >= 0, got {mean}")
-    return mean / 2.0
 
 
 def sample_batch(mean: float, slots_per_bin: int, seed: int) -> PhotonBatch:

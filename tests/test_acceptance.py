@@ -29,7 +29,6 @@ from pstream.interferometer import OpticalState, port_probability
 from pstream.runner import analytic_fig4, export_scan_csv, run_scan, scan_series
 from pstream.source import (
     mean_photon_number,
-    pair_fraction,
     poisson_pmf,
     poisson_tail,
     sample_batch,
@@ -224,18 +223,21 @@ def test_reference_curve_limits():
 
 
 def test_occupancy_statistics():
-    from pstream.analysis import poisson_gof
-
     batch = sample_batch(MEAN, 2_000_000, seed=20_122_016)
-    chi_square, dof = poisson_gof(batch.occupancy_counts(), MEAN)
-    bound = stats.chi2.ppf(0.99, dof)
-    ratio = pair_fraction(MEAN)
-    ok = chi_square < bound and ratio == 0.006
+    pairs = batch.n_pair_slots + batch.n_higher_slots
+    observed = [batch.slots_per_bin - batch.n_single_slots - pairs, batch.n_single_slots, pairs]
+    probs = [poisson_pmf(0, MEAN), poisson_pmf(1, MEAN), poisson_tail(2, MEAN)]
+    expected = [batch.slots_per_bin * p for p in probs]
+    # cells [empty, single, pair + higher]; P(>=3) expects 0.57 slots, too few for a cell
+    chi_square = stats.chisquare(observed, expected).statistic
+    bound = stats.chi2.ppf(0.99, 2)
+    ratio = poisson_pmf(2, MEAN) / poisson_pmf(1, MEAN)
+    ok = chi_square < bound and ratio == pytest.approx(0.006, rel=1e-14)
     check(
         "criterion 6, occupancy statistics",
         ok,
-        f"chi2 {chi_square:.2f} < 99% bound {bound:.2f} (dof {dof}); "
-        f"pair/single ratio at mean {MEAN} is exactly {ratio} "
+        f"chi2 {chi_square:.2f} < 99% bound {bound:.2f} (dof 2); "
+        f"pair/single ratio at mean {MEAN} is {ratio:.6g} "
         f"(mean/2; the rounded 0.005 corresponds to mean 0.010)",
     )
 
@@ -251,7 +253,7 @@ def test_bunched_to_singles_ratio():
         n_c += count
         total += len(train_a) + len(train_b)
     measured = n_c / total
-    expected = pair_fraction(MEAN) * 0.5
+    expected = MEAN / 2 * 0.5  # P(2)/P(1), each pair split half the time
     sigma = math.sqrt(n_c) / total
     ok = abs(measured - expected) <= 3 * sigma
     check(

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy import stats
 
 from pstream.analysis import (
     FringeSeries,
@@ -12,12 +11,10 @@ from pstream.analysis import (
     fringe_period,
     g2_rate,
     g2_ratio,
-    poisson_gof,
     robust_extrema,
     visibility,
 )
 from pstream.errors import DataError, DomainError, NumericalError
-from pstream.source import poisson_pmf, sample_batch
 
 WAVELENGTH = 632.8e-9
 
@@ -242,39 +239,6 @@ class TestFringePeriod:
     def test_too_short_rejected(self):
         with pytest.raises(DataError):
             fringe_period(FringeSeries(np.arange(5, dtype=float), np.arange(5, dtype=float)))
-
-
-class TestPoissonGof:
-    def test_exact_histogram_scores_zero(self):
-        mean, total = 0.012, 1e6
-        observed = [total * poisson_pmf(k, mean) for k in range(4)]
-        chi_square, dof = poisson_gof(observed, mean)
-        assert chi_square == pytest.approx(0.0, abs=1e-6)
-        assert dof >= 1
-
-    def test_simulated_slots_not_rejected(self):
-        batch = sample_batch(0.012, 2_000_000, seed=314)
-        chi_square, dof = poisson_gof(batch.occupancy_counts(), 0.012)
-        assert chi_square < stats.chi2.ppf(0.99, dof)
-
-    def test_doubled_mean_rejected(self):
-        batch = sample_batch(0.024, 2_000_000, seed=314)
-        chi_square, dof = poisson_gof(batch.occupancy_counts(), 0.012)
-        assert chi_square > stats.chi2.ppf(0.99, dof)
-
-    def test_fitted_mean_loses_a_dof(self):
-        observed = [988_071, 11_857, 71, 1]
-        chi_given, dof_given = poisson_gof(observed, 0.012)
-        chi_fit, dof_fit = poisson_gof(observed)
-        assert dof_fit == dof_given - 1
-
-    def test_degenerate_histogram_rejected(self):
-        with pytest.raises(NumericalError):
-            poisson_gof([1000, 0], 1e-9)
-
-    def test_empty_histogram_rejected(self):
-        with pytest.raises(NumericalError):
-            poisson_gof([0, 0, 0], 0.5)
 
 
 class TestRobustExtrema:

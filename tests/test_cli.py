@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from pstream import cli
 from pstream.cli import build_parser, main
-from pstream.config import SEED_ENV_VAR
+from pstream.config import MAX_POINTS, SEED_ENV_VAR
 from pstream.detection import PulseTrain
 from pstream.traces import ingest_trace, synthesize_trace, write_trace_csv, write_trace_raw
 
@@ -93,6 +93,20 @@ class TestSimulate:
         assert not out.exists()
         # an explicit flag makes the environment irrelevant
         assert run_cli("simulate", "--config", str(config_path), "--out", str(out), "--seed", "3") == 0
+
+    def test_out_that_is_a_file_exits_3_before_the_scan(
+        self, config_path, tmp_path, monkeypatch, capsys
+    ):
+        # the whole scan used to run before mkdir refused the path
+        def no_scan(*args, **kwargs):
+            raise AssertionError("run_scan called")
+
+        monkeypatch.setattr(cli, "run_scan", no_scan)
+        out = tmp_path / "out"
+        out.write_text("not a directory\n")
+        assert run_cli("simulate", "--config", str(config_path), "--out", str(out)) == 3
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        assert out.read_text() == "not a directory\n"
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -245,6 +259,8 @@ class TestAnalyze:
         "n_a_negative": (5, "-1"),
         "n_c_negative": (7, "-1"),
         "n_c_above_min_singles": (7, None),
+        # read as given, then analyze failed converting it to float: exit 1
+        "n_a_above_int64": (5, str(10**400)),
     }
 
     @pytest.mark.parametrize("name", sorted(BAD_VALUES))
@@ -717,12 +733,14 @@ def test_refused_value_exits_2_before_any_output(name, tmp_path, monkeypatch, ca
 
 
 # each value was taken as given: a ValueError traceback, exit 3 for a
-# configuration error, or a worker count below one run as one worker
+# configuration error, or a worker count below one run as one worker; 10**20
+# points reached np.linspace, whose ValueError ended in a traceback and exit 1
 BAD_INTEGER_FLAGS = {
-    "fig4_points_negative": (["fig4", "--points", "-5"], 2),
-    "fig4_points_one": (["fig4", "--points", "1"], 2),
-    "simulate_workers_zero": (["simulate", "--workers", "0"], 1),
-    "simulate_workers_negative": (["simulate", "--workers", "-3"], 1),
+    "fig4_points_negative": (["fig4", "--points", "-5"], "is not >= 2"),
+    "fig4_points_one": (["fig4", "--points", "1"], "is not >= 2"),
+    "fig4_points_above_cap": (["fig4", "--points", str(10**20)], f"is not <= {MAX_POINTS}"),
+    "simulate_workers_zero": (["simulate", "--workers", "0"], "is not >= 1"),
+    "simulate_workers_negative": (["simulate", "--workers", "-3"], "is not >= 1"),
 }
 REQUIRED = {
     "fig4": ["--v", "1.0", "--leff", "2e-6", "--out", "curves.csv"],
@@ -732,13 +750,13 @@ REQUIRED = {
 
 @pytest.mark.parametrize("name", sorted(BAD_INTEGER_FLAGS))
 def test_out_of_range_integer_flag_exits_2(name, capsys):
-    argv, low = BAD_INTEGER_FLAGS[name]
+    argv, reason = BAD_INTEGER_FLAGS[name]
     flag, value = argv[-2:]
     with pytest.raises(SystemExit) as info:
         build_parser().parse_args(argv[:1] + REQUIRED[argv[0]] + argv[1:])
     assert info.value.code == 2
     err = capsys.readouterr().err
-    assert f"argument {flag}: '{value}' is not >= {low}" in err
+    assert f"argument {flag}: '{value}' {reason}" in err
     assert "Traceback" not in err
 
 
@@ -753,6 +771,9 @@ def test_integer_flag_takes_only_integers(command, flag, capsys):
 def test_integer_flags_accept_their_lower_bounds():
     args = build_parser().parse_args(["fig4", *REQUIRED["fig4"], "--points", "2"])
     assert args.points == 2
+    # and the cap of --points
+    args = build_parser().parse_args(["fig4", *REQUIRED["fig4"], "--points", str(MAX_POINTS)])
+    assert args.points == MAX_POINTS
     args = build_parser().parse_args(["simulate", *REQUIRED["simulate"], "--workers", "1"])
     assert args.workers == 1
 
@@ -768,6 +789,7 @@ WORKFLOW_ARGV = {
 BAD_SCRIPT_FLAGS = {
     "reference_points_one": ("reference", "--points", "1"),
     "reference_points_negative": ("reference", "--points", "-3"),
+    "reference_points_above_cap": ("reference", "--points", str(10**20)),
     "coincidence_workers_zero": ("coincidence", "--workers", "0"),
     "walkoff_workers_zero": ("walkoff", "--workers", "0"),
 }

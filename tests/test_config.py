@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from pstream.cli import main
 from pstream.config import (
+    MAX_POINTS,
     MAX_STEP_EVENTS,
     ExperimentConfig,
     SEED_ENV_VAR,
@@ -151,6 +152,9 @@ PROBE_BASE = {
 }
 PROBES = {
     "n_points_float": {"scan": {"n_points": 3.5}},
+    # np.linspace refused the ramp with "Maximum allowed size exceeded": a
+    # traceback and exit 1
+    "n_points_above_cap": {"scan": {"n_points": 10**20}},
     "dead_time_nan": {"detectors": [{"dead_time": math.nan}, {}]},
     "seed_string": {"scan": {"seed": "abc"}},
     "dead_time_overflow": {"detectors": {"dead_time": 1e308}},
@@ -199,6 +203,7 @@ PROBES = {
 }
 # what the message must name, beyond "configuration error"
 PROBE_MESSAGES = {
+    "n_points_above_cap": "scan: n_points must lie in [2, 1000000], got 100000000000000000000",
     "dwell_not_whole_steps_in_ps": (
         "seconds_per_point must be a whole number of ccm steps: 1000000000900 ps "
         "is not a multiple of 100000000000 ps"
@@ -279,6 +284,17 @@ def test_step_event_cap(dark_rate, loads):
     else:
         message = f"more than {MAX_STEP_EVENTS:.0e} events"
         with pytest.raises(ConfigError, match=re.escape(message)):
+            config_from_dict(doc)
+
+
+@pytest.mark.parametrize(("n_points", "loads"), [(MAX_POINTS, True), (MAX_POINTS + 1, False)])
+def test_point_cap(n_points, loads):
+    # only loaded, never run
+    doc = probe_document({"scan": {"n_points": n_points}})
+    if loads:
+        assert config_from_dict(doc).scan.n_points == MAX_POINTS
+    else:
+        with pytest.raises(ConfigError, match=re.escape(f"got {MAX_POINTS + 1}")):
             config_from_dict(doc)
 
 

@@ -1,20 +1,24 @@
-"""Every name a package module imports is used in that module, and every
+"""Every name a package module imports is used in that module, every
 private module-level function, class and constant is named somewhere else in
-the package.
+the package, and every public function, class, method and property is named
+by the program: the package outside ``__init__.py``, or the benchmark.
 
 Deleting a field or a check can leave its import behind (``field``,
 ``ConfigError``), and deleting a code path can leave its helper, its buffer
-class or its tuning constant behind; these guards name the module and the
-name.  Built on the stdlib ``ast`` module: a name counts as used when it
-appears as an expression (a name or an attribute), annotations included.
+class or its tuning constant behind; a public name that only tests call is
+surface that nothing runs.  These guards name the module and the name.  Built
+on the stdlib ``ast`` module: a name counts as used when it appears as an
+expression (a name or an attribute), annotations included.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "pstream"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "pstream"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -99,3 +103,62 @@ def test_every_private_function_is_called():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     unused = private_names_unused(sources)
     assert not unused, f"src/pstream/ defines {', '.join(unused)} and never names it"
+
+
+def public_definitions(tree: ast.Module):
+    """(qualified name, node) of each public module-level function and class of
+    ``tree``, and of each public method and property of those classes."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
+            yield stmt.name, stmt
+            for member in stmt.body if isinstance(stmt, ast.ClassDef) else []:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield f"{stmt.name}.{member.name}", member
+
+
+def names_in(node: ast.AST) -> Counter:
+    """How often each name and attribute appears in ``node``."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def public_names_unnamed(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """The public definitions of ``sources`` (module name to source) that
+    neither ``sources`` outside the definition itself nor ``readers`` name."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    named = Counter()
+    for tree in [*trees.values(), *map(ast.parse, readers)]:
+        named.update(names_in(tree))
+    return sorted(
+        f"{module}.{qualname}"
+        for module, tree in trees.items()
+        for qualname, node in public_definitions(tree)
+        if named[node.name] == names_in(node)[node.name]
+    )
+
+
+def test_guard_finds_a_dead_public_name():
+    sources = {
+        "a.py": "def live():\n    return 1\ndef dead(n):\n    return dead(n - 1)\n"
+        "class Batch:\n    def total(self):\n        return self.part()\n"
+        "    def part(self):\n        return 0\n"
+        "    @property\n    def unread(self):\n        return self.unread\n",
+        "b.py": "from .a import Batch, live\n"
+        "def report(batch: Batch):\n    return live() + batch.total()\n",
+    }
+    # a reader outside the package keeps b.report; what only tests call stays dead
+    readers = ["from pstream import b\nb.report(None)\n"]
+    assert public_names_unnamed(sources, readers) == ["a.py.Batch.unread", "a.py.dead"]
+    assert public_names_unnamed(sources, []) == ["a.py.Batch.unread", "a.py.dead", "b.py.report"]
+
+
+def test_every_public_name_is_named():
+    # __init__.py only re-exports; the benchmark's modules are read, never changed
+    sources = {name: (SRC / name).read_text() for name in MODULES}
+    bench = sorted((ROOT / "perfbench").glob("*.py"))
+    readers = [p.read_text() for p in bench if not p.name.startswith("test_")]
+    unnamed = public_names_unnamed(sources, readers)
+    assert not unnamed, f"src/pstream/ defines {', '.join(unnamed)}, which only tests name"

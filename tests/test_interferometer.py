@@ -10,12 +10,12 @@ from pstream.interferometer import (
     OpticalState,
     PztConfig,
     envelope,
-    pair_coincidence_probability,
     port_probability,
     pzt_phase,
-    singles_fringe,
     voltage_to_displacement,
 )
+from pstream.runner import analytic_fig4
+from pstream.source import DEFAULT_WAVELENGTH
 
 UNIT = st.floats(min_value=0.0, max_value=1.0)
 PHASES = st.floats(min_value=-50.0, max_value=50.0)
@@ -170,65 +170,9 @@ class TestPortProbability:
         assert 0.0 <= p <= 1.0
 
 
-class TestSinglesFringe:
-    def test_dark_port(self):
-        assert singles_fringe(0.0, 1.0, 1.0) == (0.0, 1.0)
-
-    def test_peak_with_measured_visibility(self):
-        p, q = singles_fringe(math.pi, 1.0, 0.882)
-        assert p == pytest.approx(0.941, abs=1e-6)
-        assert q == pytest.approx(0.059, abs=1e-6)
-
-    def test_balanced_at_quadrature(self):
-        p, q = singles_fringe(math.pi / 2, 0.5, 1.0)
-        assert p == pytest.approx(0.5, abs=1e-15)
-        assert q == pytest.approx(0.5, abs=1e-15)
-
-    @given(PHASES, UNIT, UNIT)
-    def test_ports_sum_to_one(self, phase, g, v):
-        p, q = singles_fringe(phase, g, v)
-        assert p + q == 1.0
-        assert 0.0 <= p <= 1.0 and 0.0 <= q <= 1.0
-
-
-def _enumerate_pair_split(p):
-    """Probability one photon lands on each detector when both route independently."""
-    routings = [(a, b) for a in ("A", "B") for b in ("A", "B")]
-    total = 0.0
-    for a, b in routings:
-        prob = (p if a == "A" else 1 - p) * (p if b == "A" else 1 - p)
-        if a != b:
-            total += prob
-    return total
-
-
 class TestPairCoincidence:
-    def test_deterministic_bunching_at_zero_phase(self):
-        assert pair_coincidence_probability(0.0, 1.0, 1.0) == 0.0
-
-    def test_quadrature_maximum_matches_enumeration(self):
-        assert pair_coincidence_probability(math.pi / 2, 1.0, 1.0) == pytest.approx(
-            _enumerate_pair_split(0.5), abs=1e-15
-        )
-
-    def test_minimum_with_measured_contrast(self):
-        value = pair_coincidence_probability(0.0, 1.0, 0.88)
-        assert value == pytest.approx(0.1128, abs=1e-6)
-        assert value / pair_coincidence_probability(math.pi / 2, 1.0, 0.88) == pytest.approx(
-            0.2256, abs=1e-6
-        )
-
-    @given(PHASES, UNIT, UNIT)
-    def test_identity_with_port_probability(self, phase, g, v):
-        p = port_probability(phase, g, v)
-        assert pair_coincidence_probability(phase, g, v) == pytest.approx(
-            2 * p * (1 - p), abs=1e-14
-        )
-
-    @given(PHASES, UNIT, UNIT)
-    def test_double_modulation_period(self, phase, g, v):
-        pair = pair_coincidence_probability
-        assert pair(phase + math.pi, g, v) == pytest.approx(pair(phase, g, v), abs=1e-9)
+    """The coincidence fringe of the reference curves: the product of the
+    two normalized singles, p(1 - p), half the pair-split probability."""
 
     @given(PHASES, st.floats(min_value=0.05, max_value=1.0), st.floats(min_value=0.05, max_value=1.0))
     def test_singles_do_not_share_the_halved_period(self, phase, g, v):
@@ -240,15 +184,15 @@ class TestPairCoincidence:
         assert abs(p_here - p_shifted) > 0.0
 
     def test_extrema_ratio_closed_form(self):
+        # two fringe periods, with the envelope flat across them
+        x = np.linspace(0.0, 2 * DEFAULT_WAVELENGTH, 20001)
         for contrast in (1.0, 0.88, 0.5, 0.1):
-            phases = np.linspace(0, 2 * math.pi, 20001)
-            values = pair_coincidence_probability(phases, 1.0, contrast)
+            values = analytic_fig4(contrast, 10.0, x).coincidence
             assert values.min() / values.max() == pytest.approx(1 - contrast**2, abs=1e-6)
 
     def test_coincidence_minima_sit_at_singles_extrema(self):
-        phases = np.linspace(0, 4 * math.pi, 40001)
-        singles = port_probability(phases, 1.0, 0.9)
-        pairs = pair_coincidence_probability(phases, 1.0, 0.9)
+        curves = analytic_fig4(0.9, 10.0, np.linspace(0.0, 2 * DEFAULT_WAVELENGTH, 40001))
+        singles, pairs = curves.intensity_d1, curves.coincidence
         # anti-crossings (singles extrema) minimize the pair rate, crossings maximize it
         assert pairs[np.argmax(singles)] == pytest.approx(pairs.min(), abs=1e-7)
         assert pairs[np.argmin(np.abs(singles - 0.5))] == pytest.approx(pairs.max(), abs=1e-7)

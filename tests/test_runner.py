@@ -193,6 +193,17 @@ class TestScanCsv:
         with pytest.raises(DataError, match="line 2"):
             read_scan_csv(path)
 
+    @pytest.mark.parametrize("count", [2**63, 10**400])
+    def test_count_above_int64_reports_line(self, count, tmp_path):
+        # 10**400 was read, and analyze then failed converting it to float
+        path = tmp_path / "big.csv"
+        path.write_text(
+            "point,voltage_V,x_m,phase_rad,envelope,N_A,N_B,N_c\n"
+            f"0,0.0,0.0,0.0,1.0,{2**63 - 1},1,0\n1,1.0,0.0,0.0,1.0,{count},1,0\n"
+        )
+        with pytest.raises(DataError, match=r"line 3: count above 2\*\*63 - 1"):
+            read_scan_csv(path)
+
 
 class TestAnalyticFig4:
     def test_product_identity(self):

