@@ -169,7 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override the config seed, in [0, 2**64)")
     p.add_argument(
-        "--workers", type=int_in_range(1), default=1, help="worker threads for scan points"
+        "--workers",
+        type=int_in_range(1),
+        default=1,
+        help="processes that share the scan points, this one included; at most one per CPU runs",
     )
     p.set_defaults(func=_cmd_simulate)
 

@@ -4,9 +4,10 @@
 stream, detection and coincidence counting for its dwell time.  Every scan
 point gets a child seed derived from (scan seed, point index) with the
 splitmix64 mixer, so points are independent of evaluation order and of the
-worker count; results are collected by index.  Workers are threads: the heavy
-lifting is in numpy, and thread scheduling cannot perturb the per-point
-streams.
+worker count; results are collected by index.  With W workers, point i goes
+to worker i mod W: worker 0 is the calling process, the others are forked
+processes of a pool that later scans reuse.  At most one worker per usable
+CPU runs.
 
 The scan CSV schema is fixed:
     point,voltage_V,x_m,phase_rad,envelope,N_A,N_B,N_c
@@ -16,9 +17,10 @@ written as x_m,envelope,g2 rows.
 
 from __future__ import annotations
 
+import atexit
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -113,23 +115,86 @@ def _simulate_point(cfg: ExperimentConfig, index: int, volt: float) -> ScanPoint
     return ScanPoint(index, float(volt), x, phase, float(gain), *accumulate(steps))
 
 
-def run_scan(cfg: ExperimentConfig, workers: int = 1) -> ScanResult:
-    """Simulate the full voltage scan; reproducible for a fixed config seed."""
-    volts = _scan_voltages(cfg)
+def _simulate_share(
+    cfg: ExperimentConfig, tasks: list[tuple[int, float]]
+) -> tuple[list[ScanPoint], PstreamError | None]:
+    """Simulate the (index, voltage) ``tasks`` in order, up to the first that fails.
 
-    def job(args: tuple[int, float]) -> ScanPoint:
-        index, volt = args
+    Returns the points done and that failure, or None: a ``PstreamError`` of
+    the same type whose message starts ``scan point i:``.
+    """
+    points = []
+    for index, volt in tasks:
         try:
-            return _simulate_point(cfg, index, volt)
+            points.append(_simulate_point(cfg, index, volt))
         except PstreamError as exc:
-            raise type(exc)(f"scan point {index}: {exc}") from exc
+            error = type(exc)(f"scan point {index}: {exc}")
+            error.__cause__ = exc
+            return points, error
+    return points, None
 
-    tasks = list(enumerate(volts.tolist()))
-    if workers <= 1:
-        points = [job(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(job, tasks))
+
+# (executor, processes) of the forked workers that scans share, or None
+_pool = None
+
+
+def _worker_pool(processes: int):
+    """A pool of at least ``processes`` forked workers, kept for later scans.
+
+    Forked workers inherit the imported package and the heap policy.  A fork
+    is safe while no other thread runs: pstream starts none, the executor
+    forks all its workers before it starts its own thread, and a pool is shut
+    down, its thread joined, before a larger one replaces it.
+    """
+    global _pool
+    if _pool is None or _pool[1] < processes:
+        _close_pool()
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        context = multiprocessing.get_context("fork")
+        _pool = (ProcessPoolExecutor(processes, mp_context=context), processes)
+    return _pool[0]
+
+
+def _close_pool() -> None:
+    global _pool
+    if _pool is not None:
+        _pool[0].shutdown(cancel_futures=True)
+        _pool = None
+
+
+# atexit runs after concurrent.futures' own exit hook has joined the workers.
+# Dropping the pool then frees it before module teardown: collected there, after
+# concurrent.futures.process is cleared, it prints "Exception ignored" on stderr
+atexit.register(_close_pool)
+
+
+def run_scan(cfg: ExperimentConfig, workers: int = 1) -> ScanResult:
+    """Simulate the full voltage scan; reproducible for a fixed config seed.
+
+    At most ``min(workers, n_points, usable CPUs)`` workers run, the caller
+    among them.  When points fail, the error raised is that of the lowest
+    failing index, whatever the worker count.
+    """
+    tasks = list(enumerate(_scan_voltages(cfg).tolist()))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    n_workers = max(1, min(workers, len(tasks), cpus))
+    shares = [tasks[w::n_workers] for w in range(n_workers)]
+    pool = _worker_pool(n_workers - 1) if n_workers > 1 else None
+    futures = [pool.submit(_simulate_share, cfg, share) for share in shares[1:]]
+    try:
+        outcomes = [_simulate_share(cfg, shares[0])] + [f.result() for f in futures]
+    except BaseException:  # a worker died or raised, or an interrupt: the next scan forks anew
+        if futures:
+            _close_pool()
+        raise
+    failures = [(share[len(done)][0], error) for share, (done, error) in zip(shares, outcomes) if error]
+    if failures:
+        raise min(failures)[1]
+    points = [None] * len(tasks)
+    for w, (done, _) in enumerate(outcomes):
+        points[w::n_workers] = done
     return ScanResult(points=points, config=cfg)
 
 

@@ -6,6 +6,7 @@ import math
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 import tempfile
@@ -590,7 +591,7 @@ POINTS = st.one_of(st.integers(-3, 10**4).map(str), st.sampled_from(["2.5", "1e3
 SEED = st.one_of(
     st.integers(-(2**65), 2**65).map(str), st.sampled_from(["-1", str(2**64), "1.5", "nan", ""])
 )
-# at most 2 valid workers; the invalid counts are refused before any thread starts
+# at most 2 valid workers; the invalid counts are refused before any worker is forked
 WORKERS = st.one_of(
     st.integers(1, 2).map(str), st.sampled_from(["0", "-1", str(-(2**70)), "1.5", "abc", ""])
 )
@@ -814,6 +815,28 @@ def test_script_rejects_bad_flag(name, tmp_path):
     assert f"argument {flag}: '{value}'" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.usefixtures("child_pythonpath")
+def test_simulate_leaves_no_process_running(config_path, tmp_path):
+    # in a session of its own, the run's process group is its pid: the forked
+    # workers are in it until they exit.  stderr goes to a file, which a
+    # worker left running cannot hold open
+    argv = ["simulate", "--config", str(config_path), "--out", str(tmp_path / "out"), "--workers", "2"]
+    with open(tmp_path / "stderr", "w") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pstream.cli", *argv],
+            stdout=subprocess.DEVNULL,
+            stderr=err,
+            start_new_session=True,
+        )
+        code = proc.wait(timeout=120)
+    assert code == 0, (tmp_path / "stderr").read_text()
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)  # and ends what is left
+    except ProcessLookupError:
+        return
+    pytest.fail("processes of the run were left running after it exited")
 
 
 class TestEntryPoint:

@@ -12,6 +12,8 @@ expression (a name or an attribute), annotations included.
 """
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -162,3 +164,12 @@ def test_every_public_name_is_named():
     readers = [p.read_text() for p in bench if not p.name.startswith("test_")]
     unnamed = public_names_unnamed(sources, readers)
     assert not unnamed, f"src/pstream/ defines {', '.join(unnamed)}, which only tests name"
+
+
+@pytest.mark.usefixtures("child_pythonpath")
+def test_import_leaves_the_process_pool_unloaded():
+    # a one-worker run forks nothing, and pays for neither module
+    script = "import sys, pstream; print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -156,6 +160,119 @@ class TestRunScanPhysics:
         assert [p.voltage for p in wobbly1.points] != [p.voltage for p in plain.points]
         assert [p.voltage for p in wobbly1.points] == [p.voltage for p in wobbly2.points]
         assert all(0.0 <= p.voltage <= 100.0 for p in wobbly1.points)
+
+
+class InlinePool:
+    """Stands in for the worker pool: records the size asked for and runs each
+    share in the calling process, so that no test of the cap forks."""
+
+    def __init__(self, sizes):
+        self.sizes = sizes
+
+    def __call__(self, processes):
+        self.sizes.append(processes)
+        return self
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestWorkerCap:
+    @pytest.fixture(scope="class")
+    def one_worker(self):
+        return run_scan(small_config(n_points=5, seconds=0.1)).points
+
+    @pytest.mark.parametrize(
+        "workers,n_points,cpus,processes",
+        [(10**6, 5, 3, [2]), (10**6, 2, 8, [1]), (4, 5, 8, [3]), (2, 5, 1, []), (1, 5, 8, [])],
+    )
+    def test_processes_capped_by_points_and_cpus(self, workers, n_points, cpus, processes, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(runner, "_worker_pool", InlinePool(sizes))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        result = run_scan(small_config(n_points=n_points, seconds=0.1), workers=workers)
+        assert sizes == processes
+        assert [p.point for p in result.points] == list(range(n_points))
+
+    def test_cpu_count_where_affinity_is_missing(self, monkeypatch, one_worker):
+        sizes = []
+        monkeypatch.setattr(runner, "_worker_pool", InlinePool(sizes))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        result = run_scan(small_config(n_points=5, seconds=0.1), workers=10**6)
+        assert sizes == [3]
+        # points i, i + 4, ... are worker i's share, put back in index order
+        assert result.points == one_worker
+
+
+# prints the error run_scan raises at 2 workers when points fail; run in a
+# fresh interpreter, so that the forked workers see the patched point
+FAILING_SCAN = """
+import dataclasses, sys
+from pstream import runner
+from pstream.config import ExperimentConfig, ScanConfig
+from pstream.errors import ContractError, PstreamError
+
+simulate, failing = runner._simulate_point, {int(i) for i in sys.argv[1].split(",")}
+def fails(cfg, index, volt):
+    if index in failing:
+        raise ContractError("detector fault")
+    return simulate(cfg, index, volt)
+
+runner._simulate_point = fails
+cfg = dataclasses.replace(ExperimentConfig(), scan=ScanConfig(n_points=4, seconds_per_point=0.1, seed=9))
+try:
+    runner.run_scan(cfg, workers=2)
+except PstreamError as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+@pytest.mark.usefixtures("child_pythonpath")
+@pytest.mark.parametrize("failing", ["1,3", "1,2,3"])
+def test_worker_errors_keep_type_message_and_lowest_index(failing):
+    # with 2 workers the caller runs points 0 and 2, the forked worker 1 and 3:
+    # the worker's point 1 fails first in index, though the caller's 2 fails too
+    proc = subprocess.run(
+        [sys.executable, "-c", FAILING_SCAN, failing], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ContractError scan point 1: detector fault\n"
+
+
+# a scan whose forked worker dies, then a scan at 2 workers again
+KILLED_WORKER = """
+import dataclasses, os
+from concurrent.futures import BrokenExecutor
+from pstream import runner
+from pstream.config import ExperimentConfig, ScanConfig
+
+cfg = dataclasses.replace(ExperimentConfig(), scan=ScanConfig(n_points=4, seconds_per_point=0.1, seed=9))
+simulate, caller = runner._simulate_point, os.getpid()
+def dying(cfg, index, volt):
+    if os.getpid() != caller:
+        os._exit(1)
+    return simulate(cfg, index, volt)
+
+runner._simulate_point = dying
+try:
+    runner.run_scan(cfg, workers=2)
+except BrokenExecutor:
+    print("broken")
+runner._simulate_point = simulate
+print(runner.run_scan(cfg, workers=2).points == runner.run_scan(cfg).points)
+"""
+
+
+@pytest.mark.usefixtures("child_pythonpath")
+def test_scan_after_a_killed_worker_forks_a_new_pool():
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one usable CPU: a scan forks no worker")
+    proc = subprocess.run([sys.executable, "-c", KILLED_WORKER], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "broken\nTrue\n"
 
 
 class TestScanCsv:
