@@ -60,7 +60,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     run = Path(args.run)
     cfg = load_config(run / "config.json")
-    result = ScanResult(points=read_scan_csv(run / "scan.csv"), config=cfg)
+    points = read_scan_csv(run / "scan.csv")
+    if len(points) != cfg.scan.n_points:
+        raise DataError(f"{run / 'scan.csv'}: {len(points)} rows, the run has {cfg.scan.n_points}")
+    result = ScanResult(points=points, config=cfg)
     # both outputs are computed, and so every bad input refused, before either is written
     report = build_report(result, dead_time=cfg.source.dead_time)
     series_a, series_b, series_c, gains = scan_series(result)

@@ -9,11 +9,11 @@ are merged with photon events before filtering since they trigger the same
 avalanche electronics.  Configured times in seconds become picoseconds in one
 function, ``seconds_to_ps``.
 
-The occupied slots of a step are drawn as one ascending array, and every
-per-photon draw runs over that array in slot order, so each channel's photon
-times come out already sorted: a channel needs no sort, only the insertion of
-its few dark counts.  A slot gives a channel one event however many of its
-photons reach it: the dead time makes them one click.
+A step draws from one generator.  Its occupied slots are one ascending
+array, and every per-photon draw runs over it in slot order, so each
+channel's photon times come out already sorted: a channel needs no sort, only
+the insertion of its few dark counts.  A slot gives a channel one event
+however many of its photons reach it: the dead time makes them one click.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DomainError
 from .interferometer import OpticalState
-from .seeding import derive_seed
 from .source import DEFAULT_DEAD_TIME, PhotonBatch
 
 PS_PER_S = 1_000_000_000_000
@@ -123,12 +122,15 @@ class PulseTrain:
         return int(self.starts.size)
 
 
-def generate_dark_events(rate: float, duration_ps: int, seed: int) -> np.ndarray:
-    """Dark-count instants (int64 ps) from a homogeneous Poisson point process.
+def generate_dark_events(
+    rate: float, duration_ps: int, seed: int | np.random.Generator
+) -> np.ndarray:
+    """Dark-count instants (int64 ps, ascending) of a homogeneous Poisson process.
 
-    Inter-arrival gaps are exponential with mean 1/rate; deterministic per
-    seed.  Arrivals are summed in float seconds and rounded once to ps; the
-    window is half-open, so none lands on ``duration_ps`` itself.
+    A Poisson count of mean ``rate`` times the window, at uniform whole
+    picoseconds of [0, ``duration_ps``): the homogeneous process given its
+    count (Kingman, *Poisson Processes*, 1993).  ``seed`` is an int or a
+    Generator, drawn from in place.
     """
     if rate < 0:
         raise DomainError(f"rate must be >= 0, got {rate}")
@@ -138,18 +140,8 @@ def generate_dark_events(rate: float, duration_ps: int, seed: int) -> np.ndarray
         raise DomainError(f"duration must be > 0, got {duration_ps} ps")
     if rate == 0.0:
         return np.empty(0, dtype=np.int64)
-    duration = duration_ps / PS_PER_S
     rng = np.random.default_rng(seed)
-    times: list[np.ndarray] = []
-    t = 0.0
-    block = max(16, int(rate * duration * 1.2) + 16)
-    while t < duration:
-        gaps = rng.exponential(1.0 / rate, size=block)
-        arrivals = t + np.cumsum(gaps)
-        times.append(arrivals)
-        t = float(arrivals[-1])
-    ps = np.round(np.concatenate(times) * PS_PER_S).astype(np.int64)
-    return ps[ps < duration_ps]
+    return np.sort(rng.integers(0, duration_ps, size=rng.poisson(rate * duration_ps / PS_PER_S)))
 
 
 def dead_time_filter(events: np.ndarray, t_d) -> np.ndarray:
@@ -269,26 +261,25 @@ def detect_bin(
     batch: PhotonBatch,
     optics: OpticalState,
     detectors: tuple[DetectorConfig, DetectorConfig],
-    seed: int,
+    seed: int | np.random.Generator,
     slot_width: float,
 ) -> tuple[PulseTrain, PulseTrain]:
     """Full detection chain for one counter step: (train toward D1, train toward D2).
 
-    ``detectors`` is the (D1, D2) pair; ``batch`` fills slots ``slot_width`` s wide.
+    ``detectors`` is the (D1, D2) pair; ``batch`` fills slots ``slot_width`` s
+    wide; ``seed`` is an int or a Generator, drawn from in place.
 
     The batch's occupied slots are placed collision-free at uniformly random
     slot positions, and a uniform subset of them holds pairs (each
-    higher-order slot is treated as a pair).  Every slot's first photon is
-    routed to D1 with the state's port probability, and each pair's second
-    photon independently, sharing its slot's arrival time.  Each photon on a
-    channel survives that channel's efficiency draw independently.  The
-    survivors are merged with dark events, dead-time filtered on their true
-    times, quantized to the resolving-time grid and shaped into pulses.
-    Deterministic per seed.
+    higher-order slot is treated as a pair).  Every slot's first photon and
+    each pair's second photon, at its slot's time, draws one uniform u: with
+    p the state's D1 port probability, D1 clicks for u < p·η₁ and D2 for
+    u >= p + (1 - p)·(1 - η₂).  Each channel's clicks are merged with its
+    dark events, dead-time filtered on their true times, quantized to the
+    resolving-time grid and shaped into pulses.
 
-    Every draw runs over the ascending slots in slot order: first-photon
-    routing and thinning over all k slots, second-photon routing and thinning
-    over the pair slots.  So a channel's photon times are taken in ascending
+    The uniforms run over the ascending slots in slot order, first photons
+    then second photons, so a channel's photon times are taken in ascending
     order, one per slot that routes a photon there, and only the dark counts
     are inserted, by ``searchsorted``.  A pair with both photons on one
     channel gives that channel one event: a second event at the same time
@@ -298,25 +289,26 @@ def detect_bin(
     slot_ps = seconds_to_ps(slot_width, "slot_width")
     bin_length = batch.slots_per_bin * slot_ps
 
-    rng = np.random.default_rng(derive_seed(seed, 0))
+    rng = np.random.default_rng(seed)
     p_d1 = optics.d1_probability()
+    d1, d2 = detectors
 
     n_p = batch.n_pair_slots + batch.n_higher_slots
     slots = sample_distinct_slots(rng, batch.slots_per_bin, batch.n_occupied)
     pair = np.sort(rng.choice(slots.size, n_p, replace=False, shuffle=False))
-    first = rng.random(slots.size) < p_d1
-    second = rng.random(n_p) < p_d1
+    first = rng.random(slots.size)
+    second = rng.random(n_p)
 
     trains = []
-    for lane, det in enumerate(detectors):
-        hit, second_hit = (first.copy(), second) if lane == 0 else (~first, ~second)
-        if det.efficiency < 1.0:
-            hit &= rng.random(slots.size) < det.efficiency
-            second_hit = second_hit & (rng.random(n_p) < det.efficiency)
-        hit[pair[second_hit]] = True
+    for det, clicks, cut in (
+        (d1, np.less, p_d1 * d1.efficiency),
+        (d2, np.greater_equal, p_d1 + (1.0 - p_d1) * (1.0 - d2.efficiency)),
+    ):
+        hit = clicks(first, cut)
+        hit[pair[clicks(second, cut)]] = True
         # take by index: a boolean index over a random mask runs 5x slower
         t = np.multiply(slots.take(np.flatnonzero(hit)), slot_ps, dtype=np.int64)
-        dark = generate_dark_events(det.dark_rate, bin_length, derive_seed(seed, 1 + lane))
+        dark = generate_dark_events(det.dark_rate, bin_length, rng)
         if dark.size:
             t = np.insert(t, np.searchsorted(t, dark), dark)
         t = _quantize(dead_time_filter(t, det.dead_time_ps), det.resolving_time_ps)

@@ -2,12 +2,12 @@
 
 ``run_scan`` walks the piezo voltage ramp, simulating each point's photon
 stream, detection and coincidence counting for its dwell time.  Every scan
-point gets a child seed derived from (scan seed, point index) with the
-splitmix64 mixer, so points are independent of evaluation order and of the
-worker count; results are collected by index.  With W workers, point i goes
-to worker i mod W: worker 0 is the calling process, the others are forked
-processes of a pool that later scans reuse.  At most one worker per usable
-CPU runs.
+point gets one generator, seeded from (scan seed, point index) with the
+splitmix64 mixer, which its counter steps draw from in turn; so points are
+independent of evaluation order and of the worker count, and results are
+collected by index.  With W workers, point i goes to worker i mod W: worker 0
+is the calling process, the others are forked processes of a pool that later
+scans reuse.  At most one worker per usable CPU runs.
 
 The scan CSV schema is fixed:
     point,voltage_V,x_m,phase_rad,envelope,N_A,N_B,N_c
@@ -40,7 +40,7 @@ from .analysis import (
     robust_extrema,
 )
 from .coincidence import accumulate, coincide
-from .config import ExperimentConfig
+from .config import MAX_POINTS, ExperimentConfig
 from .detection import PS_PER_S, detect_bin
 from .errors import DataError, PstreamError
 from .interferometer import (
@@ -80,7 +80,8 @@ def _scan_voltages(cfg: ExperimentConfig) -> np.ndarray:
     pzt = cfg.optics.pzt
     volts = np.linspace(pzt.voltage_min, pzt.voltage_max, cfg.scan.n_points)
     if cfg.scan.jitter_volts > 0.0:
-        rng = np.random.default_rng(derive_seed(cfg.scan.seed, 0xA11CE))
+        # no point index reaches lane MAX_POINTS, so no point draws from this stream
+        rng = np.random.default_rng(derive_seed(cfg.scan.seed, MAX_POINTS))
         cycles = rng.uniform(1.0, 3.0)
         phase0 = rng.uniform(0.0, 2.0 * math.pi)
         idx = np.arange(cfg.scan.n_points)
@@ -102,13 +103,12 @@ def _simulate_point(cfg: ExperimentConfig, index: int, volt: float) -> ScanPoint
     gain = envelope(x, scale)
     state = OpticalState(phase, cfg.optics.intrinsic_visibility, gain)
     mean = cfg.source.mean_photon()
-    point_seed = derive_seed(cfg.scan.seed, index)
+    rng = np.random.default_rng(derive_seed(cfg.scan.seed, index))
     steps = []
-    for j in range(cfg.steps_per_point):
-        step_seed = derive_seed(point_seed, j)
-        batch = sample_batch(mean, cfg.slots_per_step, derive_seed(step_seed, 0))
+    for _ in range(cfg.steps_per_point):
+        batch = sample_batch(mean, cfg.slots_per_step, rng)
         train_a, train_b = detect_bin(
-            batch, state, cfg.detectors, derive_seed(step_seed, 1), slot_width=cfg.source.dead_time
+            batch, state, cfg.detectors, rng, slot_width=cfg.source.dead_time
         )
         n_c, _ = coincide(train_a, train_b, cfg.ccm)
         steps.append((len(train_a), len(train_b), n_c))
@@ -240,9 +240,7 @@ def build_report(result: ScanResult, dead_time: float) -> CorrelationReport:
         accumulation,
         delta_t,
     )
-    mean_n = float(
-        np.mean([mean_photon_number(t, accumulation, dead_time) for t in totals])
-    )
+    mean_n = mean_photon_number(float(totals.mean()), accumulation, dead_time)
     period = fringe_period(series_a)
     return CorrelationReport(
         visibility_a=vis_a,
@@ -316,9 +314,9 @@ def export_scan_csv(result: ScanResult, path: str | Path) -> None:
 def read_scan_csv(path: str | Path) -> list[ScanPoint]:
     """Read a scan CSV back into records; floats round-trip exactly via repr.
 
-    Raises DataError for a malformed row, a non-finite float, a negative
-    count or one above 2**63 - 1, or more coincidences than the smaller
-    singles count.
+    Raises DataError for a malformed row, a ``point`` that is not the row's
+    0-based index, a non-finite float, a negative count or one above
+    2**63 - 1, or more coincidences than the smaller singles count.
     """
     points = []
     with open(path, newline="") as fh:
@@ -334,6 +332,8 @@ def read_scan_csv(path: str | Path) -> list[ScanPoint]:
                 point, n_a, n_b, n_c = int(row[0]), int(row[5]), int(row[6]), int(row[7])
             except ValueError as exc:
                 raise DataError(f"{path}: line {lineno}: {exc}") from exc
+            if point != lineno - 2:
+                raise DataError(f"{path}: line {lineno}: point {point}, expected {lineno - 2}")
             if not all(map(math.isfinite, floats)):
                 raise DataError(f"{path}: line {lineno}: non-finite value in {','.join(row[1:5])}")
             if min(n_a, n_b, n_c) < 0:

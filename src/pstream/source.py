@@ -162,16 +162,15 @@ def poisson_tail(n: int, mean: float) -> float:
     return total
 
 
-def sample_batch(mean: float, slots_per_bin: int, seed: int) -> PhotonBatch:
+def sample_batch(mean: float, slots_per_bin: int, seed: int | np.random.Generator) -> PhotonBatch:
     """Draw the occupancy-class counts for one counter step of ``slots_per_bin`` slots.
 
     Single, pair and higher-order slot counts are independent Poisson draws
-    with means slots*P(1), slots*P(2) and slots*P(>=3).  Deterministic for a
-    fixed seed; the seed is all that tells one step from another.  In the
-    configured regime (mean << 1, slots >> 1) their sum never approaches
-    slots_per_bin; if an extreme configuration does overflow, the counts are
-    clamped in the order higher, pair, single so the batch invariant always
-    holds.
+    with means slots*P(1), slots*P(2) and slots*P(>=3).  ``seed`` is an int or
+    a Generator, which is drawn from in place.  In the configured regime
+    (mean << 1, slots >> 1) their sum never approaches slots_per_bin; if an
+    extreme configuration does overflow, the counts are clamped in the order
+    higher, pair, single so the batch invariant always holds.
     """
     if not 0.0 <= mean < 1.0:
         raise ConfigError(f"mean occupancy must lie in [0, 1), got {mean}")

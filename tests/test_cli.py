@@ -139,9 +139,9 @@ STRESSED = {
 # SHA-256 of scan.csv for each committed config cut to 16 points x 0.1 s,
 # and for the coherent one with the STRESSED overrides
 SCAN_DIGESTS = {
-    "coincidence_scan.json": "0e055df501c22625da40f8097a796e9fb77c4bf16c7eea20914b2638131fd34e",
-    "walkoff_scan.json": "1fefbd70f12138c548ea719f11a48f91bc3256371b27b4ff50351bea30df2896",
-    "coincidence_scan.json, stressed": "dda981a4ab3ae97a768d9991ae64ba5e177fe2d6a548774f92662b20cb47e9f2",
+    "coincidence_scan.json": "a82c8ae4776eef77aae1244a3a5ea756d534153d3641234356dfb9f0df517681",
+    "walkoff_scan.json": "f55331e56f803f9ac9a7785fc43aa58bc244d31d9f0b614d367bc5a7789fc0e9",
+    "coincidence_scan.json, stressed": "e878c967521eae9eedf0f3b0a856dd327f4f68d6a8701b484300228be0003b13",
 }
 
 
@@ -153,8 +153,8 @@ def test_committed_config_scan_bytes_pinned(name, workers, tmp_path, monkeypatch
     A change that only speeds the program up leaves every random draw and
     every count as it was, so these digests hold.  A change of the random
     streams changes them once and records the new digests with its reason;
-    the last was the occupied slots drawn already sorted, with the dead time
-    applied before quantizing.
+    the last was one generator per scan point, one uniform per photon for its
+    port and its detection, and dark counts at uniform whole picoseconds.
     """
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     config_file, _, variant = name.partition(", ")
@@ -210,8 +210,8 @@ class TestAnalyze:
         assert "visibility_A" in report and "g2_ratio_min_over_max" in report
         # read with the run's 0.5 s dwell; the former 1 s default of --bin-seconds
         # halved mean_photon and doubled g2_rate
-        assert float(report["mean_photon"]) == 0.011949551899999999
-        assert float(report["g2_rate"]) == 1.3623739025967743
+        assert float(report["mean_photon"]) == 0.011950319149999998
+        assert float(report["g2_rate"]) == 1.3541507021233283
         assert "visibility_A" in capsys.readouterr().out
         g2 = (run / "g2.csv").read_text().splitlines()
         assert g2[0] == "x_m,envelope,g2"
@@ -276,9 +276,29 @@ class TestAnalyze:
         assert f"data error: {run / 'scan.csv'}: line 7: " in capsys.readouterr().err
         assert not (run / "report.csv").exists() and not (run / "g2.csv").exists()
 
+    # rows of the 80-point scan rearranged, each with the message that
+    # names it; duplicating the last row or swapping two rows exited 0
+    BAD_ORDERS = {
+        "duplicated_last_row": (lambda rows: rows + rows[-1:], "line 82: point 79, expected 80"),
+        "swapped_rows": (
+            lambda rows: rows[:10] + [rows[11], rows[10]] + rows[12:],
+            "line 12: point 11, expected 10",
+        ),
+        "dropped_last_row": (lambda rows: rows[:-1], "79 rows, the run has 80"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BAD_ORDERS))
+    def test_rows_not_the_run_exit_3(self, name, analyze_run, tmp_path, capsys):
+        header, *rows = (analyze_run / "scan.csv").read_text().splitlines()
+        change, message = self.BAD_ORDERS[name]
+        run = copy_run(analyze_run, tmp_path / "run", "\n".join([header] + change(rows)) + "\n")
+        assert run_cli("analyze", "--run", str(run)) == 3
+        assert f"data error: {run / 'scan.csv'}: {message}" in capsys.readouterr().err
+        assert not (run / "report.csv").exists() and not (run / "g2.csv").exists()
+
     def test_flat_scan_exits_4(self, analyze_run, tmp_path):
         rows = ["point,voltage_V,x_m,phase_rad,envelope,N_A,N_B,N_c"]
-        rows += [f"{k},{k},{k*1e-8},0.0,1.0,100,100,1" for k in range(40)]
+        rows += [f"{k},{k},{k*1e-8},0.0,1.0,100,100,1" for k in range(80)]
         run = copy_run(analyze_run, tmp_path / "run", "\n".join(rows) + "\n")
         assert run_cli("analyze", "--run", str(run)) == 4
 
@@ -303,11 +323,11 @@ class TestAnalyze:
         assert not (run / "report.csv").exists() and not (run / "g2.csv").exists()
 
 
-# the ways a fuzzed scan.csv row is changed: read_scan_csv refuses each of
-# the first group wherever it lands; a cut line may still parse, and extreme
-# finite values, extreme x in both the first and last rows (which set the
-# span of the positions) and dropped trailing rows are data that analyze
-# reads or refuses
+# the ways a fuzzed scan.csv row is changed: analyze refuses each of the
+# first group wherever it lands (dropped trailing rows leave fewer rows than
+# the run's points); a cut line may still parse, and extreme finite values
+# and extreme x in both the first and last rows (which set the span of the
+# positions) are data that analyze reads or refuses
 REFUSED_ROWS = [
     "drop_field",
     "extra_field",
@@ -315,8 +335,9 @@ REFUSED_ROWS = [
     "negative_count",
     "n_c_above_min",
     "blank_line",
+    "drop_rows",
 ]
-DATA_CHANGES = ["truncate_line", "extreme_value", "position_range", "drop_rows"]
+DATA_CHANGES = ["truncate_line", "extreme_value", "position_range"]
 
 
 def break_fields(data, kind: str, fields: list[str]) -> list[str]:

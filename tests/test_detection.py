@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import stats
 
 from pstream import detection
 from pstream.coincidence import CcmConfig, _coincide_two_pointer, coincide
@@ -22,7 +23,6 @@ from pstream.detection import (
 )
 from pstream.errors import ConfigError, ContractError, DomainError
 from pstream.interferometer import OpticalState
-from pstream.seeding import derive_seed
 from pstream.source import PhotonBatch, sample_batch
 
 T_D = 22_000  # default dead time in ps
@@ -178,6 +178,15 @@ class TestGenerateDarkEvents:
     def test_high_rate_mean(self):
         counts = [generate_dark_events(1e6, PS_PER_S // 1000, seed=k).size for k in range(200)]
         assert abs(np.mean(counts) - 1000.0) < 3 * math.sqrt(1000 / 200)
+
+    def test_times_uniform_over_window(self):
+        # 200 windows of 100 ms at 1 kHz: about 20 000 counts, 1 000 per bin,
+        # against the chi-square bound at its 0.999 quantile
+        window = PS_PER_S // 10
+        events = np.concatenate([generate_dark_events(1000.0, window, seed=k) for k in range(200)])
+        counts, _ = np.histogram(events, bins=20, range=(0, window))
+        expected = events.size / 20
+        assert ((counts - expected) ** 2 / expected).sum() < stats.chi2.ppf(0.999, 19)
 
     def test_bad_duration(self):
         with pytest.raises(DomainError):
@@ -480,6 +489,35 @@ class TestDetectBin:
         total = len(train_a) + len(train_b)
         assert abs(total - 10_000) < 3 * math.sqrt(20_000 * 0.25)
 
+    def test_unequal_efficiencies_per_channel(self):
+        # each photon reaches D1 and is detected with probability x1 = p eta1,
+        # D2 with x2 = (1 - p) eta2.  Without darks and with pulses shorter
+        # than the slot, a slot's clicks are all its channel counts: N_A and
+        # N_B follow S [P(1) x + P(>=2) (1 - (1 - x)^2)], and N_c the split
+        # pairs, S P(>=2) 2 x1 x2, with P(>=2) folding in the higher slots
+        mu, slots, steps = 0.05, 2_000_000, 20
+        optics = OpticalState(phase=0.4, intrinsic_visibility=0.882)
+        dets = (quiet_detector(efficiency=0.9), quiet_detector(efficiency=0.35))
+        counts = np.zeros(3)
+        for k in range(steps):
+            batch = sample_batch(mu, slots, seed=3000 + k)
+            a, b = detect_bin(batch, optics, dets, 4000 + k, slot_width=22e-9)
+            counts += len(a), len(b), coincide(a, b, CcmConfig())[0]
+        p = optics.d1_probability()
+        x1, x2 = p * 0.9, (1.0 - p) * 0.35
+        p1 = mu * math.exp(-mu)
+        p2 = 1.0 - math.exp(-mu) - p1
+        s = slots * steps
+        expected = np.array(
+            [
+                s * (p1 * x1 + p2 * (1.0 - (1.0 - x1) ** 2)),
+                s * (p1 * x2 + p2 * (1.0 - (1.0 - x2) ** 2)),
+                s * p2 * 2.0 * x1 * x2,
+            ]
+        )
+        z = (counts - expected) / np.sqrt(expected)
+        assert np.all(np.abs(z) < 5), z
+
     def test_timestamps_on_resolving_grid(self):
         batch = sample_batch(0.012, 454_545, seed=8)
         train_a, train_b = detect_both(batch, OpticalState(phase=0.3), DetectorConfig(), seed=9)
@@ -553,9 +591,10 @@ class TestDetectBin:
 
 def reference_detect_bin(batch, optics, detectors, seed, slot_width):
     """detect_bin written plainly: a mask over the occupied slots for the
-    pairs, per-photon masks for routing and thinning, then a concatenation
-    and a sort per channel.  Every photon that reaches a channel is an event
-    of its dead-time filter, the second photon of a same-port pair included.
+    pairs, one uniform per photon and per-photon masks for where it clicks,
+    then a concatenation and a sort per channel.  Every photon that reaches a
+    channel is an event of its dead-time filter, the second photon of a
+    same-port pair included.
 
     Returns, per channel, a namespace of the dead-time filter input
     (``filter_in``), the same input without the second photons of same-port
@@ -566,8 +605,9 @@ def reference_detect_bin(batch, optics, detectors, seed, slot_width):
     slot_ps = seconds_to_ps(slot_width, "slot_width")
     bin_length = batch.slots_per_bin * slot_ps
 
-    rng = np.random.default_rng(derive_seed(seed, 0))
+    rng = np.random.default_rng(seed)
     p_d1 = optics.d1_probability()
+    eta_1, eta_2 = (det.efficiency for det in detectors)
 
     k = batch.n_occupied
     n_p = batch.n_pair_slots + batch.n_higher_slots
@@ -575,17 +615,18 @@ def reference_detect_bin(batch, optics, detectors, seed, slot_width):
     is_pair = np.zeros(k, dtype=bool)
     is_pair[rng.choice(k, n_p, replace=False, shuffle=False)] = True
     pair_t = slot_t[is_pair]
-    first_to_d1 = rng.random(k) < p_d1
-    second_to_d1 = rng.random(n_p) < p_d1
+    u_first = rng.random(k)
+    u_second = rng.random(n_p)
+    # D1 takes [0, p eta_1) of each photon's uniform, D2 its top (1 - p) eta_2
+    clicks = (
+        lambda u: u < p_d1 * eta_1,
+        lambda u: u >= p_d1 + (1.0 - p_d1) * (1.0 - eta_2),
+    )
 
     lanes = []
-    for lane, det in enumerate(detectors):
-        first = first_to_d1 if lane == 0 else ~first_to_d1
-        second = second_to_d1 if lane == 0 else ~second_to_d1
-        if det.efficiency < 1.0:
-            first = first & (rng.random(k) < det.efficiency)
-            second = second & (rng.random(n_p) < det.efficiency)
-        dark = generate_dark_events(det.dark_rate, bin_length, derive_seed(seed, 1 + lane))
+    for det, click in zip(detectors, clicks):
+        first, second = click(u_first), click(u_second)
+        dark = generate_dark_events(det.dark_rate, bin_length, rng)
         t = np.sort(np.concatenate([slot_t[first], pair_t[second], dark]))
         alone = second & ~first[is_pair]  # second photons whose first went elsewhere
         one_per_slot = np.sort(np.concatenate([slot_t[first], pair_t[alone], dark]))
@@ -633,7 +674,7 @@ REFERENCE_CASES = {
     "committed_phase_1": (0.012, 1.0, {}),
     "committed_quadrature": (0.012, math.pi / 2, {}),
     "committed_phase_pi": (0.012, math.pi, {}),
-    # thinning runs over first photons, then second photons, per detector
+    # a photon's one uniform decides its port and whether it is detected
     "efficiency_half": (0.012, 1.0, {"efficiency": 0.5}),
     "efficiency_half_dense": (0.3, 2.0, {"efficiency": 0.5}),
     "efficiency_unequal": (0.05, 0.4, ({"efficiency": 0.9}, {"efficiency": 0.35})),

@@ -3,13 +3,14 @@ import os
 import subprocess
 import sys
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pstream import runner
 from pstream.coincidence import CcmConfig, coincide
-from pstream.config import ExperimentConfig, ScanConfig
+from pstream.config import ExperimentConfig, ScanConfig, load_config
 from pstream.detection import detect_bin
 from pstream.errors import ConfigError, DataError
 from pstream.interferometer import OpticalState, envelope
@@ -71,21 +72,36 @@ class TestRunScanDeterminism:
 class TestPointCounts:
     def test_counts_are_sums_of_steps(self, small_scan):
         # each 0.2 s point is two 100 ms steps of 4 545 454 slots of 22 ns,
-        # seeded point -> step -> (batch lane 0, detection lane 1)
+        # drawn in turn from the point's one generator: batch, then detection
         cfg = small_config()
         for p in small_scan.points:
             state = OpticalState(p.phase, cfg.optics.intrinsic_visibility, p.envelope)
-            point_seed = derive_seed(cfg.scan.seed, p.point)
+            rng = np.random.default_rng(derive_seed(cfg.scan.seed, p.point))
             sums = [0, 0, 0]
-            for j in range(2):
-                step_seed = derive_seed(point_seed, j)
-                batch = sample_batch(0.012, 4_545_454, derive_seed(step_seed, 0))
-                a, b = detect_bin(
-                    batch, state, cfg.detectors, derive_seed(step_seed, 1), slot_width=22e-9
-                )
+            for _ in range(2):
+                batch = sample_batch(0.012, 4_545_454, rng)
+                a, b = detect_bin(batch, state, cfg.detectors, rng, slot_width=22e-9)
                 for k, n in enumerate((len(a), len(b), coincide(a, b, cfg.ccm)[0])):
                     sums[k] += n
             assert [p.n_a, p.n_b, p.n_c] == sums, f"point {p.point}"
+
+    def test_one_generator_per_point(self, monkeypatch):
+        # a point of the committed config is ten 100 ms steps, and every draw
+        # of every step comes from the point's one generator
+        cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "coincidence_scan.json")
+        assert cfg.steps_per_point == 10
+        built = []
+        default_rng = np.random.default_rng
+
+        def counting_default_rng(seed=None):
+            rng = default_rng(seed)
+            if rng is not seed:
+                built.append(rng)
+            return rng
+
+        monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
+        runner._simulate_point(cfg, 0, cfg.optics.pzt.voltage_center)
+        assert len(built) == 1
 
     def test_coincidences_bounded_by_singles(self, small_scan):
         for p in small_scan.points:
@@ -308,6 +324,15 @@ class TestScanCsv:
             "point,voltage_V,x_m,phase_rad,envelope,N_A,N_B,N_c\n0,0.0,0.0,0.0,1.0,1,2\n"
         )
         with pytest.raises(DataError, match="line 2"):
+            read_scan_csv(path)
+
+    @pytest.mark.parametrize("points", [(1, 0), (0, 0), (0, 2)])
+    def test_point_not_row_index_reports_line(self, points, tmp_path):
+        path = tmp_path / "order.csv"
+        rows = "".join(f"{k},{k}.0,0.0,0.0,1.0,1,2,0\n" for k in points)
+        path.write_text("point,voltage_V,x_m,phase_rad,envelope,N_A,N_B,N_c\n" + rows)
+        bad = 0 if points[0] else 1
+        with pytest.raises(DataError, match=f"line {bad + 2}: point {points[bad]}, expected {bad}"):
             read_scan_csv(path)
 
     @pytest.mark.parametrize("count", [2**63, 10**400])

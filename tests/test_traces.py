@@ -79,7 +79,7 @@ class TestSynthesizeIngest:
             trace = synthesize_trace(*trains)
             digest.update(trace.ch1.tobytes() + trace.ch2.tobytes())
         assert digest.hexdigest() == (
-            "e8eec4b9fe0a9963344c02845859c6b435772f2bc3fdad5b4cf8b454390d56bf"
+            "a44ba8544e0497a068cea1cba4d1c6fe597c844bf08ce447567b4bd474816579"
         )
 
     def test_recovers_270_well_separated_pulses(self):
