@@ -122,9 +122,7 @@ class PulseTrain:
         return int(self.starts.size)
 
 
-def generate_dark_events(
-    rate: float, duration_ps: int, seed: int | np.random.Generator
-) -> np.ndarray:
+def generate_dark_events(rate: float, duration_ps: int, seed: int | np.random.Generator) -> np.ndarray:
     """Dark-count instants (int64 ps, ascending) of a homogeneous Poisson process.
 
     A Poisson count of mean ``rate`` times the window, at uniform whole

@@ -1,9 +1,9 @@
 """Deterministic 64-bit seed derivation.
 
-Every stochastic stage of the pipeline receives a child seed derived from its
-parent seed and a small integer lane index via the splitmix64 finalizer.  The
-derivation is pure integer arithmetic, so scan points (and the steps inside a
-point) can be simulated in any order, on any number of workers, and still
+Each scan point's generator, and the scan-voltage jitter's, is seeded with a
+child seed derived from the scan seed and an integer lane index via the
+splitmix64 finalizer.  The derivation is pure integer arithmetic, so scan
+points can be simulated in any order, on any number of workers, and still
 reproduce bit-identical streams.
 """
 
